@@ -290,23 +290,29 @@ def _verify_cycle_suite(args) -> int:
     report["unconditional_ok"] = chain["unconditional_ok"]
     report["conditional_ok"] = chain["conditional_ok"]
     cycles = []
-    if not chain["conditional_ok"]:
-        found = find_rainbow_cycle(host, colouring)
-        cycles.append({"kind": "rainbow", "cycle": list(found.cycle) if found.cycle else None,
-                       "exhaustive": found.exhaustive})
+    _search_if_violated(chain, host, colouring, None, cycles, kind="rainbow")
     if args.epsilon:
         eps = parse_fraction(args.epsilon)
         variant = check_variant_chain(host, colouring, args.k, eps)
         report["variant_checks"] = [dict(c) for c in variant["checks"]]
         report["variant_conditional_ok"] = variant["conditional_ok"]
-        if not variant["conditional_ok"]:
-            found = find_almost_rainbow(host, colouring, eps)
-            cycles.append({"kind": "almost-rainbow",
-                           "cycle": list(found.cycle) if found.cycle else None,
-                           "exhaustive": found.exhaustive})
+        _search_if_violated(variant, host, colouring, eps, cycles, kind="almost-rainbow")
     report["cycles_found"] = cycles
     emit(report, args.format, args.out)
     return EXIT_OK if chain["unconditional_ok"] else EXIT_VIOLATION
+
+
+def _search_if_violated(chain: dict, host: Graph, colouring: EdgeColouring,
+                        eps, cycles: list, **label) -> None:
+    """When a conditional bound of the chain fails, search for the cycle it
+    certifies (rainbow, or almost-rainbow at deficiency eps) and append the
+    result to cycles under the given label fields."""
+    if chain["conditional_ok"]:
+        return
+    found = find_rainbow_cycle(host, colouring) if eps is None else \
+        find_almost_rainbow(host, colouring, eps)
+    cycles.append({**label, "cycle": list(found.cycle) if found.cycle else None,
+                   "exhaustive": found.exhaustive})
 
 
 def cmd_experiment(args) -> int:
@@ -340,27 +346,17 @@ def cmd_experiment(args) -> int:
                          "holds": sp.value <= bound + sp.error_bound})
             continue
         if args.name == "rainbow-bounds":
+            eps = None
             chain = check_pattern_chain(host, colouring, k)
             ok_unconditional &= chain["unconditional_ok"]
-            rows.append({"k": k,
-                         "weight": chain["weights"][2 * k],
-                         "checks": [dict(c) for c in chain["checks"]],
-                         "conditional_ok": chain["conditional_ok"]})
-            if not chain["conditional_ok"]:
-                found = find_rainbow_cycle(host, colouring)
-                cycles.append({"k": k, "cycle": list(found.cycle) if found.cycle else None,
-                               "exhaustive": found.exhaustive})
         else:
             eps = parse_fraction(args.epsilon or "1/4")
-            variant = check_variant_chain(host, colouring, k, eps)
-            rows.append({"k": k,
-                         "weight": variant["weights"][2 * k],
-                         "checks": [dict(c) for c in variant["checks"]],
-                         "conditional_ok": variant["conditional_ok"]})
-            if not variant["conditional_ok"]:
-                found = find_almost_rainbow(host, colouring, eps)
-                cycles.append({"k": k, "cycle": list(found.cycle) if found.cycle else None,
-                               "exhaustive": found.exhaustive})
+            chain = check_variant_chain(host, colouring, k, eps)
+        rows.append({"k": k,
+                     "weight": chain["weights"][2 * k],
+                     "checks": [dict(c) for c in chain["checks"]],
+                     "conditional_ok": chain["conditional_ok"]})
+        _search_if_violated(chain, host, colouring, eps, cycles, k=k)
     report["rounds"] = rows
     report["cycles_found"] = cycles
     report["unconditional_ok"] = ok_unconditional

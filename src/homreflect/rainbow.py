@@ -3,22 +3,30 @@
 A homomorphic cycle of length 2k is a closed walk u_0 ... u_{2k-1}; its
 weight is the reciprocal of the product of the degrees along it, so the
 total weight equals the trace of the 2k-th power of the degree-normalised
-step matrix.  The colour-matched variant restricts to walks whose steps i
-and j carry the same edge colour.  Everything in this module is exact
-rational arithmetic except the explicitly spectral evaluator.
+step matrix M = D^-1 A.  The colour-matched variant restricts to walks
+whose steps i and j carry the same edge colour.
+
+The exact sums come from one engine: integer powers of B = L M, where L is
+the lcm of the degrees, divided by a power of L.  Its matrices are int64
+when n^2 * L^t * (L/delta)^2 < 2^62 for the highest power t it needs and
+the minimum degree delta, a bound every value it forms provably stays
+under (see _WalkEngine); otherwise they hold Python integers and the host
+is capped at 64 vertices.  Everything in this module is exact rational
+arithmetic except the explicitly spectral evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .graphs import CapabilityError, EdgeColouring, Graph, GraphError, validate_colouring
 
-_FRACTION_HOST_CAP = 64
-_INT_OVERFLOW_GUARD = 1 << 62
+_OBJECT_HOST_CAP = 64
+_INT64_GUARD = 1 << 62
 
 
 def _require_positive_degrees(g: Graph) -> None:
@@ -27,47 +35,52 @@ def _require_positive_degrees(g: Graph) -> None:
 
 
 class _WalkEngine:
-    """Exact powers of the step matrix M[u][v] = 1/deg(u) on edges.
+    """Exact powers of the scaled step matrix B = L * D^-1 A, L = lcm(degrees).
 
-    Regular hosts use an integer adjacency-power table with a common
-    denominator; others multiply Fraction matrices directly, which caps the
-    host size.
+    B[u][v] = L/deg(u) on edges is an integer, every row of B sums to L and
+    B^t = L^t M^t for the step matrix M = D^-1 A, so each weight is an
+    integer over a power of L.  The powers are int64 when the guard
+    n^2 * L^max(max_power, 2) * (L/delta)^2 < 2^62 holds, delta the minimum
+    degree; otherwise they are Python integers, which caps the host at
+    _OBJECT_HOST_CAP vertices, checked before any matrix is allocated.
+
+    Why the guard suffices: every entry is non-negative, so no partial sum
+    exceeds the value it adds up to.  The rows of B^t sum to L^t, so its
+    entries are at most L^t.  A diagonal entry of M^t, t >= 1, is
+    sum_v M^(t-1)[u,v] M[v,u] <= 1/delta, so tr(B^t) <= n L^t / delta.
+    matched_trace(a, b) is called with a + b <= max_power.  Per colour it
+    forms products of entries of B^a and B^b (at most L^(a+b)), their
+    w-weighted column sums (each at most an entry of B^(a+b+1)) and their
+    total; the totals of all colours add up to at most tr(B^(a+b+2))
+    <= n L^(a+b+2) / delta <= n^2 L^(a+b) (L/delta)^2, as delta < n.  Each
+    bound is at most n^2 L^max_power (L/delta)^2.
     """
 
     def __init__(self, g: Graph, max_power: int):
         _require_positive_degrees(g)
         self.g = g
-        self.n = g.n
         degs = g.degrees()
-        self.regular_degree = degs[0] if len(set(degs)) == 1 else None
-        if self.regular_degree is not None and \
-                g.n * g.n * self.regular_degree ** max(max_power, 2) < _INT_OVERFLOW_GUARD:
-            a = np.zeros((g.n, g.n), dtype=np.int64)
-            for u, v in g.edges():
-                a[u, v] = a[v, u] = 1
-            powers = [np.eye(g.n, dtype=np.int64)]
-            for _ in range(max_power):
-                powers.append(powers[-1] @ a)
-            self._int_powers = powers
-            self._frac_powers = None
+        self.scale = lcm(*degs)
+        if g.n * g.n * self.scale ** max(max_power, 2) \
+                * (self.scale // min(degs)) ** 2 < _INT64_GUARD:
+            dtype = np.int64
+        elif g.n > _OBJECT_HOST_CAP:
+            raise CapabilityError(
+                f"exact walk sums on this host exceed int64 (degree lcm {self.scale}); "
+                f"the Python-integer engine is capped at {_OBJECT_HOST_CAP} vertices")
         else:
-            if g.n > _FRACTION_HOST_CAP:
-                raise CapabilityError(
-                    f"exact walk table capped at {_FRACTION_HOST_CAP} vertices for irregular hosts")
-            self.regular_degree = None
-            step = [[Fraction(1, degs[u]) if v in g.adj[u] else Fraction(0)
-                     for v in range(g.n)] for u in range(g.n)]
-            powers = [[[Fraction(int(u == v)) for v in range(g.n)] for u in range(g.n)]]
-            for _ in range(max_power):
-                powers.append(_frac_matmul(powers[-1], step))
-            self._frac_powers = powers
-            self._int_powers = None
+            dtype = object
+        step = np.zeros((g.n, g.n), dtype=dtype)
+        for u, v in g.edges():
+            step[u, v] = self.scale // degs[u]
+            step[v, u] = self.scale // degs[v]
+        self.powers = [np.eye(g.n, dtype=dtype), step]
+        for _ in range(max_power - 1):
+            self.powers.append(self.powers[-1] @ step)
 
     def step_trace(self, t: int) -> Fraction:
         """Total weight of the closed walks of length t."""
-        if self._int_powers is not None:
-            return Fraction(int(np.trace(self._int_powers[t])), self.regular_degree ** t)
-        return sum((self._frac_powers[t][u][u] for u in range(self.n)), Fraction(0))
+        return Fraction(int(np.trace(self.powers[t])), self.scale ** t)
 
     def matched_trace(self, colouring: EdgeColouring, a: int, b: int) -> Fraction:
         """Sum over colours of tr(M^a E M^b E) with E the colour's oriented
@@ -78,43 +91,19 @@ class _WalkEngine:
             c = colouring.of(u, v)
             by_colour.setdefault(c, []).append((u, v))
             by_colour[c].append((v, u))
-        if self._int_powers is not None:
-            pa, pb = self._int_powers[a], self._int_powers[b]
-            total = 0
-            for oriented in by_colour.values():
-                xs = np.array([e[0] for e in oriented])
-                ys = np.array([e[1] for e in oriented])
-                # sum over oriented pairs (x,y),(z,p) of pa[p,x] * pb[y,z]
-                left = pa[np.ix_(ys, xs)]
-                right = pb[np.ix_(ys, xs)]
-                total += int(np.sum(left.T * right))
-            return Fraction(total, self.regular_degree ** (a + b + 2))
-        pa, pb = self._frac_powers[a], self._frac_powers[b]
-        inv_deg = [Fraction(1, self.g.degree(u)) for u in range(self.n)]
-        total = Fraction(0)
+        pa, pb = self.powers[a], self.powers[b]
+        degs = self.g.degrees()
+        total = 0
         for oriented in by_colour.values():
-            for x, y in oriented:
-                w_x = inv_deg[x]
-                for z, p in oriented:
-                    total += pa[p][x] * pb[y][z] * w_x * inv_deg[z]
-        return total
-
-
-def _frac_matmul(a, b):
-    n = len(a)
-    out = []
-    for u in range(n):
-        row_a = a[u]
-        row = []
-        for v in range(n):
-            acc = Fraction(0)
-            for w in range(n):
-                x = row_a[w]
-                if x:
-                    acc += x * b[w][v]
-            row.append(acc)
-        out.append(row)
-    return out
+            xs = np.array([e[0] for e in oriented])
+            ys = np.array([e[1] for e in oriented])
+            w = np.array([self.scale // degs[x] for x in xs], dtype=pa.dtype)
+            # sum over oriented pairs (x,y),(z,p) of B^a[p,x] B^b[y,z] w[x] w[z];
+            # the indexing copies, so the product can be taken in place
+            pairs = pa[np.ix_(ys, xs)].T
+            pairs *= pb[np.ix_(ys, xs)]
+            total += int(w @ pairs @ w)
+        return Fraction(total, self.scale ** (a + b + 2))
 
 
 def cycle_weight_sum(g: Graph, k: int) -> Fraction:
@@ -181,6 +170,25 @@ def coincidence_table(g: Graph, colouring: EdgeColouring, k: int,
 # Inequality chains
 # ---------------------------------------------------------------------------
 
+def _chain_inputs(g: Graph, colouring: EdgeColouring, k: int, chain: str):
+    """Validate a chain's inputs; return the minimum degree, the weights
+    h_2 .. h_2k and the full coincidence table."""
+    validate_colouring(g, colouring)
+    if not colouring.proper:
+        raise GraphError(f"{chain} chain needs a proper colouring")
+    if k < 1:
+        raise GraphError(f"half-length must be positive, got {k}")
+    engine = _WalkEngine(g, 2 * k)
+    h = {2 * j: engine.step_trace(2 * j) for j in range(1, k + 1)}
+    return g.min_degree(), h, coincidence_table(g, colouring, k, engine)
+
+
+def _add_check(checks: list, name: str, lhs: Fraction, rhs: Fraction,
+               conditional: bool) -> None:
+    checks.append({"name": name, "lhs": lhs, "rhs": rhs,
+                   "holds": lhs <= rhs, "conditional": conditional})
+
+
 def check_pattern_chain(g: Graph, colouring: EdgeColouring, k: int) -> dict:
     """Evaluate the full coincidence table and the inequality chain.
 
@@ -189,37 +197,24 @@ def check_pattern_chain(g: Graph, colouring: EdgeColouring, k: int) -> dict:
     no-rainbow bounds are hypothesis-dependent: a violation certifies that
     a rainbow cycle exists.
     """
-    validate_colouring(g, colouring)
-    if not colouring.proper:
-        raise GraphError("pattern chain needs a proper colouring")
-    if k < 1:
-        raise GraphError(f"half-length must be positive, got {k}")
-    engine = _WalkEngine(g, 2 * k)
-    delta = g.min_degree()
-    h = {2 * j: engine.step_trace(2 * j) for j in range(1, k + 1)}
-    table = coincidence_table(g, colouring, k, engine)
+    delta, h, table = _chain_inputs(g, colouring, k, "pattern")
     two_k = 2 * k
     checks = []
-
-    def add(name: str, lhs: Fraction, rhs: Fraction, conditional: bool) -> None:
-        checks.append({"name": name, "lhs": lhs, "rhs": rhs,
-                       "holds": lhs <= rhs, "conditional": conditional})
-
     top = table[(1, two_k)]
     for ell in range(1, k + 1):
-        add(f"pairwise_split_l{ell}",
-            table[(ell, two_k)] ** 2,
-            top * table[(ell, two_k + 1 - ell)],
-            conditional=False)
-    add("extremal_pattern", max(table.values()), top, conditional=False)
+        _add_check(checks, f"pairwise_split_l{ell}",
+                   table[(ell, two_k)] ** 2,
+                   top * table[(ell, two_k + 1 - ell)],
+                   conditional=False)
+    _add_check(checks, "extremal_pattern", max(table.values()), top, conditional=False)
     if k >= 2:
-        add("shorten_step", top, h[two_k - 2] / delta, conditional=False)
+        _add_check(checks, "shorten_step", top, h[two_k - 2] / delta, conditional=False)
     for j in range(2, k + 1):
-        add(f"no_rainbow_step_k{j}", h[2 * j],
-            Fraction(2 * j * j, delta) * h[2 * j - 2], conditional=True)
+        _add_check(checks, f"no_rainbow_step_k{j}", h[2 * j],
+                   Fraction(2 * j * j, delta) * h[2 * j - 2], conditional=True)
     if k >= 2:
-        add("no_rainbow_total", h[two_k],
-            Fraction(2 * k * k, delta) ** k * g.n, conditional=True)
+        _add_check(checks, "no_rainbow_total", h[two_k],
+                   Fraction(2 * k * k, delta) ** k * g.n, conditional=True)
     return {
         "k": k,
         "n": g.n,
@@ -242,29 +237,16 @@ def check_variant_chain(g: Graph, colouring: EdgeColouring, k: int, eps) -> dict
     eps = Fraction(eps)
     if not Fraction(0) < eps < Fraction(1, 2):
         raise GraphError("colour deficiency must lie strictly between 0 and 1/2")
-    validate_colouring(g, colouring)
-    if not colouring.proper:
-        raise GraphError("variant chain needs a proper colouring")
-    if k < 1:
-        raise GraphError(f"half-length must be positive, got {k}")
-    engine = _WalkEngine(g, 2 * k)
-    delta = g.min_degree()
-    h = {2 * j: engine.step_trace(2 * j) for j in range(1, k + 1)}
-    table = coincidence_table(g, colouring, k, engine)
+    delta, h, table = _chain_inputs(g, colouring, k, "variant")
     checks = []
-
-    def add(name, lhs, rhs, conditional):
-        checks.append({"name": name, "lhs": lhs, "rhs": rhs,
-                       "holds": lhs <= rhs, "conditional": conditional})
-
     for j in range(2, k + 1):
-        add(f"variant_step_k{j}", h[2 * j],
-            Fraction(j) / (eps * delta) * h[2 * j - 2], conditional=True)
+        _add_check(checks, f"variant_step_k{j}", h[2 * j],
+                   Fraction(j) / (eps * delta) * h[2 * j - 2], conditional=True)
     if k >= 2:
-        add("variant_total", h[2 * k],
-            (Fraction(k) / (eps * delta)) ** k * g.n, conditional=True)
-    add("coincidence_counting", 2 * eps * k * h[2 * k],
-        sum(table.values(), Fraction(0)), conditional=True)
+        _add_check(checks, "variant_total", h[2 * k],
+                   (Fraction(k) / (eps * delta)) ** k * g.n, conditional=True)
+    _add_check(checks, "coincidence_counting", 2 * eps * k * h[2 * k],
+               sum(table.values(), Fraction(0)), conditional=True)
     return {
         "k": k,
         "n": g.n,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .automorphisms import Automorphism, enumerate_automorphisms, enumerate_involutions, is_automorphism
-from .graphs import CapabilityError, Graph, GraphError, cube_vertex, gen_hypercube, gen_set_graph
+from .graphs import (CapabilityError, Graph, GraphError, _mask, cube_vertex, gen_hypercube,
+                     gen_set_graph)
 
 _SIDE_CAP = 20
 DEFAULT_BUDGET = 10 ** 6
@@ -325,14 +326,14 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
     if triples is None:
         triples = enumerate_reflection_triples(h)
 
-    start = _mask_of(r0)
-    target = _mask_of(side)
+    start = _mask(r0)
+    target = _mask(side)
     # Per-triple bitmask tables so each transition is a few integer ops.
     table = []
     for t in triples:
-        keep = _mask_of(t.side_a | t.fixed)
-        a_mask = _mask_of(t.side_a)
-        need_b = _mask_of(t.side_b | t.fixed)
+        keep = _mask(t.side_a | t.fixed)
+        a_mask = _mask(t.side_a)
+        need_b = _mask(t.side_b | t.fixed)
         images = {1 << v: 1 << t.swap(v) for v in t.side_a}
         table.append((keep, a_mask, need_b, images))
 
@@ -392,13 +393,6 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
     if not ok:
         raise AssertionError(f"search produced an invalid certificate: {rep}")
     return ReflectivitySearch(cert, visited, False)
-
-
-def _mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def _unmask(mask: int) -> frozenset[int]:

@@ -186,6 +186,10 @@ class TestCountsAndWeights:
         assert values[(1, 4)] == "1/1"
         assert values[(2, 4)] == "1/2"
 
+    def test_h2k_irregular_host_past_int64_bound_exit_one(self, tmp_path):
+        code, _ = run(tmp_path, "h2k", "--host", "random(65,1/2,1)", "--k", "2")
+        assert code == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -1,12 +1,14 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
 from homreflect import (
+    CapabilityError,
     EdgeColouring,
     GraphError,
     check_pattern_chain,
@@ -31,6 +33,7 @@ from homreflect import (
     make_graph,
     rainbow_colouring,
 )
+from homreflect.rainbow import _WalkEngine
 
 
 def random_host_with_degrees(n, p_num, p_den, seed):
@@ -85,6 +88,47 @@ class TestWeightSums:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(GraphError):
             cycle_weight_sum(make_graph(3, [(0, 1)]), 1)
+
+
+class TestWalkEngineDtype:
+    """The engine takes int64 exactly when n^2 L^2k (L/delta)^2 < 2^62 with
+    L the lcm of the degrees; both sides must give the brute-force sums."""
+
+    # random(9, 3/5, 55): degrees 2..8, L = 840, int64 up to k = 1.
+    # random(8, 3/5, 0): degrees {2, 3, 4, 5, 7}, L = 420, int64 up to k = 2.
+    @pytest.mark.parametrize("n, seed, k, dtype", [
+        (9, 55, 1, np.int64), (9, 55, 2, object),
+        (8, 0, 2, np.int64), (8, 0, 3, object),
+    ])
+    def test_both_sides_of_int64_bound(self, n, seed, k, dtype):
+        g = gen_random(n, Fraction(3, 5), seed)
+        assert _WalkEngine(g, 2 * k).powers[1].dtype == dtype
+        col = greedy_proper_colouring(g, seed)
+        assert cycle_weight_sum(g, k) == bf.closed_walk_weight_sum(g, 2 * k)
+        table = coincidence_table(g, col, k)
+        # the length-6 oracle is slow; the canonical pairs (i, 2k) stand
+        # for the rest through the rotation and reversal invariance
+        pairs = [(i, 2 * k) for i in range(1, k + 1)] if k == 3 else sorted(table)
+        for i, j in pairs:
+            want = bf.closed_walk_weight_sum(g, 2 * k, colour_match=(i, j), colouring=col)
+            assert table[(i, j)] == want, (i, j)
+            assert coincidence_weight(g, col, k, i, j) == want, (i, j)
+
+    def test_irregular_host_past_bound_refused(self):
+        g = gen_random(65, Fraction(1, 2), 1)
+        assert len(set(g.degrees())) > 1
+        with pytest.raises(CapabilityError):
+            cycle_weight_sum(g, 2)
+
+    def test_large_host_with_small_degree_lcm_runs_in_int64(self):
+        # a 66-cycle with 11 chords: degrees {2, 3}, L = 6
+        edges = [(v, (v + 1) % 66) for v in range(66)] + [(v, v + 33) for v in range(0, 33, 3)]
+        g = make_graph(66, edges)
+        assert set(g.degrees()) == {2, 3}
+        for k in (1, 2, 3, 4):
+            assert _WalkEngine(g, 2 * k).powers[1].dtype == np.int64
+            spectral = cycle_weight_sum_spectral(g, k)
+            assert abs(float(cycle_weight_sum(g, k)) - spectral.value) <= spectral.error_bound
 
 
 class TestSpectral:
