@@ -183,8 +183,10 @@ def cmd_certify(args) -> int:
     if parts is None or not g.is_connected():
         raise GraphError("certification needs a connected bipartite graph")
     report = base_report("certify", {"graph": args.graph, "budget": args.budget})
-    if args.r0:
+    if args.r0 is not None:
         r0 = _parse_vertices(args.r0)
+        if len(set(r0)) != len(r0):
+            raise GraphError(f"--r0 lists a vertex more than once: {args.r0!r}")
         res = certify_reflective(g, r0, budget=args.budget)
         report["start"] = sorted(r0)
         report["certified"] = res.known_reflective
@@ -261,7 +263,7 @@ def _verify_reflection_suite(args) -> int:
                    "holds": violations == 0})
     side0 = sorted(parts[0])
     for r0 in combinations(side0, 2):
-        res = certify_reflective(pattern, r0, budget=args.budget)
+        res = certify_reflective(pattern, r0, budget=args.budget, triples=triples)
         if res.certificate is None:
             continue
         fin = check_final_inequality(pattern, host, res.certificate)

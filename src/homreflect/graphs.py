@@ -76,15 +76,16 @@ class Graph:
                     stack.append(w)
         return len(seen) == self.n
 
-    def components(self) -> list[frozenset[int]]:
-        out, seen = [], set()
+    def components(self, removed: frozenset[int] = frozenset()) -> list[frozenset[int]]:
+        """Connected components of the graph with the `removed` vertices deleted."""
+        out, seen = [], set(removed)
         for s in range(self.n):
             if s in seen:
                 continue
             comp, stack = {s}, [s]
             while stack:
                 for w in self.adj[stack.pop()]:
-                    if w not in comp:
+                    if w not in comp and w not in removed:
                         comp.add(w)
                         stack.append(w)
             seen |= comp

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .automorphisms import Automorphism, enumerate_automorphisms, enumerate_involutions, is_automorphism
+from .automorphisms import Automorphism, enumerate_automorphisms, is_automorphism
 from .graphs import (CapabilityError, Graph, GraphError, _mask, cube_vertex, gen_hypercube,
                      gen_set_graph)
 
@@ -67,12 +67,16 @@ def enumerate_reflection_triples(h: Graph) -> list[ReflectionTriple]:
     and demand the involution move every component; each way of assigning
     the component pairs to the two sides yields one triple.
     """
-    if h.n > 32:
-        raise CapabilityError("triple enumeration capped at 32 vertices")
+    return _reflection_triples(h, enumerate_automorphisms(h))
+
+
+def _reflection_triples(h: Graph, group: list[Automorphism]) -> list[ReflectionTriple]:
+    """The triples of enumerate_reflection_triples, from the group Aut(H)."""
     triples: list[ReflectionTriple] = []
-    for phi in enumerate_involutions(h):
-        fixed = phi.fixed_set()
-        comps = _components_without(h, fixed)
+    for phi in group:
+        if not phi.is_involution or phi.is_identity:
+            continue
+        comps = h.components(removed=phi.fixed_set())
         pairs = []
         ok = True
         seen = set()
@@ -105,22 +109,6 @@ def enumerate_reflection_triples(h: Graph) -> list[ReflectionTriple]:
             triples.append(triple)
     triples.sort(key=ReflectionTriple.sort_key)
     return triples
-
-
-def _components_without(h: Graph, removed: frozenset[int]) -> list[frozenset[int]]:
-    out, seen = [], set(removed)
-    for s in range(h.n):
-        if s in seen:
-            continue
-        comp, stack = {s}, [s]
-        while stack:
-            for w in h.adj[stack.pop()]:
-                if w not in comp and w not in removed:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
 
 
 def is_admissible(h: Graph, triple: ReflectionTriple, r) -> bool:
@@ -222,34 +210,21 @@ def verify_certificate(h: Graph, cert: ReflectionCertificate) -> tuple[bool, lis
     return True, report
 
 
-def relaxed_steps(h: Graph, cert: ReflectionCertificate) -> list[int]:
-    """Indices of steps where the recorded set is a proper subset of the
-    reflection (allowed, but worth surfacing)."""
-    out = []
-    current = cert.start
-    for j, step in enumerate(cert.steps):
-        if step.r_next < reflect_set(h, step.triple, current):
-            out.append(j)
-        current = step.r_next
-    return out
+def _conjugate_triple(t: ReflectionTriple, sigma: Automorphism) -> ReflectionTriple:
+    return ReflectionTriple(
+        sigma.apply_set(t.side_a),
+        sigma.apply_set(t.side_b),
+        sigma.compose(t.swap).compose(sigma.inverse()),
+    )
 
 
 def conjugate_certificate(cert: ReflectionCertificate,
                           sigma: Automorphism) -> ReflectionCertificate:
     """Push a certificate through an automorphism of its graph, or through
     an isomorphism onto another graph."""
-    inv = sigma.inverse()
-    steps = tuple(
-        CertificateStep(
-            ReflectionTriple(
-                sigma.apply_set(st.triple.side_a),
-                sigma.apply_set(st.triple.side_b),
-                sigma.compose(st.triple.swap).compose(inv),
-            ),
-            sigma.apply_set(st.r_next),
-        )
-        for st in cert.steps
-    )
+    steps = tuple(CertificateStep(_conjugate_triple(st.triple, sigma),
+                                  sigma.apply_set(st.r_next))
+                  for st in cert.steps)
     return ReflectionCertificate(sigma.apply_set(cert.start),
                                  sigma.apply_set(cert.side), steps)
 
@@ -307,17 +282,21 @@ class ReflectivitySearch:
 
 def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
                        triples: list[ReflectionTriple] | None = None) -> ReflectivitySearch:
-    """Breadth-first search for a reflection chain from r0 to a full side.
+    """Plain breadth-first search for a reflection chain from r0 to a full
+    side; the chain it returns is a shortest one.
 
-    States are constraint sets; a new state contained in an already-visited
-    one is discarded, which is sound because larger sets reflect to larger
-    sets.  No certificate within budget yields an unknown outcome, never a
+    States are constraint sets and `budget` counts the states taken off the
+    queue.  No certificate within budget yields an unknown outcome, never a
     negative one.
     """
     parts = h.bipartition()
     if parts is None or not h.is_connected():
         raise GraphError("certificate search needs a connected bipartite pattern")
     r0 = frozenset(r0)
+    if not r0:
+        raise GraphError("starting set must not be empty")
+    if budget < 1:
+        raise GraphError(f"budget must be at least 1, got {budget}")
     side = parts[0] if r0 <= parts[0] else parts[1] if r0 <= parts[1] else None
     if side is None:
         raise GraphError("starting set must lie inside one bipartition side")
@@ -338,7 +317,6 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
         table.append((keep, a_mask, need_b, images))
 
     parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    visited_max: list[int] = [start]
     frontier = [start]
     visited = 0
     exhausted_budget = False
@@ -362,11 +340,7 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
                     moved ^= bit
                 if new == state or new in parent:
                     continue
-                if any(new & v == new for v in visited_max):
-                    continue
                 parent[new] = (state, idx)
-                visited_max[:] = [v for v in visited_max if v & new != v]
-                visited_max.append(new)
                 if new == target:
                     goal = new
                     break
@@ -414,9 +388,9 @@ def reflectivity_report(h: Graph, budget: int = DEFAULT_BUDGET) -> dict:
     parts = h.bipartition()
     if parts is None or not h.is_connected():
         raise GraphError("reflectivity report needs a connected bipartite graph")
-    triples = enumerate_reflection_triples(h)
-    swap_sides = any(a.apply_set(parts[0]) == parts[1]
-                     for a in enumerate_automorphisms(h))
+    group = enumerate_automorphisms(h)
+    triples = _reflection_triples(h, group)
+    swap_sides = any(a.apply_set(parts[0]) == parts[1] for a in group)
     sides = [parts[0]] if swap_sides else [parts[0], parts[1]]
     pair_results = []
     all_ok = True
@@ -608,14 +582,6 @@ def hypercube_reflection_chain(d: int, r0) -> ReflectionCertificate:
     if not ok:
         raise AssertionError(f"cube chain failed validation: {rep}")
     return cert
-
-
-def _conjugate_triple(t: ReflectionTriple, sigma: Automorphism) -> ReflectionTriple:
-    return ReflectionTriple(
-        sigma.apply_set(t.side_a),
-        sigma.apply_set(t.side_b),
-        sigma.compose(t.swap).compose(sigma.inverse()),
-    )
 
 
 # ---------------------------------------------------------------------------

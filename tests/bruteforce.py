@@ -156,6 +156,31 @@ def simple_cycles(g, max_len=None) -> list[tuple[int, ...]]:
     return out
 
 
+def shortest_chain_length(h, r0) -> int | None:
+    """Fewest reflections that grow r0 to the full bipartition side holding
+    it, or None when no chain exists.
+
+    Breadth-first over every set reachable from r0, one level at a time,
+    with no pruning: each set moves through every triple it is admissible
+    for, by the public reflect_set.  The triples are the package's own
+    enumeration, which the triple tests check separately.
+    """
+    from homreflect.reflectivity import enumerate_reflection_triples, is_admissible, reflect_set
+
+    r0 = frozenset(r0)
+    side = next(part for part in h.bipartition() if r0 <= part)
+    triples = enumerate_reflection_triples(h)
+    level, seen, steps = {r0}, {r0}, 0
+    while level:
+        if side in level:
+            return steps
+        level = {reflect_set(h, t, r) for r in level for t in triples
+                 if is_admissible(h, t, r)} - seen
+        seen |= level
+        steps += 1
+    return None
+
+
 def graphs_isomorphic(g1, g2) -> tuple[int, ...] | None:
     """First isomorphism found by raw permutation filtering, or None."""
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():

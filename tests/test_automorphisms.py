@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from homreflect import (
+    Automorphism,
     CapabilityError,
     cube_vertex,
     enumerate_automorphisms,
     enumerate_involutions,
-    fixed_set,
     gen_cycle,
     gen_hypercube,
+    gen_set_graph,
     identity,
     make_graph,
 )
@@ -69,6 +70,18 @@ class TestGroupEnumeration:
             for v in range(g.n):
                 assert g.degree(v) == g.degree(a(v))
 
+    def test_set_graph_2_5_group_order(self):
+        # Frozen: S_5 acting on the subsets, times complementation.
+        assert len(enumerate_automorphisms(gen_set_graph(2, 5))) == 240
+
+    def test_relabelled_q4_group_is_conjugate(self):
+        q4 = gen_hypercube(4)
+        sigma = Automorphism(tuple(sorted(range(16), key=lambda v: (bin(v).count("1") % 2, v))))
+        relabelled = make_graph(16, [(sigma(u), sigma(v)) for u, v in q4.edges()])
+        inv = sigma.inverse()
+        expect = sorted(sigma.compose(a).compose(inv).perm for a in enumerate_automorphisms(q4))
+        assert [a.perm for a in enumerate_automorphisms(relabelled)] == expect
+
     def test_size_cap(self):
         big = make_graph(33, [])
         with pytest.raises(CapabilityError):
@@ -79,7 +92,7 @@ class TestInvolutions:
     def test_edge_swap(self):
         invs = enumerate_involutions(make_graph(2, [(0, 1)]))
         assert len(invs) == 1
-        assert fixed_set(invs[0]) == frozenset()
+        assert invs[0].fixed_set() == frozenset()
 
     def test_q3_count_frozen(self):
         assert len(enumerate_involutions(gen_hypercube(3))) == Q3_INVOLUTION_COUNT
@@ -90,7 +103,7 @@ class TestInvolutions:
         invs = {a.perm: a for a in enumerate_involutions(g)}
         assert swap12 in invs
         want = frozenset(cube_vertex(b) for b in ("000", "001", "110", "111"))
-        assert fixed_set(invs[swap12]) == want
+        assert invs[swap12].fixed_set() == want
 
     def test_exactly_the_involutive_group_elements(self):
         g = gen_cycle(6)

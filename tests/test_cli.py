@@ -79,6 +79,20 @@ class TestCertify:
     def test_non_bipartite_input_error(self, tmp_path):
         assert main(["certify", "--graph", "clique(3)", "--all-pairs"]) == 1
 
+    def test_empty_start_exit_one(self, tmp_path):
+        code, body = run(tmp_path, "certify", "--graph", "q3", "--r0", ",")
+        assert (code, body) == (1, b"")
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exit_one(self, tmp_path, budget):
+        code, body = run(tmp_path, "certify", "--graph", "q3", "--r0", "0,3",
+                         "--budget", budget)
+        assert (code, body) == (1, b"")
+
+    def test_duplicate_start_vertex_exit_one(self, tmp_path):
+        code, body = run(tmp_path, "certify", "--graph", "q3", "--r0", "0,0")
+        assert (code, body) == (1, b"")
+
 
 class TestVerify:
     def test_reflection_suite_random_host(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -246,6 +247,48 @@ class TestCertificateSearch:
     def test_q5_every_pair_both_sides(self):
         rep = reflectivity_report(gen_hypercube(5))
         assert rep["verdict"] == "yes"
+
+    def test_frozen_chain_lengths(self):
+        # Shortest chain lengths recorded from the antichain-pruned search
+        # that the plain breadth-first search replaced.
+        q4 = reflectivity_report(gen_hypercube(4))
+        assert Counter(p["steps"] for p in q4["pairs"]) == {4: 24, 5: 4}
+        sg = reflectivity_report(gen_set_graph(1, 7))
+        assert {p["steps"] for p in sg["pairs"]} == {5}
+        q5 = gen_hypercube(5)
+        triples = enumerate_reflection_triples(q5)
+        for pair, steps in [((8, 25), 6), ((16, 31), 7)]:
+            assert certify_reflective(q5, pair, triples=triples).certificate.num_steps == steps
+
+    def test_empty_start_and_budget_below_one_are_input_errors(self):
+        q3 = gen_hypercube(3)
+        with pytest.raises(GraphError):
+            certify_reflective(q3, set())
+        for budget in (0, -5):
+            with pytest.raises(GraphError):
+                certify_reflective(q3, {0, 3}, budget=budget)
+
+
+class TestSearchAgainstOracle:
+    @pytest.mark.parametrize("g,certified", [
+        (gen_hypercube(3), 6),
+        (gen_hypercube(4), 28),
+        (gen_set_graph(1, 4), 6),
+        (gen_cycle(8), 6),
+        (gen_cycle_blowup(6), 12),
+    ], ids=["q3", "q4", "setgraph-1-4", "cycle-8", "cycle-blowup-6"])
+    def test_every_pair_matches_exhaustive_bfs(self, g, certified):
+        # `certified` is the number of pairs per side that have a chain.
+        triples = enumerate_reflection_triples(g)
+        for side in g.bipartition():
+            found = 0
+            for r0 in combinations(sorted(side), 2):
+                res = certify_reflective(g, r0, triples=triples)
+                assert not res.budget_exhausted
+                steps = res.certificate.num_steps if res.certificate else None
+                assert steps == bf.shortest_chain_length(g, r0), r0
+                found += res.known_reflective
+            assert found == certified
 
 
 class TestCertificateVerification:
