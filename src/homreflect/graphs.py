@@ -3,6 +3,11 @@
 Vertices are dense integers 0..n-1.  Optional labels (cube bitstrings,
 ground-set subsets, surviving original ids) live in a side table so the
 counting kernels never see them.  Graphs are immutable after construction.
+
+Every graph has at most VERTEX_CAP = 1024 vertices.  The cap is checked
+before any adjacency or edge list is built, so an oversized generator
+argument or edge-list header is refused with CapabilityError instead of
+exhausting memory in an O(n^2) pair loop.
 """
 
 from __future__ import annotations
@@ -20,6 +25,14 @@ class GraphError(ValueError):
 
 class CapabilityError(RuntimeError):
     """Request exceeds a documented size or budget cap."""
+
+
+VERTEX_CAP = 1024
+
+
+def _require_vertex_cap(n: int) -> None:
+    if n > VERTEX_CAP:
+        raise CapabilityError(f"graphs are capped at {VERTEX_CAP} vertices, got {n}")
 
 
 class Graph:
@@ -135,9 +148,11 @@ def _mask(vertices) -> int:
 
 
 def make_graph(n: int, edges, labels=None) -> Graph:
-    """Build a Graph from an edge list, deduplicating and symmetrising."""
+    """Build a Graph from an iterable of edges, deduplicating and
+    symmetrising; the vertex cap is checked before the first edge is read."""
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
+    _require_vertex_cap(n)
     adj = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -179,6 +194,7 @@ def gen_hypercube(d: int) -> Graph:
     if not 1 <= d <= 20:
         raise GraphError(f"cube dimension must be in [1,20], got {d}")
     n = 1 << d
+    _require_vertex_cap(n)
     adj = tuple(frozenset(v ^ (1 << i) for i in range(d)) for v in range(n))
     return Graph(n, adj, labels=tuple(cube_label(v, d) for v in range(n)))
 
@@ -188,15 +204,14 @@ def gen_set_graph(ell: int, k: int) -> Graph:
     {1..k}: S ~ T iff S is a subset of T.  Regular of degree C(k-ell, ell)."""
     if not 1 <= ell or not 2 * ell < k:
         raise GraphError(f"need 1 <= ell < k/2, got ell={ell}, k={k}")
-    if comb(k, ell) > 10 ** 5:
-        raise CapabilityError(f"set graph ({ell},{k}) exceeds the size cap")
+    _require_vertex_cap(2 * comb(k, ell))
     small = [frozenset(c) for c in combinations(range(1, k + 1), ell)]
     large = [frozenset(c) for c in combinations(range(1, k + 1), k - ell)]
     off = len(small)
-    edges = [(i, off + j)
+    edges = ((i, off + j)
              for i, s in enumerate(small)
              for j, t in enumerate(large)
-             if s <= t]
+             if s <= t)
     return make_graph(off + len(large), edges, labels=tuple(small + large))
 
 
@@ -221,31 +236,28 @@ def gen_random(n: int, p: Fraction, seed: int) -> Graph:
         raise GraphError(f"edge probability must be in [0,1], got {p}")
     rng = random.Random(seed)
     num, den = p.numerator, p.denominator
-    edges = [(u, v)
+    edges = ((u, v)
              for u in range(n) for v in range(u + 1, n)
-             if rng.randrange(den) < num]
+             if rng.randrange(den) < num)
     return make_graph(n, edges)
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {n}")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return make_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def gen_complete(n: int) -> Graph:
-    return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return make_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def gen_clique_union(size: int, count: int) -> Graph:
     """Disjoint union of `count` complete graphs on `size` vertices each."""
     if size < 1 or count < 1:
         raise GraphError("clique union needs positive size and count")
-    edges = []
-    for c in range(count):
-        base = c * size
-        edges.extend((base + u, base + v)
-                     for u in range(size) for v in range(u + 1, size))
+    edges = ((c * size + u, c * size + v)
+             for c in range(count) for u in range(size) for v in range(u + 1, size))
     return make_graph(size * count, edges)
 
 
@@ -254,12 +266,8 @@ def gen_cycle_blowup(length: int) -> Graph:
     a complete bipartite K_{2,2} between the copies."""
     if length < 3:
         raise GraphError(f"cycle length must be at least 3, got {length}")
-    edges = []
-    for i in range(length):
-        j = (i + 1) % length
-        for a in range(2):
-            for b in range(2):
-                edges.append((2 * i + a, 2 * j + b))
+    edges = ((2 * i + a, 2 * ((i + 1) % length) + b)
+             for i in range(length) for a in range(2) for b in range(2))
     return make_graph(2 * length, edges)
 
 

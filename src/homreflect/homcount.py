@@ -6,12 +6,18 @@ H to a single host vertex, and is evaluated as the plain count of the
 quotient pattern.  Bipartite patterns use a part-enumeration kernel (pure
 Python bitsets on small hosts, a vectorised two-layer numpy kernel on
 larger ones); other patterns fall back to counting backtracking.
+
+hom_count memoises its counts per (quotient pattern, host) for the life of
+the process, in one least-recently-used table of _MEMO_SIZE entries, so a
+reflection sweep (`verify section2`) runs the kernels once per distinct
+quotient instead of four times per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from statistics import median
 
@@ -24,6 +30,7 @@ _PATTERN_CAP = 16
 _NUMPY_HOST_THRESHOLD = 20
 _ASSIGNMENT_BUDGET = 3 * 10 ** 8
 _DFS_NODE_BUDGET = 5 * 10 ** 7
+_MEMO_SIZE = 4096
 
 
 def quotient_graph(h: Graph, group) -> Graph:
@@ -55,11 +62,18 @@ def quotient_graph(h: Graph, group) -> Graph:
 
 def hom_count(h: Graph, g: Graph, constraint=None) -> int:
     """Number of homomorphisms H -> G, optionally with every vertex of
-    `constraint` forced to a common image."""
+    `constraint` forced to a common image.  Counts are memoised per
+    (quotient pattern, host); a CapabilityError is raised again on every
+    call, never stored."""
     if h.n > _PATTERN_CAP:
         raise CapabilityError(f"pattern size capped at {_PATTERN_CAP} vertices")
     if constraint is not None:
         h = quotient_graph(h, constraint)
+    return _memoised_count(h, g)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _memoised_count(h: Graph, g: Graph) -> int:
     if h.n == 0:
         return 1
     if g.n == 0:

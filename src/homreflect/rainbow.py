@@ -106,11 +106,26 @@ class _WalkEngine:
         return Fraction(total, self.scale ** (a + b + 2))
 
 
+_last_engine: dict[tuple[Graph, int], _WalkEngine] = {}
+
+
+def _walk_engine(g: Graph, max_power: int) -> _WalkEngine:
+    """The engine for g up to max_power, reused while consecutive calls ask
+    for the same one, as `h2k --patterns` and `verify section3 --epsilon`
+    do.  Only the last engine is kept, and it is dropped before another is
+    built, so engines of two lengths are never alive at once."""
+    key = (g, max_power)
+    if key not in _last_engine:
+        _last_engine.clear()
+        _last_engine[key] = _WalkEngine(g, max_power)
+    return _last_engine[key]
+
+
 def cycle_weight_sum(g: Graph, k: int) -> Fraction:
     """Total weight of the homomorphic cycles of length 2k, exactly."""
     if k < 1:
         raise GraphError(f"half-length must be positive, got {k}")
-    return _WalkEngine(g, 2 * k).step_trace(2 * k)
+    return _walk_engine(g, 2 * k).step_trace(2 * k)
 
 
 @dataclass(frozen=True)
@@ -155,11 +170,10 @@ def coincidence_weight(g: Graph, colouring: EdgeColouring, k: int,
     return engine.matched_trace(colouring, ell - 1, 2 * k - ell - 1)
 
 
-def coincidence_table(g: Graph, colouring: EdgeColouring, k: int,
-                      engine: _WalkEngine | None = None) -> dict[tuple[int, int], Fraction]:
+def coincidence_table(g: Graph, colouring: EdgeColouring,
+                      k: int) -> dict[tuple[int, int], Fraction]:
     """All C(2k,2) coincidence weights, evaluated once per canonical offset."""
-    if engine is None:
-        engine = _WalkEngine(g, 2 * k)
+    engine = _walk_engine(g, 2 * k)
     canon = {ell: engine.matched_trace(colouring, ell - 1, 2 * k - ell - 1)
              for ell in range(1, k + 1)}
     return {(i, j): canon[canonical_pattern_offset(i, j, 2 * k)]
@@ -178,9 +192,9 @@ def _chain_inputs(g: Graph, colouring: EdgeColouring, k: int, chain: str):
         raise GraphError(f"{chain} chain needs a proper colouring")
     if k < 1:
         raise GraphError(f"half-length must be positive, got {k}")
-    engine = _WalkEngine(g, 2 * k)
+    engine = _walk_engine(g, 2 * k)
     h = {2 * j: engine.step_trace(2 * j) for j in range(1, k + 1)}
-    return g.min_degree(), h, coincidence_table(g, colouring, k, engine)
+    return g.min_degree(), h, coincidence_table(g, colouring, k)
 
 
 def _add_check(checks: list, name: str, lhs: Fraction, rhs: Fraction,

@@ -35,6 +35,20 @@ def hom_count_naive(h, g, constraint=None) -> int:
     return count
 
 
+def constrained_counts_naive(h, g, constraints) -> list[int]:
+    """hom_count_naive(h, g, r) for every r in `constraints`, from one walk
+    of V(G)^V(H): a homomorphism counts for r when it is constant on r."""
+    edges = h.edges()
+    groups = [sorted(r) for r in constraints]
+    counts = [0] * len(groups)
+    for image in product(range(g.n), repeat=h.n):
+        if all(image[v] in g.adj[image[u]] for u, v in edges):
+            for i, r in enumerate(groups):
+                if all(image[v] == image[r[0]] for v in r[1:]):
+                    counts[i] += 1
+    return counts
+
+
 def injective_count_naive(h, g) -> int:
     edges = h.edges()
     count = 0

@@ -139,20 +139,13 @@ def test_criterion_3_reflection_inequality_suite():
     for hi in range(hosts):
         n = 8 + (hi % 5)
         g = gen_random(n, Fraction(1, 2), 3000 + hi)
-        cache: dict = {}
-
-        def count(r=None, g=g, cache=cache):
-            key = r
-            if key not in cache:
-                cache[key] = hom_count(q3, g, r)
-            return cache[key]
-
         for _ in range(per_host):
             t = rng.choice(triples)
             r = rng.choice(admissible[t])
             r_ab = reflect_set(q3, t, r)
             r_ba = reflect_set(q3, t.flipped(), r)
-            c_r, c_ab, c_ba, c_all = count(r), count(r_ab), count(r_ba), count()
+            c_r, c_ab, c_ba, c_all = (hom_count(q3, g, r), hom_count(q3, g, r_ab),
+                                      hom_count(q3, g, r_ba), hom_count(q3, g))
             instances += 1
             if c_r * c_r > c_ab * c_ba or c_r * c_r > c_ab * c_all:
                 violations += 1

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from homreflect import read_colouring, read_edge_list
+from homreflect import rainbow, read_colouring, read_edge_list
 from homreflect.cli import main
+from homreflect.graphs import VERTEX_CAP
 
 
 def run(tmp_path, *argv, out_name="report.txt"):
@@ -203,6 +204,50 @@ class TestCountsAndWeights:
     def test_h2k_irregular_host_past_int64_bound_exit_one(self, tmp_path):
         code, _ = run(tmp_path, "h2k", "--host", "random(65,1/2,1)", "--k", "2")
         assert code == 1
+
+
+class TestSizeCaps:
+    """Every graph is capped at VERTEX_CAP vertices, checked before any edge
+    is built."""
+
+    @pytest.mark.parametrize("spec", [f"clique({VERTEX_CAP + 1})",
+                                      f"random({VERTEX_CAP + 1},1/2,1)"])
+    def test_oversized_generator_exit_one(self, tmp_path, capsys, spec):
+        code, body = run(tmp_path, "homcount", "--pattern", "q3", "--host", spec)
+        assert (code, body) == (1, b"")
+        assert f"capped at {VERTEX_CAP} vertices" in capsys.readouterr().err
+
+    def test_oversized_edge_list_header_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "big.edges"
+        path.write_text(f"{VERTEX_CAP + 1} 1\n0 1\n")
+        code, body = run(tmp_path, "homcount", "--pattern", "q3", "--host", str(path))
+        assert (code, body) == (1, b"")
+        assert f"capped at {VERTEX_CAP} vertices" in capsys.readouterr().err
+
+
+class TestOneWalkEngine:
+    """A command builds one walk engine per host and length, and drops it
+    before it builds one of another length."""
+
+    @pytest.mark.parametrize("argv, lengths", [
+        (["h2k", "--host", "direction-cube(4)", "--k", "2", "--patterns"], [4]),
+        (["verify", "section3", "--host", "clique(6)", "--k", "2", "--epsilon", "2/5"], [4]),
+        (["experiment", "rainbow-bounds", "--host", "direction-cube(4)", "--k-max", "3"],
+         [4, 6]),
+    ], ids=["h2k-patterns", "section3-epsilon", "rainbow-bounds"])
+    def test_engines_built(self, tmp_path, monkeypatch, argv, lengths):
+        built = []
+        engine = rainbow._WalkEngine
+
+        def counted(g, max_power):
+            built.append((max_power, len(rainbow._last_engine)))
+            return engine(g, max_power)
+
+        monkeypatch.setattr(rainbow, "_WalkEngine", counted)
+        rainbow._last_engine.clear()
+        code, _ = run(tmp_path, *argv)
+        assert code == 0
+        assert built == [(t, 0) for t in lengths]
 
 
 class TestDeterminism:

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from homreflect import (
+    CapabilityError,
     GraphError,
     cube_vertex,
     direction_colouring,
     edge_density,
+    gen_clique_union,
     gen_complete,
     gen_cycle,
+    gen_cycle_blowup,
     gen_hypercube,
     gen_random,
     gen_set_graph,
@@ -25,6 +28,7 @@ from homreflect import (
     write_colouring,
     write_edge_list,
 )
+from homreflect.graphs import VERTEX_CAP
 
 # Frozen by the naive generators/oracles before the build.
 GOLDEN_RANDOM_30_HALF_42_EDGES = 235
@@ -57,6 +61,24 @@ class TestMakeGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError):
             make_graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_graph(VERTEX_CAP + 1, []),
+        lambda: gen_complete(VERTEX_CAP + 1),
+        lambda: gen_random(VERTEX_CAP + 1, Fraction(1, 2), 1),
+        lambda: gen_cycle(VERTEX_CAP + 1),
+        lambda: gen_clique_union(VERTEX_CAP // 2 + 1, 2),
+        lambda: gen_cycle_blowup(VERTEX_CAP // 2 + 1),
+        lambda: gen_hypercube(11),
+        lambda: gen_set_graph(1, VERTEX_CAP // 2 + 1),
+    ], ids=["make-graph", "clique", "random", "cycle", "clique-union", "cycle-blowup",
+            "hypercube", "setgraph"])
+    def test_vertex_cap(self, build):
+        with pytest.raises(CapabilityError, match=f"capped at {VERTEX_CAP} vertices"):
+            build()
+
+    def test_vertex_cap_admits_its_own_size(self):
+        assert gen_cycle(VERTEX_CAP).n == VERTEX_CAP
 
     @given(random_graph_strategy())
     @settings(max_examples=40, deadline=None)

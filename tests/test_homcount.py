@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from homreflect import (
     gen_cycle,
     gen_hypercube,
     gen_random,
+    gen_set_graph,
     hom_count,
     injective_hom_count,
     is_admissible,
@@ -30,7 +32,7 @@ from homreflect import (
     supersaturation_experiment,
     turan_exponent,
 )
-from homreflect.homcount import _layered_count_numpy
+from homreflect.homcount import _layered_count_numpy, _memoised_count
 
 # Frozen from the naive product-space oracle.
 HOM_Q3_K4 = 2652
@@ -129,6 +131,84 @@ class TestHomCount:
     def test_pattern_cap(self):
         with pytest.raises(CapabilityError):
             hom_count(make_graph(17, []), gen_complete(2))
+
+
+def _sweep_sets(h):
+    """The constraint sets `verify section2` sweeps: every non-empty subset
+    of each side of the bipartition."""
+    return [frozenset(c) for part in h.bipartition()
+            for size in range(1, len(part) + 1)
+            for c in combinations(sorted(part), size)]
+
+
+class TestMemo:
+    """hom_count memoises per (quotient pattern, host), compared as graphs."""
+
+    @pytest.mark.parametrize("pattern", [gen_hypercube(3), gen_set_graph(1, 4)],
+                             ids=["q3", "setgraph-1-4"])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_sweep_sets_match_oracle_cold_and_warm(self, pattern, seed):
+        g = gen_random(5, Fraction(1, 2), seed)
+        sets = _sweep_sets(pattern)
+        assert len(sets) == 30
+        expected = bf.constrained_counts_naive(pattern, g, sets)
+        cold = []
+        for r in sets:
+            _memoised_count.cache_clear()
+            cold.append(hom_count(pattern, g, r))
+        assert cold == expected
+        _memoised_count.cache_clear()
+        assert [hom_count(pattern, g, r) for r in sets] == expected
+        filled = _memoised_count.cache_info()
+        # the 8 singletons quotient to the pattern itself: 23 labelled quotients
+        assert (filled.misses, filled.hits) == (23, 7)
+        assert [hom_count(pattern, g, r) for r in sets] == expected
+        warm = _memoised_count.cache_info()
+        assert (warm.misses, warm.hits) == (23, 7 + 30)
+
+    def test_sets_with_one_quotient_share_an_entry(self):
+        q3 = gen_hypercube(3)
+        g = gen_random(7, Fraction(1, 2), 2)
+        _memoised_count.cache_clear()
+        counts = {hom_count(q3, g, {0}), hom_count(q3, g, {3}), hom_count(q3, g)}
+        assert len(counts) == 1
+        info = _memoised_count.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_equal_hosts_share_an_entry_hosts_an_edge_apart_do_not(self):
+        q3 = gen_hypercube(3)
+        g = gen_random(7, Fraction(1, 2), 3)
+        twin = make_graph(7, g.edges())
+        one_less = make_graph(7, g.edges()[1:])
+        assert twin is not g and twin == g and one_less != g
+        _memoised_count.cache_clear()
+        count = hom_count(q3, g)
+        assert hom_count(q3, twin) == count
+        assert _memoised_count.cache_info().hits == 1
+        # every host edge carries a homomorphism of the bipartite cube
+        assert hom_count(q3, one_less) < count
+        info = _memoised_count.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+    def test_patterns_of_equal_size_do_not_share(self):
+        g = gen_random(7, Fraction(1, 2), 3)
+        star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
+        path = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+        _memoised_count.cache_clear()
+        assert hom_count(star, g) == sum(d ** 3 for d in g.degrees())
+        assert hom_count(path, g) == bf.hom_count_naive(path, g)
+        assert _memoised_count.cache_info().misses == 2
+
+    @pytest.mark.parametrize("pattern, host, message", [
+        (make_graph(17, []), gen_complete(2), "pattern size"),
+        (gen_hypercube(4), gen_random(12, Fraction(1, 2), 1), "assignment enumeration"),
+    ], ids=["pattern-cap", "assignment-cap"])
+    def test_refusal_raised_on_every_call_and_never_stored(self, pattern, host, message):
+        _memoised_count.cache_clear()
+        for _ in range(2):
+            with pytest.raises(CapabilityError, match=message):
+                hom_count(pattern, host)
+        assert _memoised_count.cache_info().currsize == 0
 
 
 class TestInjective:
