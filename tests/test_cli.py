@@ -225,6 +225,31 @@ class TestSizeCaps:
         assert f"capped at {VERTEX_CAP} vertices" in capsys.readouterr().err
 
 
+class TestWorkCap:
+    """hom_count plans its elimination from the pattern alone and refuses,
+    before any array is built, when n^(|C| + 2) > 3*10^8 for the |C|
+    vertices the plan conditions on; the supersaturation experiment has no
+    cap of its own."""
+
+    @pytest.mark.parametrize("argv", [
+        ("homcount", "--pattern", "q4", "--host", "random(40,1/2,1)", "--constraint", "0,7"),
+        ("homcount", "--pattern", "q4", "--host", "random(12,1/2,1)"),
+        ("experiment", "supersaturation", "--n", "132", "--trials", "1"),
+    ], ids=["cross-side-quotient", "q4", "supersaturation-132"])
+    def test_refused_exit_one(self, tmp_path, capsys, argv):
+        code, body = run(tmp_path, *argv)
+        assert (code, body) == (1, b"")
+        assert "assignment enumeration exceeds the budget cap" in capsys.readouterr().err
+
+    def test_supersaturation_at_64(self, tmp_path):
+        code, body = run(tmp_path, "experiment", "supersaturation", "--n", "64", "--trials", "1",
+                         "--seed", "1", "--format", "json", out_name="r.json")
+        assert code == 0
+        row = json.loads(body)["trials"][0]
+        # frozen from the former hand-derived 3-cube kernel
+        assert (row["hom"], row["injective"]) == (3182087063814, 1970095429776)
+
+
 class TestOneWalkEngine:
     """A command builds one walk engine per host and length, and drops it
     before it builds one of another length."""

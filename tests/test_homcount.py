@@ -1,7 +1,9 @@
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,13 +28,13 @@ from homreflect import (
     injective_hom_count,
     is_admissible,
     make_graph,
-    noninjective_pair_bound,
     quotient_graph,
     sidorenko_check,
     supersaturation_experiment,
     turan_exponent,
 )
-from homreflect.homcount import _layered_count_numpy, _memoised_count
+from homreflect import homcount
+from homreflect.homcount import _memoised_count
 
 # Frozen from the naive product-space oracle.
 HOM_Q3_K4 = 2652
@@ -110,13 +112,21 @@ class TestHomCount:
         r = set(data.draw(st.sampled_from(independent)))
         assert hom_count(h, g, r) == bf.hom_count_naive(h, g, r)
 
-    def test_numpy_and_python_paths_agree(self):
+    def test_parent_kernel_values_frozen(self):
+        # One count per kernel the elimination replaced, frozen from that
+        # kernel: part enumeration in Python bitsets and in numpy blocks,
+        # backtracking on a cross-side quotient, injective backtracking and
+        # the hand-derived 3-cube formula.
         q3 = gen_hypercube(3)
-        g = gen_random(25, Fraction(2, 5), 8)
-        parts = q3.bipartition()
-        xs = sorted(parts[0])
-        y_specs = [tuple(sorted(xs.index(w) for w in q3.adj[y])) for y in sorted(parts[1])]
-        assert _layered_count_numpy(4, y_specs, g) == hom_count(q3, g)
+        k33 = make_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+        half = Fraction(1, 2)
+        assert hom_count(q3, gen_random(12, half, 3)) == 222424
+        assert hom_count(q3, gen_random(25, Fraction(2, 5), 8)) == 11809424
+        assert hom_count(q3, gen_random(36, half, 1), {0, 7}) == 18735408
+        assert hom_count(k33, gen_random(200, half, 1)) == 151171889220
+        assert injective_hom_count(q3, gen_random(22, half, 2)) == 5694480
+        assert count_cube_homomorphisms(gen_random(40, Fraction(7, 10), 1)) \
+            == (71934285458, 32652304272)
 
     def test_monotone_under_constraint_growth(self):
         q3 = gen_hypercube(3)
@@ -131,6 +141,24 @@ class TestHomCount:
     def test_pattern_cap(self):
         with pytest.raises(CapabilityError):
             hom_count(make_graph(17, []), gen_complete(2))
+
+    @pytest.mark.parametrize("pattern, conditioned", [
+        (gen_hypercube(3), 2),
+        (make_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)]), 1),
+        (gen_hypercube(4), 6),
+        (gen_set_graph(1, 4), 2),
+        # conditioning on the most neighbours regardless of side takes 4 here
+        (make_graph(11, [(0, 4), (0, 7), (0, 8), (0, 9), (1, 3), (1, 4), (1, 8), (1, 9),
+                         (2, 5), (2, 6), (2, 10), (3, 5), (3, 6), (3, 10), (4, 5), (4, 6),
+                         (4, 10), (5, 7), (5, 9), (6, 7), (6, 8), (8, 10), (9, 10)]), 3),
+    ], ids=["q3", "k33", "q4", "setgraph-1-4", "eleven"])
+    def test_bipartite_plan_conditions_on_smaller_side_minus_two(self, pattern, conditioned):
+        # the former part-enumeration cap had exponent |X|, the work cap has
+        # |C| + 2, so these patterns are refused on the same hosts as before
+        steps = homcount._plan(pattern, frozenset(range(pattern.n)))
+        smaller = min(pattern.bipartition(), key=len)
+        assert [v for v, _, c in steps if c] == [v for v, _, c in steps if c and v in smaller]
+        assert sum(c for _, _, c in steps) == conditioned == len(smaller) - 2
 
 
 def _sweep_sets(h):
@@ -199,16 +227,64 @@ class TestMemo:
         assert hom_count(path, g) == bf.hom_count_naive(path, g)
         assert _memoised_count.cache_info().misses == 2
 
-    @pytest.mark.parametrize("pattern, host, message", [
-        (make_graph(17, []), gen_complete(2), "pattern size"),
-        (gen_hypercube(4), gen_random(12, Fraction(1, 2), 1), "assignment enumeration"),
-    ], ids=["pattern-cap", "assignment-cap"])
-    def test_refusal_raised_on_every_call_and_never_stored(self, pattern, host, message):
+    @pytest.mark.parametrize("pattern, host, constraint, message", [
+        (make_graph(17, []), gen_complete(2), None, "pattern size"),
+        (gen_hypercube(4), gen_random(12, Fraction(1, 2), 1), None, "assignment enumeration"),
+        # a cross-side quotient: its plan conditions on 5 vertices, 40^7 > 3*10^8
+        (gen_hypercube(4), gen_random(40, Fraction(1, 2), 1), {0, 7}, "assignment enumeration"),
+    ], ids=["pattern-cap", "assignment-cap", "cross-side-quotient"])
+    def test_refusal_raised_on_every_call_and_never_stored(self, pattern, host, constraint,
+                                                           message):
         _memoised_count.cache_clear()
         for _ in range(2):
+            start = time.perf_counter()
             with pytest.raises(CapabilityError, match=message):
-                hom_count(pattern, host)
+                hom_count(pattern, host, constraint)
+            assert time.perf_counter() - start < 1  # planned, not discovered
         assert _memoised_count.cache_info().currsize == 0
+
+
+class TestEliminationDtype:
+    """The elimination runs in float64 exactly when n^(v(H) - |C|) < 2^53,
+    |C| the number of vertices it conditions on, and on Python integers
+    otherwise; both sides must give exact counts."""
+
+    @staticmethod
+    def _dtypes_seen(monkeypatch):
+        seen = set()
+        kernel = homcount._eliminate
+
+        def spy(steps, start, unary, binary, ones):
+            seen.add(ones.dtype.type)
+            return kernel(steps, start, unary, binary, ones)
+
+        monkeypatch.setattr(homcount, "_eliminate", spy)
+        _memoised_count.cache_clear()
+        return seen
+
+    # 20^12 < 2^53 <= 20^13: K_{1,11} stays in float64, K_{1,15} does not
+    @pytest.mark.parametrize("leaves, dtype", [(11, np.float64), (15, np.object_)])
+    def test_star_degree_power_sum(self, monkeypatch, leaves, dtype):
+        g = gen_random(20, Fraction(1, 2), 4)
+        star = make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+        seen = self._dtypes_seen(monkeypatch)
+        count = hom_count(star, g)
+        assert seen == {dtype}
+        assert count == sum(d ** leaves for d in g.degrees())
+        assert (count >= 2 ** 53) == (dtype is np.object_)
+
+    # K4 conditions on one vertex; 12 isolated vertices make 12^(16-1) >= 2^53
+    @pytest.mark.parametrize("isolated, dtype", [(0, np.float64), (12, np.object_)])
+    def test_conditioned_clique(self, monkeypatch, isolated, dtype):
+        g = gen_random(12, Fraction(1, 2), 5)
+        k4 = gen_complete(4)
+        assert [conditioned for _, _, conditioned in homcount._plan(k4, frozenset(range(4)))] \
+            == [True, False, False, False]
+        pattern = make_graph(4 + isolated, k4.edges())
+        seen = self._dtypes_seen(monkeypatch)
+        count = hom_count(pattern, g)
+        assert seen == {dtype}
+        assert count == bf.hom_count_naive(k4, g) * 12 ** isolated > 0
 
 
 class TestInjective:
@@ -226,6 +302,7 @@ class TestInjective:
         q3 = gen_hypercube(3)
         for n in (8, 9, 10):
             assert injective_hom_count(q3, gen_complete(n)) == math.perm(n, 8)
+            assert hom_count(q3, gen_complete(n)) == bf.expected_hom_and_injective(q3, n, 1)[0]
 
     @given(pattern_and_host())
     @settings(max_examples=30, deadline=None)
@@ -266,25 +343,9 @@ class TestInjective:
             g = gen_random(6, Fraction(1, 2), seed)
             total = hom_count(q3, g)
             injective = injective_hom_count(q3, g)
-            assert total - injective <= noninjective_pair_bound(q3, g)
-
-
-class TestCubeKernel:
-    @pytest.mark.parametrize("n,seed", [(6, 1), (9, 2), (11, 3)])
-    def test_agrees_with_generic_paths(self, n, seed):
-        g = gen_random(n, Fraction(3, 5), seed)
-        q3 = gen_hypercube(3)
-        hom, inj = count_cube_homomorphisms(g)
-        assert hom == hom_count(q3, g)
-        assert inj == injective_hom_count(q3, g)
-
-    def test_complete_host(self):
-        hom, inj = count_cube_homomorphisms(gen_complete(9))
-        assert inj == math.perm(9, 8)
-
-    def test_empty_host(self):
-        hom, inj = count_cube_homomorphisms(make_graph(10, []))
-        assert (hom, inj) == (0, 0)
+            pair_sum = sum(hom_count(q3, g, {u, v}) for u, v in combinations(range(8), 2)
+                           if v not in q3.adj[u])
+            assert total - injective <= pair_sum
 
 
 class TestSidorenko:
@@ -301,7 +362,6 @@ class TestSidorenko:
         g = gen_random(12, Fraction(1, 2), 7)
         res = sidorenko_check(gen_hypercube(3), g)
         assert res.holds
-        assert res.margin >= 1.0
 
 
 class TestReflectionInequality:
@@ -395,8 +455,9 @@ class TestExponent:
 
 class TestSupersaturation:
     def test_empty_density(self):
-        rep = supersaturation_experiment(3, 20, Fraction(0), 1, 1)
-        assert rep["trials"][0]["hom"] == 0
+        for n in (10, 20):
+            rep = supersaturation_experiment(3, n, Fraction(0), 1, 1)
+            assert (rep["trials"][0]["hom"], rep["trials"][0]["injective"]) == (0, 0)
 
     def test_complete_density_closed_form(self):
         rep = supersaturation_experiment(3, 12, Fraction(1), 5, 1)
