@@ -348,6 +348,17 @@ class TestInjective:
             assert total - injective <= pair_sum
 
 
+class TestCubeKernel:
+    def test_complete_host(self):
+        hom, inj = count_cube_homomorphisms(gen_complete(9))
+        assert inj == math.perm(9, 8)
+        assert hom == bf.expected_hom_and_injective(gen_hypercube(3), 9, 1)[0]
+
+    def test_empty_host(self):
+        hom, inj = count_cube_homomorphisms(make_graph(10, []))
+        assert (hom, inj) == (0, 0)
+
+
 class TestSidorenko:
     def test_single_edge_equality(self):
         g = gen_random(9, Fraction(1, 2), 6)
