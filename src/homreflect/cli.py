@@ -28,7 +28,7 @@ from .homcount import (check_final_inequality, check_reflection_inequality,
 from .rainbow import (check_pattern_chain, check_variant_chain,
                       coincidence_table, cycle_weight_sum,
                       cycle_weight_sum_spectral, find_almost_rainbow,
-                      find_rainbow_cycle)
+                      find_rainbow_cycle, walk_engine)
 from .reflectivity import (certificate_to_json, certify_reflective,
                            enumerate_reflection_triples, is_admissible,
                            reflectivity_report)
@@ -340,6 +340,8 @@ def cmd_experiment(args) -> int:
     rows = []
     ok_unconditional = True
     cycles = []
+    if not args.spectral and args.k_max >= 2:
+        walk_engine(host, args.k_max)  # every round below reads its sums from this engine
     for k in range(2, args.k_max + 1):
         if args.spectral:
             sp = cycle_weight_sum_spectral(host, k)

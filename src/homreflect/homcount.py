@@ -10,6 +10,9 @@ k-trees", TCS 2002).  A vertex with at most two neighbours left is summed
 out; when every vertex left has three or more, the kernel conditions on one
 of them and loops over its host images.  The plan, and with it the one work
 cap, depends on the pattern alone and is checked before any array exists.
+The arithmetic runs through homreflect.exact: plain float64 while every
+partial count stays below 2^53, float64 residues modulo enough primes past
+it.
 Injective counts are the Moebius inversion of hom over the partitions of
 V(H) into independent blocks (Curticapean, Dell and Marx, "Homomorphisms
 are a good basis for counting small subgraphs", STOC 2017).
@@ -31,6 +34,7 @@ from statistics import median
 
 import numpy as np
 
+from .exact import Exact, adjacency
 from .graphs import (CapabilityError, Graph, GraphError, edge_density, gen_hypercube, gen_random,
                      make_graph)
 from .reflectivity import ReflectionCertificate, ReflectionTriple, reflect_set, verify_certificate
@@ -84,14 +88,14 @@ def _memoised_count(h: Graph, g: Graph) -> int:
     conditioned = [sum(step[2] for step in steps) for _, steps in plans]
     if g.n ** (max(conditioned, default=0) + 2) > _WORK_CAP:
         raise CapabilityError("assignment enumeration exceeds the budget cap")
-    dtype = np.float64 if g.n ** (h.n - sum(conditioned)) < 2 ** 53 else object
-    adj = np.zeros((g.n, g.n), dtype=dtype)
-    edges = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
-    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = 1
+    matrices = max((_matrices_held(steps) for _, steps in plans), default=1)
+    exact = Exact(g.n ** (h.n - sum(conditioned)), g.n, matrices)
+    adj = exact.lift(adjacency(g))
+    ones = exact.lift(np.ones(g.n))
     total = 1
     for comp, steps in plans:
         binary = {(u, v): adj for u, v in h.edges() if u in comp}
-        total *= _eliminate(steps, 0, {}, binary, np.ones(g.n, dtype=dtype))
+        total *= _eliminate(exact, steps, 0, {}, binary, ones)
     return total
 
 
@@ -129,7 +133,29 @@ def _plan(h: Graph, comp) -> list[tuple[int, tuple[int, ...], bool]]:
     return steps
 
 
-def _eliminate(steps, start: int, unary: dict, binary: dict, ones) -> int:
+def _matrices_held(steps) -> int:
+    """The most n-by-n matrices _eliminate holds at once for a plan: the
+    adjacency matrix, the matrices made by two-neighbour steps that are
+    still in use, and two more while such a step forms its product and
+    multiplies it into a factor.  A made matrix is freed when its scope is
+    summed out, except that conditioning keeps every matrix made so far
+    for the branches that follow."""
+    made: set = set()  # scopes whose matrix was made since the last conditioning
+    kept = peak = 0
+    for v, around, conditioned in steps:
+        if conditioned:
+            kept += len(made)
+            made = set()
+            continue
+        if len(around) == 2:
+            peak = max(peak, kept + len(made) + 2)
+        made = {scope for scope in made if v not in scope}
+        if len(around) == 2:
+            made.add(around)
+    return 1 + max(peak, kept + len(made))
+
+
+def _eliminate(exact: Exact, steps, start: int, unary: dict, binary: dict, ones) -> int:
     """Run steps[start:] of a plan: the number of assignments of their
     vertices to host vertices that satisfy every factor left.
 
@@ -143,39 +169,41 @@ def _eliminate(steps, start: int, unary: dict, binary: dict, ones) -> int:
     factor of the neighbour, and the branch counts add up with weight v's
     unary factor at x.
 
-    The caller picks float64 when n^(v(H) - |C|) < 2^53, |C| the number of
-    conditioned vertices, and Python integers otherwise.  Float64 is exact
-    under that guard: within a branch every entry of every factor, every
-    product formed and every partial sum of a matrix product is a
-    non-negative integer that counts assignments of a set of summed-out
-    vertices, at most n^(v(H) - |C|) of them, and integers below 2^53 add
-    and multiply exactly in float64.  Branch counts and weights leave the
-    arrays as Python integers before they are multiplied or added up.
+    The caller hands Exact the bound n^(v(H) - |C|), |C| the number of
+    conditioned vertices, on every value formed: within a branch every
+    entry of every factor, every product formed and every partial sum of a
+    matrix product is a non-negative integer that counts assignments of a
+    set of summed-out vertices, at most n^(v(H) - |C|) of them.  Branch
+    counts and weights leave the arrays as Python integers before they are
+    multiplied or added up.
     """
     scalar = 1
     for i in range(start, len(steps)):
         v, around, conditioned = steps[i]
         vec = unary.pop(v, ones)
-        mats = [binary.pop((v, u)) if v < u else binary.pop((u, v)).T for u in around]
+        mats = [binary.pop((v, u)) if v < u else binary.pop((u, v)).mT for u in around]
         if conditioned:
             total = 0
-            for x in np.flatnonzero(vec):
+            for x, weight in enumerate(exact.to_ints(vec)):
+                if not weight:
+                    continue
                 branch = dict(unary)
                 for u, m in zip(around, mats):
-                    _multiply(branch, u, m[x])
-                total += int(vec[x]) * _eliminate(steps, i + 1, branch, dict(binary), ones)
+                    _multiply(exact, branch, u, m[..., x, :])
+                total += weight * _eliminate(exact, steps, i + 1, branch, dict(binary), ones)
             return scalar * total
         if not around:
-            scalar *= int(vec.sum())
+            scalar *= exact.to_int(exact.total(vec, -1))
         elif len(around) == 1:
-            _multiply(unary, around[0], vec @ mats[0])
+            _multiply(exact, unary, around[0], exact.matvec(vec, mats[0]))
         else:
-            _multiply(binary, around, (mats[0] * vec[:, None]).T @ mats[1])
+            _multiply(exact, binary, around,
+                      exact.matmul(exact.mul(mats[0], vec[..., :, None]).mT, mats[1]))
     return scalar
 
 
-def _multiply(factors: dict, scope, value) -> None:
-    factors[scope] = factors[scope] * value if scope in factors else value
+def _multiply(exact: Exact, factors: dict, scope, value) -> None:
+    factors[scope] = exact.mul(factors[scope], value) if scope in factors else value
 
 
 def injective_hom_count(h: Graph, g: Graph) -> int:

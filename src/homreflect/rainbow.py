@@ -7,26 +7,25 @@ step matrix M = D^-1 A.  The colour-matched variant restricts to walks
 whose steps i and j carry the same edge colour.
 
 The exact sums come from one engine: integer powers of B = L M, where L is
-the lcm of the degrees, divided by a power of L.  Its matrices are int64
-when n^2 * L^t * (L/delta)^2 < 2^62 for the highest power t it needs and
-the minimum degree delta, a bound every value it forms provably stays
-under (see _WalkEngine); otherwise they hold Python integers and the host
-is capped at 64 vertices.  Everything in this module is exact rational
-arithmetic except the explicitly spectral evaluator.
+the lcm of the degrees, divided by a power of L.  Every value it forms is
+at most n L^2k / delta for half-length k and minimum degree delta (see
+_WalkEngine), and its products run through homreflect.exact: plain float64
+below 2^53, float64 residues modulo enough primes past it.  Everything in
+this module is exact rational arithmetic except the explicitly spectral
+evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
 
-from .graphs import CapabilityError, EdgeColouring, Graph, GraphError, validate_colouring
-
-_OBJECT_HOST_CAP = 64
-_INT64_GUARD = 1 << 62
+from .exact import Exact, adjacency
+from .graphs import EdgeColouring, Graph, GraphError, validate_colouring
 
 
 def _require_positive_degrees(g: Graph) -> None:
@@ -35,52 +34,51 @@ def _require_positive_degrees(g: Graph) -> None:
 
 
 class _WalkEngine:
-    """Exact powers of the scaled step matrix B = L * D^-1 A, L = lcm(degrees).
+    """Exact powers of the scaled step matrix B = L * D^-1 A, L = lcm(degrees),
+    for the closed walks of length up to 2k.
 
     B[u][v] = L/deg(u) on edges is an integer, every row of B sums to L and
     B^t = L^t M^t for the step matrix M = D^-1 A, so each weight is an
-    integer over a power of L.  The powers are int64 when the guard
-    n^2 * L^max(max_power, 2) * (L/delta)^2 < 2^62 holds, delta the minimum
-    degree; otherwise they are Python integers, which caps the host at
-    _OBJECT_HOST_CAP vertices, checked before any matrix is allocated.
+    integer over a power of L.  The engine stores B^1 .. B^T with
+    T = max(k, 2k - 2): step_trace(2j), j <= k, needs B^j, and
+    matched_trace(a, b), a + b = 2k - 2, needs B^a and B^b, B^0 being the
+    coincidence of row and column vertices.  It holds those T matrices and
+    at most three temporaries of n^2 cells, a colour class of a proper
+    colouring having at most n oriented edges.
 
-    Why the guard suffices: every entry is non-negative, so no partial sum
-    exceeds the value it adds up to.  The rows of B^t sum to L^t, so its
-    entries are at most L^t.  A diagonal entry of M^t, t >= 1, is
-    sum_v M^(t-1)[u,v] M[v,u] <= 1/delta, so tr(B^t) <= n L^t / delta.
-    matched_trace(a, b) is called with a + b <= max_power.  Per colour it
-    forms products of entries of B^a and B^b (at most L^(a+b)), their
-    w-weighted column sums (each at most an entry of B^(a+b+1)) and their
-    total; the totals of all colours add up to at most tr(B^(a+b+2))
-    <= n L^(a+b+2) / delta <= n^2 L^(a+b) (L/delta)^2, as delta < n.  Each
-    bound is at most n^2 L^max_power (L/delta)^2.
+    Every value it forms is at most n L^2k / delta, delta the minimum
+    degree, the bound it hands to Exact.  Every entry is non-negative, so
+    no partial sum exceeds the value it adds up to.  The rows of B^t sum to
+    L^t, so its entries are at most L^t <= L^2k.  A diagonal entry of M^t,
+    t >= 1, is sum_v M^(t-1)[u,v] M[v,u] <= 1/delta, so tr(B^t) <= n L^t /
+    delta.  step_trace(2j) adds up the products B^j[u,v] B^j[v,u], whose
+    total is tr(B^2j) <= n L^2k / delta.  matched_trace(a, b) forms products
+    of entries of B^a and B^b (at most L^(a+b)), their sums weighted by
+    w = L/deg (each at most an entry of B^(a+b+1)) and, per colour, their
+    weighted total; the totals of all colours add up to at most
+    tr(B^(a+b+2)) = tr(B^2k).
     """
 
-    def __init__(self, g: Graph, max_power: int):
+    def __init__(self, g: Graph, k: int):
         _require_positive_degrees(g)
         self.g = g
+        self.k = k
         degs = g.degrees()
         self.scale = lcm(*degs)
-        if g.n * g.n * self.scale ** max(max_power, 2) \
-                * (self.scale // min(degs)) ** 2 < _INT64_GUARD:
-            dtype = np.int64
-        elif g.n > _OBJECT_HOST_CAP:
-            raise CapabilityError(
-                f"exact walk sums on this host exceed int64 (degree lcm {self.scale}); "
-                f"the Python-integer engine is capped at {_OBJECT_HOST_CAP} vertices")
-        else:
-            dtype = object
-        step = np.zeros((g.n, g.n), dtype=dtype)
-        for u, v in g.edges():
-            step[u, v] = self.scale // degs[u]
-            step[v, u] = self.scale // degs[v]
-        self.powers = [np.eye(g.n, dtype=dtype), step]
-        for _ in range(max_power - 1):
-            self.powers.append(self.powers[-1] @ step)
+        top = max(k, 2 * k - 2)
+        self.exact = Exact(g.n * self.scale ** (2 * k) // min(degs), g.n, top + 3)
+        # B[u][v] = weights[u] on the edges uv
+        self.weights = self.exact.from_ints([self.scale // d for d in degs])
+        self.powers = [None, self.exact.mul(adjacency(g), self.weights[..., :, None])]
+        for _ in range(top - 1):
+            self.powers.append(self.exact.matmul(self.powers[-1], self.powers[1]))
 
     def step_trace(self, t: int) -> Fraction:
-        """Total weight of the closed walks of length t."""
-        return Fraction(int(np.trace(self.powers[t])), self.scale ** t)
+        """Total weight of the closed walks of length t = 2j, j <= k: the
+        sum of B^j times its transpose, entry by entry, is tr(B^t)."""
+        half = self.powers[t // 2]
+        product = self.exact.mul(half, half.mT)
+        return Fraction(self.exact.to_int(self.exact.total(product, (-2, -1))), self.scale ** t)
 
     def matched_trace(self, colouring: EdgeColouring, a: int, b: int) -> Fraction:
         """Sum over colours of tr(M^a E M^b E) with E the colour's oriented
@@ -91,41 +89,47 @@ class _WalkEngine:
             c = colouring.of(u, v)
             by_colour.setdefault(c, []).append((u, v))
             by_colour[c].append((v, u))
-        pa, pb = self.powers[a], self.powers[b]
-        degs = self.g.degrees()
-        total = 0
-        for oriented in by_colour.values():
-            xs = np.array([e[0] for e in oriented])
-            ys = np.array([e[1] for e in oriented])
-            w = np.array([self.scale // degs[x] for x in xs], dtype=pa.dtype)
-            # sum over oriented pairs (x,y),(z,p) of B^a[p,x] B^b[y,z] w[x] w[z];
-            # the indexing copies, so the product can be taken in place
-            pairs = pa[np.ix_(ys, xs)].T
-            pairs *= pb[np.ix_(ys, xs)]
-            total += int(w @ pairs @ w)
+        total = sum(self._colour_total(a, b, np.array([e[0] for e in oriented]),
+                                       np.array([e[1] for e in oriented]))
+                    for oriented in by_colour.values())
         return Fraction(total, self.scale ** (a + b + 2))
 
+    def _colour_total(self, a: int, b: int, xs, ys) -> int:
+        """The sum over a colour's oriented edges (x,y), (z,p) of
+        B^a[p,x] B^b[y,z] w[x] w[z]; its blocks are freed on return."""
+        exact = self.exact
+        w = self.weights[..., xs]
+        pairs = exact.mul(self._block(a, ys, xs).mT, self._block(b, ys, xs))
+        rows = exact.total(exact.mul(pairs, w[..., None, :]), -1)
+        return exact.to_int(exact.total(exact.mul(rows, w), -1))
 
-_last_engine: dict[tuple[Graph, int], _WalkEngine] = {}
+    def _block(self, t: int, ys, xs):
+        """B^t at rows ys and columns xs."""
+        if t == 0:
+            return self.exact.lift(ys[:, None] == xs)
+        return self.powers[t][..., ys[:, None], xs]
 
 
-def _walk_engine(g: Graph, max_power: int) -> _WalkEngine:
-    """The engine for g up to max_power, reused while consecutive calls ask
-    for the same one, as `h2k --patterns` and `verify section3 --epsilon`
-    do.  Only the last engine is kept, and it is dropped before another is
-    built, so engines of two lengths are never alive at once."""
-    key = (g, max_power)
-    if key not in _last_engine:
+_last_engine: list[_WalkEngine] = []
+
+
+def walk_engine(g: Graph, k: int) -> _WalkEngine:
+    """An engine for g serving every half-length up to k.  The last engine
+    is kept and serves every later call for the same host at a half-length
+    it covers, as in `h2k --patterns`, `verify section3 --epsilon` and the
+    rounds of `experiment rainbow-bounds`; it is dropped before another is
+    built, so two engines are never alive at once."""
+    if not (_last_engine and _last_engine[0].k >= k and _last_engine[0].g == g):
         _last_engine.clear()
-        _last_engine[key] = _WalkEngine(g, max_power)
-    return _last_engine[key]
+        _last_engine.append(_WalkEngine(g, k))
+    return _last_engine[0]
 
 
 def cycle_weight_sum(g: Graph, k: int) -> Fraction:
     """Total weight of the homomorphic cycles of length 2k, exactly."""
     if k < 1:
         raise GraphError(f"half-length must be positive, got {k}")
-    return _walk_engine(g, 2 * k).step_trace(2 * k)
+    return walk_engine(g, k).step_trace(2 * k)
 
 
 @dataclass(frozen=True)
@@ -140,15 +144,21 @@ def cycle_weight_sum_spectral(g: Graph, k: int) -> SpectralValue:
     _require_positive_degrees(g)
     if k < 1:
         raise GraphError(f"half-length must be positive, got {k}")
-    inv_sqrt = np.array([1.0 / np.sqrt(d) for d in g.degrees()])
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        w = inv_sqrt[u] * inv_sqrt[v]
-        a[u, v] = a[v, u] = w
-    eig = np.linalg.eigvalsh(a)
+    eig = _normalised_spectrum(g)
     value = float(np.sum(eig ** (2 * k)))
     bound = 4.0e-13 * g.n * 2 * k + 1e-13 * abs(value)
     return SpectralValue(value, bound)
+
+
+@lru_cache(maxsize=1)
+def _normalised_spectrum(g: Graph) -> np.ndarray:
+    """Eigenvalues of D^-1/2 A D^-1/2, kept for the last host, so that every
+    k asked of one host shares one decomposition."""
+    inv_sqrt = 1.0 / np.sqrt(np.array(g.degrees(), dtype=np.float64))
+    a = adjacency(g)
+    a *= inv_sqrt[:, None]
+    a *= inv_sqrt
+    return np.linalg.eigvalsh(a)
 
 
 def canonical_pattern_offset(i: int, j: int, two_k: int) -> int:
@@ -166,14 +176,13 @@ def coincidence_weight(g: Graph, colouring: EdgeColouring, k: int,
     if k < 1:
         raise GraphError(f"half-length must be positive, got {k}")
     ell = canonical_pattern_offset(i, j, 2 * k)
-    engine = _WalkEngine(g, max(2 * k - 2, 0))
-    return engine.matched_trace(colouring, ell - 1, 2 * k - ell - 1)
+    return walk_engine(g, k).matched_trace(colouring, ell - 1, 2 * k - ell - 1)
 
 
 def coincidence_table(g: Graph, colouring: EdgeColouring,
                       k: int) -> dict[tuple[int, int], Fraction]:
     """All C(2k,2) coincidence weights, evaluated once per canonical offset."""
-    engine = _walk_engine(g, 2 * k)
+    engine = walk_engine(g, k)
     canon = {ell: engine.matched_trace(colouring, ell - 1, 2 * k - ell - 1)
              for ell in range(1, k + 1)}
     return {(i, j): canon[canonical_pattern_offset(i, j, 2 * k)]
@@ -192,7 +201,7 @@ def _chain_inputs(g: Graph, colouring: EdgeColouring, k: int, chain: str):
         raise GraphError(f"{chain} chain needs a proper colouring")
     if k < 1:
         raise GraphError(f"half-length must be positive, got {k}")
-    engine = _walk_engine(g, 2 * k)
+    engine = walk_engine(g, k)
     h = {2 * j: engine.step_trace(2 * j) for j in range(1, k + 1)}
     return g.min_degree(), h, coincidence_table(g, colouring, k)
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, perm as falling_factorial
+from math import factorial, lcm, perm as falling_factorial
+from operator import mul
 
 
 def all_automorphisms(g) -> list[tuple[int, ...]]:
@@ -144,6 +145,35 @@ def closed_walk_weight_sum(g, length: int, colour_match=None, colouring=None) ->
             w /= degs[v]
         total += w
     return total
+
+
+def int_matmul(a, b) -> list[list[int]]:
+    """The product of two matrices given as lists of rows of Python integers."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def int_matrix_power(a, t: int) -> list[list[int]]:
+    """a^t, t >= 1, by repeated squaring in Python integers."""
+    result, square = None, a
+    while True:
+        if t & 1:
+            result = square if result is None else int_matmul(result, square)
+        t >>= 1
+        if not t:
+            return result
+        square = int_matmul(square, square)
+
+
+def walk_weight_by_matrix_power(g, length: int) -> Fraction:
+    """Total weight of the closed walks of the given length: the trace of
+    B^length over L^length, B[u][v] = L/deg(u) on edges and L the lcm of the
+    degrees, all in Python integers."""
+    degs = g.degrees()
+    scale = lcm(*degs)
+    step = [[scale // degs[u] if v in g.adj[u] else 0 for v in range(g.n)] for u in range(g.n)]
+    power = int_matrix_power(step, length)
+    return Fraction(sum(power[u][u] for u in range(g.n)), scale ** length)
 
 
 def simple_cycles(g, max_len=None) -> list[tuple[int, ...]]:

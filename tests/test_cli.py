@@ -1,10 +1,14 @@
 import json
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import bruteforce as bf
 from homreflect import rainbow, read_colouring, read_edge_list
 from homreflect.cli import main
-from homreflect.graphs import VERTEX_CAP
+from homreflect.graphs import VERTEX_CAP, gen_random
 
 
 def run(tmp_path, *argv, out_name="report.txt"):
@@ -201,9 +205,13 @@ class TestCountsAndWeights:
         assert values[(1, 4)] == "1/1"
         assert values[(2, 4)] == "1/2"
 
-    def test_h2k_irregular_host_past_int64_bound_exit_one(self, tmp_path):
-        code, _ = run(tmp_path, "h2k", "--host", "random(65,1/2,1)", "--k", "2")
-        assert code == 1
+    def test_h2k_irregular_host_past_64_vertices_runs(self, tmp_path):
+        # the former Python-integer walk engine refused hosts over 64 vertices
+        code, body = run(tmp_path, "h2k", "--host", "random(65,1/2,1)", "--k", "2",
+                         "--format", "json", out_name="h.json")
+        assert code == 0
+        want = bf.walk_weight_by_matrix_power(gen_random(65, Fraction(1, 2), 1), 4)
+        assert json.loads(body)["h2k"] == f"{want.numerator}/{want.denominator}"
 
 
 class TestSizeCaps:
@@ -251,28 +259,62 @@ class TestWorkCap:
 
 
 class TestOneWalkEngine:
-    """A command builds one walk engine per host and length, and drops it
-    before it builds one of another length."""
+    """A command builds one walk engine per host, of the largest half-length
+    it needs, and drops any other engine before it builds one; the spectral
+    rounds share one eigendecomposition per host."""
 
     @pytest.mark.parametrize("argv, lengths", [
-        (["h2k", "--host", "direction-cube(4)", "--k", "2", "--patterns"], [4]),
-        (["verify", "section3", "--host", "clique(6)", "--k", "2", "--epsilon", "2/5"], [4]),
-        (["experiment", "rainbow-bounds", "--host", "direction-cube(4)", "--k-max", "3"],
-         [4, 6]),
+        (["h2k", "--host", "direction-cube(4)", "--k", "2", "--patterns"], [2]),
+        (["verify", "section3", "--host", "clique(6)", "--k", "2", "--epsilon", "2/5"], [2]),
+        (["experiment", "rainbow-bounds", "--host", "direction-cube(4)", "--k-max", "3"], [3]),
     ], ids=["h2k-patterns", "section3-epsilon", "rainbow-bounds"])
     def test_engines_built(self, tmp_path, monkeypatch, argv, lengths):
         built = []
         engine = rainbow._WalkEngine
 
-        def counted(g, max_power):
-            built.append((max_power, len(rainbow._last_engine)))
-            return engine(g, max_power)
+        def counted(g, k):
+            built.append((k, len(rainbow._last_engine)))
+            return engine(g, k)
 
         monkeypatch.setattr(rainbow, "_WalkEngine", counted)
         rainbow._last_engine.clear()
         code, _ = run(tmp_path, *argv)
         assert code == 0
         assert built == [(t, 0) for t in lengths]
+
+
+    def test_spectral_rounds_decompose_once(self, tmp_path, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rainbow._normalised_spectrum.cache_clear()
+        code, _ = run(tmp_path, "experiment", "rainbow-bounds", "--host", "hypercube(5)",
+                      "--k-max", "4", "--spectral")
+        assert code == 0
+        assert calls == [(32, 32)]
+
+
+class TestCellCap:
+    """Exact walk sums and counts are refused, exit 1, when their float64
+    cells (residue layers x matrices x n^2) would pass the one cap, before
+    any matrix is allocated."""
+
+    def test_refused_exit_one_before_allocation(self, tmp_path, capsys):
+        # cycle(1024), k = 30: 4 residue layers x 61 matrices x 1024^2 cells
+        tracemalloc.start()
+        try:
+            code, body = run(tmp_path, "h2k", "--host", "cycle(1024)", "--k", "30")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, body) == (1, b"")
+        assert "over the cap" in capsys.readouterr().err
+        assert peak < 1024 * 1024 * 8  # less than one 1024 x 1024 float64 matrix
 
 
 class TestDeterminism:

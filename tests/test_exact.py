@@ -1,0 +1,112 @@
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+import bruteforce as bf
+from homreflect import (CapabilityError, coincidence_table, cycle_weight_sum, exact,
+                        gen_complete, gen_cycle, gen_random, greedy_proper_colouring,
+                        hom_count, homcount, rainbow)
+from homreflect.exact import Exact
+
+# what the kernels below hold besides their matrices: edge lists, vectors,
+# index arrays and bookkeeping
+SLACK = 1 << 20
+
+
+def as_array(ex, rows):
+    """A matrix of Python integers in the layout of ex."""
+    flat = ex.from_ints([v for row in rows for v in row])
+    return flat.reshape(flat.shape[:-1] + (len(rows), len(rows[0])))
+
+
+def random_matrix(rng, n, top):
+    return [[rng.randrange(top) for _ in range(n)] for _ in range(n)]
+
+
+class TestAgainstPythonIntegers:
+    """Products, elementwise products, sums and conversions agree with
+    Python integers on random n-by-n matrices with entries below
+    `top`; n^3 top^2 bounds every value formed."""
+
+    @pytest.mark.parametrize("top, plain_limit, layers", [
+        (2 ** 19, 2 ** 53, 0),       # below 2^53: plain float64
+        (2 ** 20, 2 ** 53, 3),       # just past 2^53: the fewest primes it takes
+        (2 ** 40, 2 ** 53, 5),       # several primes
+        (9, 2, 1),                   # limit lowered: one prime
+        (2 ** 12, 2, 2),             # limit lowered: two primes
+    ])
+    def test_products_and_sums(self, monkeypatch, top, plain_limit, layers):
+        monkeypatch.setattr(exact, "_PLAIN_LIMIT", plain_limit)
+        rng = random.Random(top)
+        n = 30
+        a, b = random_matrix(rng, n, top), random_matrix(rng, n, top)
+        ex = Exact(n ** 3 * (top - 1) ** 2, n, 3)
+        assert len(ex.primes) == layers
+        left, right = as_array(ex, a), as_array(ex, b)
+        want = bf.int_matmul(a, b)
+        got = ex.matmul(left, right)
+        assert [[ex.to_int(got[..., i, j]) for j in range(n)] for i in range(n)] == want
+        assert ex.to_int(ex.total(got, (-2, -1))) == sum(map(sum, want))
+        elementwise = ex.mul(left, right)
+        assert [ex.to_int(ex.total(elementwise[..., i, :], -1)) for i in range(n)] \
+            == [sum(x * y for x, y in zip(a[i], b[i])) for i in range(n)]
+        row = ex.matvec(left[..., 0, :], right)
+        assert [ex.to_int(row[..., j]) for j in range(n)] == want[0]
+        assert ex.to_ints(ex.from_ints([0, top - 1, 0, 1])) == [0, top - 1, 0, 1]
+
+
+class TestCellCap:
+    def test_refused_before_allocation(self):
+        # 1024^2 cells per matrix: 64 plain matrices fit, 65 do not
+        Exact(2 ** 52, 1024, 64)
+        with pytest.raises(CapabilityError, match="over the cap"):
+            Exact(2 ** 52, 1024, 65)
+        # past 2^53 every prime is one more layer of cells
+        with pytest.raises(CapabilityError, match="3 residue layers"):
+            Exact(2 ** 53, 1024, 22)
+
+    @staticmethod
+    def _declared_and_peak(monkeypatch, module, run):
+        """The cells a kernel declares to Exact, and the peak bytes it
+        allocates while it runs."""
+        declared = []
+
+        def spy(bound, n, matrices):
+            ex = Exact(bound, n, matrices)
+            declared.append(max(len(ex.primes), 1) * matrices * n * n)
+            return ex
+
+        monkeypatch.setattr(module, "Exact", spy)
+        exact._primes()  # the process-wide prime table is no kernel's working memory
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return max(declared), peak
+
+    @pytest.mark.parametrize("pattern, n", [(gen_cycle(16), 120), (gen_complete(4), 300)],
+                             ids=["cycle-16-residues", "clique-4-conditioned"])
+    def test_elimination_holds_what_it_declares(self, monkeypatch, pattern, n):
+        g = gen_random(n, Fraction(1, 2), 1)
+        homcount._memoised_count.cache_clear()
+        cells, peak = self._declared_and_peak(monkeypatch, homcount,
+                                              lambda: hom_count(pattern, g))
+        homcount._memoised_count.cache_clear()
+        assert peak <= 8 * cells + SLACK
+
+    def test_walk_engine_holds_what_it_declares(self, monkeypatch):
+        g = gen_random(80, Fraction(1, 2), 1)
+        col = greedy_proper_colouring(g, 1)
+
+        def run():
+            rainbow._last_engine.clear()
+            cycle_weight_sum(g, 3)
+            coincidence_table(g, col, 3)
+            rainbow._last_engine.clear()
+
+        cells, peak = self._declared_and_peak(monkeypatch, rainbow, run)
+        assert peak <= 8 * cells + SLACK

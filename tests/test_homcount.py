@@ -3,7 +3,6 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +32,7 @@ from homreflect import (
     supersaturation_experiment,
     turan_exponent,
 )
-from homreflect import homcount
+from homreflect import exact, homcount
 from homreflect.homcount import _memoised_count
 
 # Frozen from the naive product-space oracle.
@@ -245,46 +244,72 @@ class TestMemo:
 
 
 class TestEliminationDtype:
-    """The elimination runs in float64 exactly when n^(v(H) - |C|) < 2^53,
-    |C| the number of vertices it conditions on, and on Python integers
-    otherwise; both sides must give exact counts."""
+    """The elimination runs in plain float64 exactly when n^(v(H) - |C|) <
+    2^53, |C| the number of vertices it conditions on, and on float64
+    residues otherwise; both sides must give exact counts."""
 
     @staticmethod
-    def _dtypes_seen(monkeypatch):
+    def _paths_seen(monkeypatch):
         seen = set()
         kernel = homcount._eliminate
 
-        def spy(steps, start, unary, binary, ones):
-            seen.add(ones.dtype.type)
-            return kernel(steps, start, unary, binary, ones)
+        def spy(exact, steps, start, unary, binary, ones):
+            seen.add("residues" if exact.primes else "float64")
+            return kernel(exact, steps, start, unary, binary, ones)
 
         monkeypatch.setattr(homcount, "_eliminate", spy)
         _memoised_count.cache_clear()
         return seen
 
-    # 20^12 < 2^53 <= 20^13: K_{1,11} stays in float64, K_{1,15} does not
-    @pytest.mark.parametrize("leaves, dtype", [(11, np.float64), (15, np.object_)])
-    def test_star_degree_power_sum(self, monkeypatch, leaves, dtype):
+    # 20^12 < 2^53 <= 20^13: K_{1,11} stays plain, K_{1,15} does not
+    @pytest.mark.parametrize("leaves, path", [(11, "float64"), (15, "residues")])
+    def test_star_degree_power_sum(self, monkeypatch, leaves, path):
         g = gen_random(20, Fraction(1, 2), 4)
         star = make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-        seen = self._dtypes_seen(monkeypatch)
+        seen = self._paths_seen(monkeypatch)
         count = hom_count(star, g)
-        assert seen == {dtype}
+        assert seen == {path}
         assert count == sum(d ** leaves for d in g.degrees())
-        assert (count >= 2 ** 53) == (dtype is np.object_)
+        assert (count >= 2 ** 53) == (path == "residues")
 
     # K4 conditions on one vertex; 12 isolated vertices make 12^(16-1) >= 2^53
-    @pytest.mark.parametrize("isolated, dtype", [(0, np.float64), (12, np.object_)])
-    def test_conditioned_clique(self, monkeypatch, isolated, dtype):
+    @pytest.mark.parametrize("isolated, path", [(0, "float64"), (12, "residues")])
+    def test_conditioned_clique(self, monkeypatch, isolated, path):
         g = gen_random(12, Fraction(1, 2), 5)
         k4 = gen_complete(4)
         assert [conditioned for _, _, conditioned in homcount._plan(k4, frozenset(range(4)))] \
             == [True, False, False, False]
         pattern = make_graph(4 + isolated, k4.edges())
-        seen = self._dtypes_seen(monkeypatch)
+        seen = self._paths_seen(monkeypatch)
         count = hom_count(pattern, g)
-        assert seen == {dtype}
+        assert seen == {path}
         assert count == bf.hom_count_naive(k4, g) * 12 ** isolated > 0
+
+    def test_residues_on_every_small_count(self, monkeypatch):
+        """With the plain limit lowered to 2 every count takes residues, with
+        one or more primes: conditioning, all three summing-out steps and a
+        constraint quotient."""
+        monkeypatch.setattr(exact, "_PLAIN_LIMIT", 2)
+        _memoised_count.cache_clear()
+        g = make_graph(5, [e for e in gen_complete(5).edges() if e != (0, 1)])
+        for h in (gen_complete(4), gen_cycle(5), make_graph(4, [(0, 1), (1, 2)])):
+            assert hom_count(h, g) == bf.hom_count_naive(h, g) > 0
+        q3 = gen_hypercube(3)
+        assert [hom_count(q3, g), hom_count(q3, g, [0, 7])] == \
+            bf.constrained_counts_naive(q3, g, [[0], [0, 7]])
+        _memoised_count.cache_clear()
+
+    def test_long_cycle_in_large_host_matches_integer_matrix_power(self):
+        # C16 into 200 vertices: 200^16 >= 2^53, so residues; the former
+        # Python-integer path took about 8 s here
+        g = gen_random(200, Fraction(1, 2), 1)
+        adj = [[int(v in g.adj[u]) for v in range(g.n)] for u in range(g.n)]
+        power = bf.int_matrix_power(adj, 16)
+        _memoised_count.cache_clear()
+        start = time.perf_counter()
+        count = hom_count(gen_cycle(16), g)
+        assert time.perf_counter() - start < 2
+        assert count == sum(power[v][v] for v in range(g.n))
 
 
 class TestInjective:

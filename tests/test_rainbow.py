@@ -1,14 +1,12 @@
 from fractions import Fraction
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
 from homreflect import (
-    CapabilityError,
     EdgeColouring,
     GraphError,
     check_pattern_chain,
@@ -33,6 +31,7 @@ from homreflect import (
     make_graph,
     rainbow_colouring,
 )
+from homreflect import exact, rainbow
 from homreflect.rainbow import _WalkEngine
 
 
@@ -91,18 +90,19 @@ class TestWeightSums:
 
 
 class TestWalkEngineDtype:
-    """The engine takes int64 exactly when n^2 L^2k (L/delta)^2 < 2^62 with
-    L the lcm of the degrees; both sides must give the brute-force sums."""
+    """The engine runs in plain float64 exactly when n L^2k / delta < 2^53,
+    L the lcm of the degrees and delta the minimum degree, and on float64
+    residues otherwise; both sides must give the brute-force sums."""
 
-    # random(9, 3/5, 55): degrees 2..8, L = 840, int64 up to k = 1.
-    # random(8, 3/5, 0): degrees {2, 3, 4, 5, 7}, L = 420, int64 up to k = 2.
-    @pytest.mark.parametrize("n, seed, k, dtype", [
-        (9, 55, 1, np.int64), (9, 55, 2, object),
-        (8, 0, 2, np.int64), (8, 0, 3, object),
+    # random(8, 3/5, 0): degrees {2, 3, 4, 5, 7}, L = 420, plain up to k = 2.
+    # random(9, 3/5, 55): degrees 2..8, L = 840, plain up to k = 2.
+    @pytest.mark.parametrize("n, seed, k, path", [
+        (8, 0, 2, "float64"), (8, 0, 3, "residues"),
+        (9, 55, 2, "float64"), (9, 55, 3, "residues"),
     ])
-    def test_both_sides_of_int64_bound(self, n, seed, k, dtype):
+    def test_both_sides_of_plain_bound(self, n, seed, k, path):
         g = gen_random(n, Fraction(3, 5), seed)
-        assert _WalkEngine(g, 2 * k).powers[1].dtype == dtype
+        assert bool(_WalkEngine(g, k).exact.primes) == (path == "residues")
         col = greedy_proper_colouring(g, seed)
         assert cycle_weight_sum(g, k) == bf.closed_walk_weight_sum(g, 2 * k)
         table = coincidence_table(g, col, k)
@@ -114,21 +114,46 @@ class TestWalkEngineDtype:
             assert table[(i, j)] == want, (i, j)
             assert coincidence_weight(g, col, k, i, j) == want, (i, j)
 
-    def test_irregular_host_past_bound_refused(self):
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_residues_on_every_small_host(self, monkeypatch, seed):
+        """With the plain limit lowered to 2 every engine takes residues,
+        with one or more primes, including the k = 1 table whose two marked
+        steps are adjacent (no matrix power on either side)."""
+        monkeypatch.setattr(exact, "_PLAIN_LIMIT", 2)
+        rainbow._last_engine.clear()
+        g = random_host_with_degrees(6, 1, 2, seed)
+        col = greedy_proper_colouring(g, seed)
+        for k in (1, 2):
+            assert _WalkEngine(g, k).exact.primes
+            assert cycle_weight_sum(g, k) == bf.closed_walk_weight_sum(g, 2 * k)
+            for (i, j), value in coincidence_table(g, col, k).items():
+                assert value == bf.closed_walk_weight_sum(g, 2 * k, colour_match=(i, j),
+                                                          colouring=col), (k, i, j)
+        rainbow._last_engine.clear()
+
+    def test_irregular_host_past_64_vertices_matches_integer_oracle(self):
+        # the former Python-integer engine refused hosts over 64 vertices
         g = gen_random(65, Fraction(1, 2), 1)
         assert len(set(g.degrees())) > 1
-        with pytest.raises(CapabilityError):
-            cycle_weight_sum(g, 2)
+        assert _WalkEngine(g, 2).exact.primes
+        assert cycle_weight_sum(g, 2) == bf.walk_weight_by_matrix_power(g, 4)
 
-    def test_large_host_with_small_degree_lcm_runs_in_int64(self):
+    def test_large_host_with_small_degree_lcm_runs_plain(self):
         # a 66-cycle with 11 chords: degrees {2, 3}, L = 6
         edges = [(v, (v + 1) % 66) for v in range(66)] + [(v, v + 33) for v in range(0, 33, 3)]
         g = make_graph(66, edges)
         assert set(g.degrees()) == {2, 3}
         for k in (1, 2, 3, 4):
-            assert _WalkEngine(g, 2 * k).powers[1].dtype == np.int64
+            assert not _WalkEngine(g, k).exact.primes
             spectral = cycle_weight_sum_spectral(g, k)
             assert abs(float(cycle_weight_sum(g, k)) - spectral.value) <= spectral.error_bound
+
+    @pytest.mark.parametrize("k, products", [(1, 0), (2, 1), (3, 3), (4, 5)])
+    def test_powers_stored(self, k, products):
+        # B^1 .. B^max(k, 2k - 2); B^0 is never built
+        engine = _WalkEngine(gen_hypercube(3), k)
+        assert engine.powers[0] is None
+        assert len(engine.powers) - 2 == products
 
 
 class TestSpectral:
