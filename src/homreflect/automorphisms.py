@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CapabilityError, Graph, GraphError, _mask
+from .graphs import CapabilityError, Graph, _mask
 
 _VERTEX_CAP = 32
 
@@ -41,9 +41,6 @@ class Automorphism:
 
     def fixed_set(self) -> frozenset[int]:
         return frozenset(v for v, w in enumerate(self.perm) if v == w)
-
-    def serialize(self) -> str:
-        return " ".join(str(w) for w in self.perm)
 
 
 def identity(n: int) -> Automorphism:
@@ -119,13 +116,3 @@ def enumerate_involutions(h: Graph) -> list[Automorphism]:
     return [a for a in enumerate_automorphisms(h)
             if a.is_involution and not a.is_identity]
 
-
-def parse_automorphism(h: Graph, text: str) -> Automorphism:
-    """Inverse of Automorphism.serialize, validated against H."""
-    try:
-        perm = tuple(int(tok) for tok in text.split())
-    except ValueError:
-        raise GraphError(f"bad permutation text {text!r}") from None
-    if not is_automorphism(h, perm):
-        raise GraphError("permutation is not an automorphism of the graph")
-    return Automorphism(perm)

@@ -29,7 +29,7 @@ from .rainbow import (check_pattern_chain, check_variant_chain,
                       coincidence_table, cycle_weight_sum,
                       cycle_weight_sum_spectral, find_almost_rainbow,
                       find_rainbow_cycle, walk_engine)
-from .reflectivity import (certificate_to_json, certify_reflective,
+from .reflectivity import (DEFAULT_BUDGET, certificate_to_json, certify_reflective,
                            enumerate_reflection_triples, is_admissible,
                            reflectivity_report)
 from .reports import frac_str, parse_fraction, render_json, render_text
@@ -262,8 +262,11 @@ def _verify_reflection_suite(args) -> int:
     checks.append({"name": "reflection_steps_swept", "count": done,
                    "holds": violations == 0})
     side0 = sorted(parts[0])
+    exhausted = []
     for r0 in combinations(side0, 2):
         res = certify_reflective(pattern, r0, budget=args.budget, triples=triples)
+        if res.budget_exhausted:
+            exhausted.append(list(r0))
         if res.certificate is None:
             continue
         fin = check_final_inequality(pattern, host, res.certificate)
@@ -275,8 +278,10 @@ def _verify_reflection_suite(args) -> int:
     report["checks"] = checks
     ok = all(c["holds"] for c in checks)
     report["all_hold"] = ok
+    if exhausted:
+        report["budget_exhausted_pairs"] = exhausted
     emit(report, args.format, args.out)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_VIOLATION if not ok else EXIT_BUDGET if exhausted else EXIT_OK
 
 
 def _verify_cycle_suite(args) -> int:
@@ -419,11 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"homreflect {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False, budget=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10 ** 6)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     g = sub.add_parser("gen", help="write generated graph (and colouring) files")
     g.add_argument("kind", choices=("hypercube", "setgraph", "random",
@@ -434,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int)
     g.add_argument("--p")
     g.add_argument("--colour-out")
-    common(g)
+    common(g, seed=True)
     g.set_defaults(func=cmd_gen)
 
     c = sub.add_parser("certify", help="search reflection certificates")
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--all-pairs", action="store_true")
     c.add_argument("--cert-out", help="certificate file (single start)")
     c.add_argument("--cert-dir", help="certificate directory (all pairs)")
-    common(c)
+    common(c, budget=True)
     c.set_defaults(func=cmd_certify)
 
     v = sub.add_parser("verify", help="run an inequality suite")
@@ -453,14 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     v2.add_argument("--host", required=True)
     v2.add_argument("--max-sets", type=int, default=200,
                     help="cap on (triple, set) combinations swept (0 = all)")
-    common(v2)
+    common(v2, budget=True)
     v2.set_defaults(func=cmd_verify)
     v3 = vs.add_parser("section3", help="weighted cycle inequalities")
     v3.add_argument("--host", required=True)
     v3.add_argument("--colouring")
     v3.add_argument("--k", type=int, default=2)
     v3.add_argument("--epsilon")
-    common(v3)
+    common(v3, seed=True)
     v3.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("experiment", help="seeded batch experiments")
@@ -476,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--epsilon")
     e.add_argument("--spectral", action="store_true",
                    help="float bounds via the eigenvalue path (large hosts)")
-    common(e)
+    common(e, seed=True)
     e.set_defaults(func=cmd_experiment)
 
     hc = sub.add_parser("homcount", help="count homomorphisms")
@@ -492,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--k", type=int, required=True)
     h.add_argument("--colouring")
     h.add_argument("--patterns", action="store_true")
-    common(h)
+    common(h, seed=True)
     h.set_defaults(func=cmd_h2k)
     return top
 

@@ -272,7 +272,7 @@ def gen_cycle_blowup(length: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Density and peeling
+# Density
 # ---------------------------------------------------------------------------
 
 def edge_density(g: Graph) -> Fraction:
@@ -280,34 +280,6 @@ def edge_density(g: Graph) -> Fraction:
     if g.n == 0:
         raise GraphError("edge density undefined for the empty vertex set")
     return Fraction(2 * g.edge_count(), g.n * g.n)
-
-
-def peel_min_degree(g: Graph, t: int) -> Graph:
-    """Repeatedly delete vertices of current degree below t.
-
-    The survivor set does not depend on deletion order; the returned graph
-    (possibly empty) has min degree >= t and carries the surviving original
-    ids as labels.
-    """
-    if t < 1:
-        raise GraphError(f"threshold must be at least 1, got {t}")
-    deg = g.degrees()
-    alive = [True] * g.n
-    queue = [v for v in range(g.n) if deg[v] < t]
-    while queue:
-        v = queue.pop()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for w in g.adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < t:
-                    queue.append(w)
-    kept = [v for v in range(g.n) if alive[v]]
-    index = {v: i for i, v in enumerate(kept)}
-    edges = [(index[u], index[v]) for u, v in g.edges() if alive[u] and alive[v]]
-    return make_graph(len(kept), edges, labels=tuple(kept))
 
 
 # ---------------------------------------------------------------------------

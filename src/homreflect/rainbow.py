@@ -72,6 +72,7 @@ class _WalkEngine:
         self.powers = [None, self.exact.mul(adjacency(g), self.weights[..., :, None])]
         for _ in range(top - 1):
             self.powers.append(self.exact.matmul(self.powers[-1], self.powers[1]))
+        self._offsets: tuple = (None, 0, {})
 
     def step_trace(self, t: int) -> Fraction:
         """Total weight of the closed walks of length t = 2j, j <= k: the
@@ -93,6 +94,17 @@ class _WalkEngine:
                                        np.array([e[1] for e in oriented]))
                     for oriented in by_colour.values())
         return Fraction(total, self.scale ** (a + b + 2))
+
+    def offset_weights(self, colouring: EdgeColouring, k: int) -> dict[int, Fraction]:
+        """The coincidence weight of the 2k-cycles at each canonical offset
+        1..k, kept for the last (colouring, k) asked.  The colouring is
+        matched by identity: EdgeColouring equality ignores the colours."""
+        last, last_k, weights = self._offsets
+        if last is not colouring or last_k != k:
+            weights = {ell: self.matched_trace(colouring, ell - 1, 2 * k - ell - 1)
+                       for ell in range(1, k + 1)}
+            self._offsets = (colouring, k, weights)
+        return weights
 
     def _colour_total(self, a: int, b: int, xs, ys) -> int:
         """The sum over a colour's oriented edges (x,y), (z,p) of
@@ -182,9 +194,7 @@ def coincidence_weight(g: Graph, colouring: EdgeColouring, k: int,
 def coincidence_table(g: Graph, colouring: EdgeColouring,
                       k: int) -> dict[tuple[int, int], Fraction]:
     """All C(2k,2) coincidence weights, evaluated once per canonical offset."""
-    engine = walk_engine(g, k)
-    canon = {ell: engine.matched_trace(colouring, ell - 1, 2 * k - ell - 1)
-             for ell in range(1, k + 1)}
+    canon = walk_engine(g, k).offset_weights(colouring, k)
     return {(i, j): canon[canonical_pattern_offset(i, j, 2 * k)]
             for i in range(1, 2 * k + 1) for j in range(i + 1, 2 * k + 1)}
 
@@ -304,108 +314,74 @@ def find_rainbow_cycle(g: Graph, colouring: EdgeColouring,
     Exhaustive (a certified "none") when the search finished inside the
     node budget; otherwise the miss only means not-found-within-budget.
     """
-    validate_colouring(g, colouring)
-    max_len = g.n if max_len is None else min(max_len, g.n)
-    nodes = 0
-    truncated = False
-
-    def extend(s: int, v: int, path: list[int], used_v: set[int],
-               used_c: set[int]) -> tuple[int, ...] | None:
-        nonlocal nodes, truncated
-        nodes += 1
-        if nodes > node_budget:
-            truncated = True
-            return None
-        for w in sorted(g.adj[v]):
-            if truncated:
-                return None
-            if w == s and len(path) >= 3 and colouring.of(v, w) not in used_c:
-                return tuple(path)
-            if w <= s or w in used_v or len(path) >= max_len:
-                continue
-            c = colouring.of(v, w)
-            if c in used_c:
-                continue
-            path.append(w)
-            used_v.add(w)
-            used_c.add(c)
-            hit = extend(s, w, path, used_v, used_c)
-            if hit:
-                return hit
-            path.pop()
-            used_v.remove(w)
-            used_c.remove(c)
-        return None
-
-    for s in range(g.n):
-        if truncated:
-            break
-        hit = extend(s, s, [s], {s}, set())
-        if hit:
-            assert is_rainbow_cycle(g, colouring, hit)
-            return CycleSearchResult(hit, exhaustive=True)
-    return CycleSearchResult(None, exhaustive=not truncated)
+    return _cycle_search(g, colouring, None, max_len, node_budget)
 
 
 def find_almost_rainbow(g: Graph, colouring: EdgeColouring, eps,
                         max_len: int | None = None,
                         node_budget: int = 5 * 10 ** 6) -> CycleSearchResult:
     """Search for a simple cycle of some length L with more than (1-eps)L
-    distinct colours.  Paths whose colour repetitions already exceed
-    eps * max_len can never close such a cycle and are pruned."""
+    distinct colours; exhaustive as for find_rainbow_cycle."""
     eps = Fraction(eps)
     if not Fraction(0) < eps < Fraction(1, 2):
         raise GraphError("colour deficiency must lie strictly between 0 and 1/2")
+    return _cycle_search(g, colouring, eps, max_len, node_budget)
+
+
+def _cycle_search(g: Graph, colouring: EdgeColouring, eps, max_len: int | None,
+                  node_budget: int) -> CycleSearchResult:
+    """Depth-first search for a simple cycle of length L <= max_len with
+    r < eps L repeats, r being its edges minus its distinct colours; eps
+    None asks for a rainbow cycle, r = 0.  Each cycle is met from its
+    smallest vertex.  The repeats of a path never fall as it grows, so a
+    path with r >= eps max_len is pruned.  Each call of extend is one node."""
     validate_colouring(g, colouring)
     max_len = g.n if max_len is None else min(max_len, g.n)
-    slack_cap = eps * max_len
+    # r < eps L is r den < num L; r < L / (max_len + 1) means r = 0 for L <= max_len
+    num, den = (1, max_len + 1) if eps is None else (eps.numerator, eps.denominator)
+    counts: dict[int, int] = {}
     nodes = 0
     truncated = False
 
-    def extend(s, v, path, used_v, counts):
+    def extend(s: int, path: list[int], used: set[int], r: int) -> tuple[int, ...] | None:
         nonlocal nodes, truncated
         nodes += 1
         if nodes > node_budget:
             truncated = True
             return None
-        edges_placed = len(path) - 1
-        distinct = len(counts)
+        v = path[-1]
         for w in sorted(g.adj[v]):
             if truncated:
                 return None
-            if w == s and len(path) >= 3:
-                c = colouring.of(v, w)
-                length = len(path)
-                final_distinct = distinct + (0 if c in counts else 1)
-                if Fraction(final_distinct) > (1 - eps) * length:
-                    return tuple(path)
-            if w <= s or w in used_v or len(path) >= max_len:
+            closes = w == s and len(path) >= 3
+            if not closes and (w <= s or w in used or len(path) >= max_len):
                 continue
             c = colouring.of(v, w)
-            wasted = (edges_placed + 1) - (distinct + (0 if c in counts else 1))
-            if Fraction(wasted) >= slack_cap:
-                continue
-            path.append(w)
-            used_v.add(w)
-            counts[c] = counts.get(c, 0) + 1
-            hit = extend(s, w, path, used_v, counts)
-            if hit:
-                return hit
-            path.pop()
-            used_v.remove(w)
-            counts[c] -= 1
-            if not counts[c]:
-                del counts[c]
+            repeats = r + (c in counts)
+            if closes:
+                if repeats * den < num * len(path):
+                    return tuple(path)
+            elif repeats * den < num * max_len:
+                path.append(w)
+                used.add(w)
+                counts[c] = counts.get(c, 0) + 1
+                hit = extend(s, path, used, repeats)
+                if hit:
+                    return hit
+                path.pop()
+                used.remove(w)
+                counts[c] -= 1
+                if not counts[c]:
+                    del counts[c]
         return None
 
     for s in range(g.n):
         if truncated:
             break
-        hit = extend(s, s, [s], {s}, {})
+        hit = extend(s, [s], {s}, 0)
         if hit:
-            length = len(hit)
-            got = distinct_colour_count(g, colouring, hit)
-            assert Fraction(got) > (1 - eps) * length
+            repeats = len(hit) - distinct_colour_count(g, colouring, hit)
+            assert is_simple_cycle(g, hit) and repeats * den < num * len(hit)
             return CycleSearchResult(hit, exhaustive=True)
     return CycleSearchResult(None, exhaustive=not truncated)
 

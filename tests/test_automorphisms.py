@@ -17,7 +17,6 @@ from homreflect import (
     identity,
     make_graph,
 )
-from homreflect.automorphisms import parse_automorphism
 
 # Frozen from the permutation-filter oracle.
 Q3_AUTOMORPHISM_COUNT = 48
@@ -113,15 +112,3 @@ class TestInvolutions:
 
     def test_identity_fixed_set_is_everything(self):
         assert identity(5).fixed_set() == frozenset(range(5))
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        g = gen_hypercube(2)
-        for a in enumerate_automorphisms(g):
-            assert parse_automorphism(g, a.serialize()).perm == a.perm
-
-    def test_rejects_non_automorphism(self):
-        g = make_graph(3, [(0, 1)])
-        with pytest.raises(Exception):
-            parse_automorphism(g, "1 2 0")

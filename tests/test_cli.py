@@ -106,6 +106,22 @@ class TestVerify:
         assert code == 0
         assert b"all_hold: True" in body
 
+    def test_reflection_suite_budget_exhausted_exit_budget(self, tmp_path):
+        argv = ("verify", "section2", "--pattern", "q3", "--host", "random(10,1/2,3)",
+                "--format", "json")
+        code, body = run(tmp_path, *argv, "--budget", "1")
+        report = json.loads(body)
+        assert code == 3
+        assert report["all_hold"] is True
+        assert report["budget_exhausted_pairs"] == [[0, 3], [0, 5], [0, 6],
+                                                     [3, 5], [3, 6], [5, 6]]
+        assert not any(c["name"].startswith("amplified_bound") for c in report["checks"])
+        code, body = run(tmp_path, *argv)
+        report = json.loads(body)
+        assert code == 0
+        assert "budget_exhausted_pairs" not in report
+        assert sum(c["name"].startswith("amplified_bound") for c in report["checks"]) == 6
+
     def test_cycle_suite_direction_cube(self, tmp_path):
         code, body = run(tmp_path, "verify", "section3",
                          "--host", "direction-cube(3)", "--k", "2")
@@ -315,6 +331,27 @@ class TestCellCap:
         assert (code, body) == (1, b"")
         assert "over the cap" in capsys.readouterr().err
         assert peak < 1024 * 1024 * 8  # less than one 1024 x 1024 float64 matrix
+
+
+class TestFlags:
+    """--seed and --budget are registered only on the subcommands that read
+    them; elsewhere argparse refuses them."""
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "hypercube", "--budget", "5"),
+        ("certify", "--graph", "q3", "--seed", "1"),
+        ("verify", "section2", "--host", "q3", "--seed", "1"),
+        ("verify", "section3", "--host", "q3", "--budget", "5"),
+        ("experiment", "rainbow-bounds", "--host", "q3", "--budget", "5"),
+        ("homcount", "--pattern", "q3", "--host", "q3", "--seed", "1"),
+        ("homcount", "--pattern", "q3", "--host", "q3", "--budget", "5"),
+        ("h2k", "--host", "q3", "--k", "1", "--budget", "5"),
+    ])
+    def test_unread_flag_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminism:

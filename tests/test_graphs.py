@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,6 @@ from homreflect import (
     gen_set_graph,
     greedy_proper_colouring,
     make_graph,
-    peel_min_degree,
     read_colouring,
     read_edge_list,
     validate_colouring,
@@ -179,41 +177,6 @@ class TestDensityAndPeel:
     def test_density_empty_graph_error(self):
         with pytest.raises(GraphError):
             edge_density(make_graph(0, []))
-
-    def test_star_peels_away(self):
-        star = make_graph(6, [(0, i) for i in range(1, 6)])
-        assert peel_min_degree(star, 2).n == 0
-
-    def test_cycle_survives(self):
-        c5 = gen_cycle(5)
-        out = peel_min_degree(c5, 2)
-        assert out.n == 5 and out.edge_count() == 5
-
-    def test_cascade(self):
-        g = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 minus an edge
-        assert peel_min_degree(g, 3).n == 0
-
-    @given(random_graph_strategy(), st.integers(min_value=1, max_value=4),
-           st.integers(min_value=0, max_value=2 ** 30))
-    @settings(max_examples=40, deadline=None)
-    def test_postcondition_and_confluence(self, g, t, seed):
-        out = peel_min_degree(g, t)
-        if out.n:
-            assert out.min_degree() >= t
-        # random-order deletion reaches the same survivor set
-        rng = random.Random(seed)
-        deg = g.degrees()
-        alive = set(range(g.n))
-        while True:
-            low = [v for v in alive if deg[v] < t]
-            if not low:
-                break
-            v = rng.choice(low)
-            alive.discard(v)
-            for w in g.adj[v]:
-                if w in alive:
-                    deg[w] -= 1
-        assert set(out.labels) == alive
 
 
 class TestColourings:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -354,6 +355,64 @@ class TestAlmostRainbowSearch:
         if res.cycle:
             k = len(res.cycle)
             assert distinct_colour_count(g, col, res.cycle) > (1 - eps) * k
+
+
+class TestCycleSearchOracle:
+    """Both searches against every simple cycle listed by the brute-force
+    oracle.  A cycle qualifies when its length L is at most max_len and
+    fewer than eps L of its edges repeat a colour (none for a rainbow
+    cycle).  With the default budget a search finishes and returns the
+    least qualifying cycle, written from its smallest vertex in either
+    direction: depth-first order over sorted neighbours meets it first."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_first_qualifying_cycle(self, seed):
+        n = 5 + seed % 5
+        g = gen_random(n, Fraction(1, 2) if seed % 2 else Fraction(3, 4), seed)
+        rng = random.Random(seed)
+        colourings = [greedy_proper_colouring(g, seed),
+                      EdgeColouring({e: rng.randrange(3) for e in g.edges()}, proper=False)]
+        for col in colourings:
+            for max_len in (None, 3, 4, 6):
+                cycles = [c for cyc in bf.simple_cycles(g, max_len)
+                          for c in (cyc, cyc[:1] + cyc[:0:-1])]
+                for eps in (None, Fraction(1, 10), Fraction(1, 4), Fraction(2, 5),
+                            Fraction(49, 100)):
+                    def qualifies(cyc):
+                        repeats = len(cyc) - distinct_colour_count(g, col, cyc)
+                        return repeats == 0 if eps is None else repeats < eps * len(cyc)
+
+                    res = (find_rainbow_cycle(g, col, max_len) if eps is None
+                           else find_almost_rainbow(g, col, eps, max_len))
+                    want = min(filter(qualifies, cycles), default=None)
+                    assert (res.cycle, res.exhaustive) == (want, True), (max_len, eps)
+
+
+class TestCoincidenceTableKept:
+    """The walk engine keeps the coincidence weights of the last colouring
+    object and half-length it evaluated."""
+
+    def test_pattern_and_variant_chains_share_one_table(self, monkeypatch):
+        calls = []
+        matched = _WalkEngine.matched_trace
+
+        def counted(self, colouring, a, b):
+            calls.append((a, b))
+            return matched(self, colouring, a, b)
+
+        monkeypatch.setattr(_WalkEngine, "matched_trace", counted)
+        rainbow._last_engine.clear()
+        g = gen_complete(6)
+        col = greedy_proper_colouring(g, 1)
+        pattern = check_pattern_chain(g, col, 2)
+        variant = check_variant_chain(g, col, 2, Fraction(2, 5))
+        assert calls == [(0, 2), (1, 1)]
+        assert variant["patterns"] == pattern["patterns"]
+        # an equal colouring is another object: its table is evaluated afresh
+        same = EdgeColouring(dict(col.colours), proper=True)
+        assert same == col
+        assert check_pattern_chain(g, same, 2)["patterns"] == pattern["patterns"]
+        assert calls == [(0, 2), (1, 1)] * 2
 
 
 class TestDecomposition:
