@@ -60,27 +60,19 @@ def _signatures(h: Graph) -> list[tuple]:
     return [(deg[v], tuple(sorted(deg[w] for w in h.adj[v]))) for v in range(h.n)]
 
 
-def enumerate_automorphisms(h: Graph) -> list[Automorphism]:
-    """The full automorphism group by backtracking, sorted lexicographically
-    by image array.
-
-    Vertices are placed in an edge-grown order: next comes the unplaced
-    vertex with the most placed neighbours, ties broken by fewer signature
-    candidates, so each placement is constrained by adjacency as early as
-    possible (McKay & Piperno, "Practical graph isomorphism II", 2014).  An
-    image w is consistent for v when w is unused and its neighbours among
-    the used images are exactly the images of v's placed neighbours.
-    """
+def _candidates(h: Graph) -> list[list[int]]:
+    """Possible images of each vertex: the vertices with its signature."""
     if h.n > _VERTEX_CAP:
         raise CapabilityError(f"automorphism enumeration capped at {_VERTEX_CAP} vertices")
-    if h.n == 0:
-        return [identity(0)]
     sig = _signatures(h)
-    candidates = [
-        [w for w in range(h.n) if sig[w] == sig[v]]
-        for v in range(h.n)
-    ]
-    nbr_mask = [_mask(h.adj[v]) for v in range(h.n)]
+    return [[w for w in range(h.n) if sig[w] == sig[v]] for v in range(h.n)]
+
+
+def _placement_order(h: Graph, candidates: list[list[int]], nbr_mask: list[int]) -> list[int]:
+    """Edge-grown order: next comes the unplaced vertex with the most placed
+    neighbours, ties broken by fewer candidates, so each placement is
+    constrained by adjacency as early as possible (McKay & Piperno,
+    "Practical graph isomorphism II", 2014)."""
     order: list[int] = []
     placed = 0
     while len(order) < h.n:
@@ -89,14 +81,27 @@ def enumerate_automorphisms(h: Graph) -> list[Automorphism]:
                                -h.degree(u), u))
         order.append(v)
         placed |= 1 << v
+    return order
+
+
+def _backtrack(h: Graph, candidates: list[list[int]], first_only: bool) -> list[tuple[int, ...]]:
+    """Image arrays of the automorphisms that send every v into
+    candidates[v]; only the first one found when `first_only` is set.
+
+    Vertices are placed in the edge-grown order.  An image w is consistent
+    for v when w is unused and its neighbours among the used images are
+    exactly the images of v's placed neighbours.
+    """
+    nbr_mask = [_mask(h.adj[v]) for v in range(h.n)]
+    order = _placement_order(h, candidates, nbr_mask)
     placed_nbrs = [[u for u in order[:i] if u in h.adj[v]] for i, v in enumerate(order)]
     image = [-1] * h.n
-    found: list[Automorphism] = []
+    found: list[tuple[int, ...]] = []
 
-    def extend(i: int, used: int) -> None:
+    def extend(i: int, used: int) -> bool:
         if i == h.n:
-            found.append(Automorphism(tuple(image)))
-            return
+            found.append(tuple(image))
+            return first_only
         v = order[i]
         want = 0
         for u in placed_nbrs[i]:
@@ -104,15 +109,69 @@ def enumerate_automorphisms(h: Graph) -> list[Automorphism]:
         for w in candidates[v]:
             if not used >> w & 1 and nbr_mask[w] & used == want:
                 image[v] = w
-                extend(i + 1, used | 1 << w)
+                if extend(i + 1, used | 1 << w):
+                    return True
+        return False
 
     extend(0, 0)
-    found.sort(key=lambda a: a.perm)
     return found
 
 
-def enumerate_involutions(h: Graph) -> list[Automorphism]:
-    """All non-identity automorphisms equal to their own inverse."""
-    return [a for a in enumerate_automorphisms(h)
-            if a.is_involution and not a.is_identity]
+def enumerate_automorphisms(h: Graph) -> list[Automorphism]:
+    """The full automorphism group by backtracking, sorted lexicographically
+    by image array."""
+    perms = _backtrack(h, _candidates(h), first_only=False)
+    return [Automorphism(p) for p in sorted(perms)]
 
+
+def find_automorphism(h: Graph, v: int, images) -> Automorphism | None:
+    """Some automorphism sending v into `images`, or None; the search stops
+    at the first one."""
+    candidates = _candidates(h)
+    candidates[v] = [w for w in candidates[v] if w in images]
+    found = _backtrack(h, candidates, first_only=True)
+    return Automorphism(found[0]) if found else None
+
+
+def enumerate_involutions(h: Graph) -> list[Automorphism]:
+    """All non-identity automorphisms equal to their own inverse, sorted by
+    image array, found without building the group.
+
+    Backtracking as for the group, but placing v -> w also places w -> v,
+    and a vertex placed that way is skipped when its turn comes.  Placed
+    vertices and their images are then the same set P, so a placement is
+    consistent when v's neighbours in P map onto w's neighbours in P and
+    w's neighbours in P map onto v's.
+    """
+    candidates = _candidates(h)
+    nbr_mask = [_mask(h.adj[v]) for v in range(h.n)]
+    order = _placement_order(h, candidates, nbr_mask)
+    image = [-1] * h.n
+    found: list[tuple[int, ...]] = []
+
+    def placed_image(v: int, placed: int) -> int:
+        """The images of v's placed neighbours, as a mask."""
+        out = 0
+        for u in h.adj[v]:
+            if placed >> u & 1:
+                out |= 1 << image[u]
+        return out
+
+    def extend(i: int, placed: int) -> None:
+        while i < h.n and placed >> order[i] & 1:
+            i += 1
+        if i == h.n:
+            found.append(tuple(image))
+            return
+        v = order[i]
+        want = placed_image(v, placed)
+        for w in candidates[v]:
+            if placed >> w & 1 or nbr_mask[w] & placed != want or \
+                    w != v and nbr_mask[v] & placed != placed_image(w, placed):
+                continue
+            image[v], image[w] = w, v
+            extend(i + 1, placed | 1 << v | 1 << w)
+
+    extend(0, 0)
+    ident = tuple(range(h.n))
+    return [Automorphism(p) for p in sorted(found) if p != ident]

@@ -29,9 +29,10 @@ from .rainbow import (check_pattern_chain, check_variant_chain,
                       coincidence_table, cycle_weight_sum,
                       cycle_weight_sum_spectral, find_almost_rainbow,
                       find_rainbow_cycle, walk_engine)
-from .reflectivity import (DEFAULT_BUDGET, certificate_to_json, certify_reflective,
-                           enumerate_reflection_triples, is_admissible,
-                           reflectivity_report)
+from .automorphisms import enumerate_involutions
+from .reflectivity import (DEFAULT_BUDGET, certificate_from_json, certificate_to_json,
+                           certify_pairs, certify_reflective, enumerate_reflection_triples,
+                           is_admissible, reflectivity_report, verify_certificate)
 from .reports import frac_str, parse_fraction, render_json, render_text
 
 EXIT_OK = 0
@@ -219,6 +220,23 @@ def cmd_certify(args) -> int:
     return EXIT_OK if rep["verdict"] == "yes" else EXIT_BUDGET
 
 
+def cmd_check_cert(args) -> int:
+    g, _ = parse_graph_spec(args.graph)
+    with open(args.cert) as fh:
+        cert = certificate_from_json(g, fh.read())
+    report = base_report("check-cert", {"graph": args.graph, "cert": args.cert})
+    try:
+        ok, log = verify_certificate(g, cert)
+    except GraphError as exc:  # a swap map that is not an automorphism of the graph
+        ok, log = False, [str(exc)]
+    report["valid"] = ok
+    report["steps"] = cert.num_steps
+    report["log"] = log
+    report["summary"] = "certificate: valid" if ok else "certificate: invalid"
+    emit(report, args.format, args.out)
+    return EXIT_OK if ok else EXIT_VIOLATION
+
+
 def cmd_verify(args) -> int:
     if args.suite == "section2":
         return _verify_reflection_suite(args)
@@ -237,7 +255,8 @@ def _verify_reflection_suite(args) -> int:
     sid = sidorenko_check(pattern, host)
     checks.append({"name": "density_lower_bound", "lhs": sid.hom,
                    "rhs": sid.bound, "holds": sid.holds})
-    triples = enumerate_reflection_triples(pattern)
+    involutions = enumerate_involutions(pattern)
+    triples = enumerate_reflection_triples(pattern, involutions)
     parts = pattern.bipartition()
     candidates = [frozenset(c)
                   for part in parts
@@ -261,10 +280,8 @@ def _verify_reflection_suite(args) -> int:
                                "holds": False})
     checks.append({"name": "reflection_steps_swept", "count": done,
                    "holds": violations == 0})
-    side0 = sorted(parts[0])
     exhausted = []
-    for r0 in combinations(side0, 2):
-        res = certify_reflective(pattern, r0, budget=args.budget, triples=triples)
+    for r0, res in certify_pairs(pattern, [parts[0]], args.budget, involutions, triples):
         if res.budget_exhausted:
             exhausted.append(list(r0))
         if res.certificate is None:
@@ -452,6 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cert-dir", help="certificate directory (all pairs)")
     common(c, budget=True)
     c.set_defaults(func=cmd_certify)
+
+    cc = sub.add_parser("check-cert", help="verify a certificate file against a graph")
+    cc.add_argument("--graph", required=True)
+    cc.add_argument("--cert", required=True, help="certificate file (JSON)")
+    common(cc)
+    cc.set_defaults(func=cmd_check_cert)
 
     v = sub.add_parser("verify", help="run an inequality suite")
     vs = v.add_subparsers(dest="suite", required=True)

@@ -334,56 +334,61 @@ def _cycle_search(g: Graph, colouring: EdgeColouring, eps, max_len: int | None,
     r < eps L repeats, r being its edges minus its distinct colours; eps
     None asks for a rainbow cycle, r = 0.  Each cycle is met from its
     smallest vertex.  The repeats of a path never fall as it grows, so a
-    path with r >= eps max_len is pruned.  Each call of extend is one node."""
+    path with r >= eps max_len is pruned.  Each path vertex pushed is one
+    node."""
     validate_colouring(g, colouring)
     max_len = g.n if max_len is None else min(max_len, g.n)
     # r < eps L is r den < num L; r < L / (max_len + 1) means r = 0 for L <= max_len
     num, den = (1, max_len + 1) if eps is None else (eps.numerator, eps.denominator)
     counts: dict[int, int] = {}
     nodes = 0
-    truncated = False
 
-    def extend(s: int, path: list[int], used: set[int], r: int) -> tuple[int, ...] | None:
-        nonlocal nodes, truncated
+    def search_from(s: int) -> tuple[int, ...] | None:
+        """Paths from s on an explicit stack, one frame per path vertex:
+        its sorted neighbours still to try, the path's repeats and the
+        colour of the edge into it."""
+        nonlocal nodes
+        path = [s]
+        used = {s}
+        stack = [(iter(sorted(g.adj[s])), 0, None)]
         nodes += 1
-        if nodes > node_budget:
-            truncated = True
-            return None
-        v = path[-1]
-        for w in sorted(g.adj[v]):
-            if truncated:
-                return None
-            closes = w == s and len(path) >= 3
-            if not closes and (w <= s or w in used or len(path) >= max_len):
-                continue
-            c = colouring.of(v, w)
-            repeats = r + (c in counts)
-            if closes:
-                if repeats * den < num * len(path):
-                    return tuple(path)
-            elif repeats * den < num * max_len:
-                path.append(w)
-                used.add(w)
-                counts[c] = counts.get(c, 0) + 1
-                hit = extend(s, path, used, repeats)
-                if hit:
-                    return hit
-                path.pop()
-                used.remove(w)
-                counts[c] -= 1
-                if not counts[c]:
-                    del counts[c]
+        while stack and nodes <= node_budget:
+            todo, r, _ = stack[-1]
+            v = path[-1]
+            for w in todo:
+                closes = w == s and len(path) >= 3
+                if not closes and (w <= s or w in used or len(path) >= max_len):
+                    continue
+                c = colouring.of(v, w)
+                repeats = r + (c in counts)
+                if closes:
+                    if repeats * den < num * len(path):
+                        return tuple(path)
+                elif repeats * den < num * max_len:
+                    path.append(w)
+                    used.add(w)
+                    counts[c] = counts.get(c, 0) + 1
+                    stack.append((iter(sorted(g.adj[w])), repeats, c))
+                    nodes += 1
+                    break
+            else:
+                _, _, c = stack.pop()
+                if stack:
+                    used.remove(path.pop())
+                    counts[c] -= 1
+                    if not counts[c]:
+                        del counts[c]
         return None
 
     for s in range(g.n):
-        if truncated:
-            break
-        hit = extend(s, [s], {s}, 0)
+        hit = search_from(s)
         if hit:
             repeats = len(hit) - distinct_colour_count(g, colouring, hit)
             assert is_simple_cycle(g, hit) and repeats * den < num * len(hit)
             return CycleSearchResult(hit, exhaustive=True)
-    return CycleSearchResult(None, exhaustive=not truncated)
+        if nodes > node_budget:
+            break
+    return CycleSearchResult(None, exhaustive=nodes <= node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .automorphisms import Automorphism, enumerate_automorphisms, is_automorphism
+from .automorphisms import (Automorphism, enumerate_involutions, find_automorphism, identity,
+                           is_automorphism)
 from .graphs import (CapabilityError, Graph, GraphError, _mask, cube_vertex, gen_hypercube,
                      gen_set_graph)
 
@@ -60,22 +61,20 @@ def verify_reflection_triple(h: Graph, a, b, phi: Automorphism) -> tuple[bool, s
     return True, None
 
 
-def enumerate_reflection_triples(h: Graph) -> list[ReflectionTriple]:
+def enumerate_reflection_triples(h: Graph,
+                                 involutions: list[Automorphism] | None = None,
+                                 ) -> list[ReflectionTriple]:
     """All reflection triples of H, both orientations of each component pairing.
 
-    For each involution: remove its fixed set, take connected components,
-    and demand the involution move every component; each way of assigning
-    the component pairs to the two sides yields one triple.
+    For each involution (`involutions`, when given, must be all of them):
+    remove its fixed set, take connected components, and demand the
+    involution move every component; each way of assigning the component
+    pairs to the two sides yields one triple.
     """
-    return _reflection_triples(h, enumerate_automorphisms(h))
-
-
-def _reflection_triples(h: Graph, group: list[Automorphism]) -> list[ReflectionTriple]:
-    """The triples of enumerate_reflection_triples, from the group Aut(H)."""
+    if involutions is None:
+        involutions = enumerate_involutions(h)
     triples: list[ReflectionTriple] = []
-    for phi in group:
-        if not phi.is_involution or phi.is_identity:
-            continue
+    for phi in involutions:
         comps = h.components(removed=phi.fixed_set())
         pairs = []
         ok = True
@@ -230,35 +229,37 @@ def conjugate_certificate(cert: ReflectionCertificate,
 
 
 def certificate_to_json(cert: ReflectionCertificate) -> str:
-    data = {
-        "start": sorted(cert.start),
-        "side": sorted(cert.side),
-        "steps": [
-            {
-                "A": sorted(st.triple.side_a),
-                "B": sorted(st.triple.side_b),
-                "phi": list(st.triple.swap.perm),
-                "R_next": sorted(st.r_next),
-            }
-            for st in cert.steps
-        ],
-    }
-    return json.dumps(data, indent=2, sort_keys=True)
+    """Compact JSON: start and side on the first line, then one step per line."""
+    head = json.dumps({"start": sorted(cert.start), "side": sorted(cert.side)})
+    steps = [json.dumps({"A": sorted(st.triple.side_a), "B": sorted(st.triple.side_b),
+                         "phi": list(st.triple.swap.perm), "R_next": sorted(st.r_next)})
+             for st in cert.steps]
+    body = "\n  " + ",\n  ".join(steps) + "\n" if steps else ""
+    return f'{head[:-1]}, "steps": [{body}]}}'
 
 
 def certificate_from_json(h: Graph, text: str) -> ReflectionCertificate:
+    """Read a certificate for H; malformed text, a value that is not a list
+    of vertices of H or a swap map of the wrong length raises GraphError."""
+    def vertices(values) -> tuple[int, ...]:
+        if not isinstance(values, list) or not all(
+                type(v) is int and 0 <= v < h.n for v in values):
+            raise ValueError(f"{values!r} is not a list of vertices of the graph")
+        return tuple(values)
+
     try:
         data = json.loads(text)
-        steps = tuple(
-            CertificateStep(
-                ReflectionTriple(frozenset(st["A"]), frozenset(st["B"]),
-                                 Automorphism(tuple(st["phi"]))),
-                frozenset(st["R_next"]),
-            )
-            for st in data["steps"]
-        )
-        return ReflectionCertificate(frozenset(data["start"]),
-                                     frozenset(data["side"]), steps)
+        steps = []
+        for st in data["steps"]:
+            phi = vertices(st["phi"])
+            if len(phi) != h.n:
+                raise ValueError(f"swap map has {len(phi)} images for {h.n} vertices")
+            steps.append(CertificateStep(
+                ReflectionTriple(frozenset(vertices(st["A"])), frozenset(vertices(st["B"])),
+                                 Automorphism(phi)),
+                frozenset(vertices(st["R_next"]))))
+        return ReflectionCertificate(frozenset(vertices(data["start"])),
+                                     frozenset(vertices(data["side"])), tuple(steps))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed certificate: {exc}") from None
 
@@ -378,8 +379,57 @@ def _unmask(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def certify_pairs(h: Graph, sides, budget: int = DEFAULT_BUDGET,
+                  involutions: list[Automorphism] | None = None,
+                  triples: list[ReflectionTriple] | None = None,
+                  ) -> list[tuple[tuple[int, int], ReflectivitySearch]]:
+    """The certificate search from every pair of each side in `sides`, run
+    once per orbit of pairs.
+
+    Automorphisms commute with reflection moves, so a certificate from a
+    pair maps to one from its image (`conjugate_certificate`).  The orbits
+    are closures under the involutions, which serve as generators; each
+    pair records an automorphism taking its orbit's first pair to it.  Only
+    that first pair is searched; the others get its outcome, with its
+    `states_visited`, and every mapped certificate is verified.
+    """
+    if involutions is None:
+        involutions = enumerate_involutions(h)
+    if triples is None:
+        triples = enumerate_reflection_triples(h, involutions)
+    orbit: dict[tuple[int, int], tuple[tuple[int, int], Automorphism]] = {}
+    searched: dict[tuple[int, int], ReflectivitySearch] = {}
+    results = []
+    for side in sides:
+        for pair in combinations(sorted(side), 2):
+            if pair not in orbit:
+                orbit[pair] = (pair, identity(h.n))
+                queue = [pair]
+                for u, v in queue:
+                    sigma = orbit[u, v][1]
+                    for phi in involutions:
+                        a, b = phi.perm[u], phi.perm[v]
+                        image = (a, b) if a < b else (b, a)
+                        if image not in orbit:
+                            orbit[image] = (pair, phi.compose(sigma))
+                            queue.append(image)
+                searched[pair] = certify_reflective(h, pair, budget=budget, triples=triples)
+            first, sigma = orbit[pair]
+            res = searched[first]
+            if res.certificate is not None and pair != first:
+                cert = conjugate_certificate(res.certificate, sigma)
+                ok, log = verify_certificate(h, cert)
+                if not ok or sorted(cert.start) != list(pair):
+                    raise AssertionError(f"mapped certificate for {pair} is invalid: {log}")
+                res = ReflectivitySearch(cert, res.states_visited, False)
+            results.append((pair, res))
+    return results
+
+
 def reflectivity_report(h: Graph, budget: int = DEFAULT_BUDGET) -> dict:
-    """Run the certificate search from every size-2 start on both sides.
+    """Run the certificate search from every size-2 start on both sides,
+    once per orbit of start pairs (`certify_pairs`); a pair's `states` is
+    its orbit's search count.
 
     When some automorphism exchanges the two sides, the second side is
     skipped and marked as covered by symmetry.  Verdict is "yes" only if
@@ -388,31 +438,24 @@ def reflectivity_report(h: Graph, budget: int = DEFAULT_BUDGET) -> dict:
     parts = h.bipartition()
     if parts is None or not h.is_connected():
         raise GraphError("reflectivity report needs a connected bipartite graph")
-    group = enumerate_automorphisms(h)
-    triples = _reflection_triples(h, group)
-    swap_sides = any(a.apply_set(parts[0]) == parts[1] for a in group)
+    # On a connected graph an automorphism that sends one vertex of a side
+    # into the other side exchanges the two sides.
+    swap_sides = len(parts[0]) == len(parts[1]) and \
+        find_automorphism(h, min(parts[0]), parts[1]) is not None
     sides = [parts[0]] if swap_sides else [parts[0], parts[1]]
-    pair_results = []
-    all_ok = True
-    any_budget = False
-    for side in sides:
-        for r0 in combinations(sorted(side), 2):
-            res = certify_reflective(h, r0, budget=budget, triples=triples)
-            pair_results.append({
-                "start": list(r0),
-                "certified": res.known_reflective,
-                "steps": res.certificate.num_steps if res.certificate else None,
-                "states": res.states_visited,
-                "certificate": res.certificate,
-            })
-            all_ok &= res.known_reflective
-            any_budget |= res.budget_exhausted
+    results = certify_pairs(h, sides, budget)
     return {
-        "verdict": "yes" if all_ok else "unknown",
+        "verdict": "yes" if all(res.known_reflective for _, res in results) else "unknown",
         "sides_checked": len(sides),
         "side_swap_symmetry": swap_sides,
-        "pairs": pair_results,
-        "budget_exhausted": any_budget,
+        "pairs": [{
+            "start": list(r0),
+            "certified": res.known_reflective,
+            "steps": res.certificate.num_steps if res.certificate else None,
+            "states": res.states_visited,
+            "certificate": res.certificate,
+        } for r0, res in results],
+        "budget_exhausted": any(res.budget_exhausted for _, res in results),
     }
 
 

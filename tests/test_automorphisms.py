@@ -1,3 +1,5 @@
+import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -11,8 +13,11 @@ from homreflect import (
     cube_vertex,
     enumerate_automorphisms,
     enumerate_involutions,
+    find_automorphism,
     gen_cycle,
+    gen_cycle_blowup,
     gen_hypercube,
+    gen_random,
     gen_set_graph,
     identity,
     make_graph,
@@ -21,6 +26,32 @@ from homreflect import (
 # Frozen from the permutation-filter oracle.
 Q3_AUTOMORPHISM_COUNT = 48
 Q3_INVOLUTION_COUNT = 19
+
+
+def side_first_q4():
+    """Q4 relabelled so that one bipartition side takes labels 0..7, as in
+    the benchmark's certify workload."""
+    order = sorted(range(16), key=lambda v: (bin(v).count("1") % 2, v))
+    label = {v: i for i, v in enumerate(order)}
+    return make_graph(16, [(label[u], label[u ^ (1 << b)])
+                           for u in range(16) for b in range(4) if u < u ^ (1 << b)])
+
+
+def decorated_c12():
+    """C12 with, at each v in {0, 3, 6, 9}, a pendant vertex on v and a
+    pendant 2-path on v + 1.  Its group is cyclic of order 4: the rotation
+    by 3 exchanges the bipartition sides, and the only involution, the
+    rotation by 6, keeps them."""
+    edges = [(i, (i + 1) % 12) for i in range(12)]
+    n = 12
+    for v in (0, 3, 6, 9):
+        edges += [(v, n), (v + 1, n + 1), (n + 1, n + 2)]
+        n += 3
+    return make_graph(n, edges)
+
+
+def involutive_elements(g):
+    return [a.perm for a in enumerate_automorphisms(g) if a.is_involution and not a.is_identity]
 
 
 def small_graphs():
@@ -112,3 +143,45 @@ class TestInvolutions:
 
     def test_identity_fixed_set_is_everything(self):
         assert identity(5).fixed_set() == frozenset(range(5))
+
+    @pytest.mark.parametrize("g", [
+        gen_hypercube(3), gen_hypercube(4), gen_hypercube(5), gen_set_graph(1, 7),
+        gen_cycle_blowup(8), side_first_q4(),
+    ], ids=["q3", "q4", "q5", "setgraph-1-7", "cycle-blowup-8", "q4-side-first"])
+    def test_direct_enumeration_is_the_group_filter(self, g):
+        assert [a.perm for a in enumerate_involutions(g)] == involutive_elements(g)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_direct_enumeration_on_random_graphs(self, seed):
+        rng = random.Random(seed)
+        g = gen_random(8 + seed % 2, Fraction(rng.randint(1, 9), 10), seed)
+        assert [a.perm for a in enumerate_involutions(g)] == involutive_elements(g)
+
+    def test_group_is_not_built(self, monkeypatch):
+        import homreflect.automorphisms as automorphisms
+
+        def refuse(h):
+            raise AssertionError("the whole group was enumerated")
+
+        monkeypatch.setattr(automorphisms, "enumerate_automorphisms", refuse)
+        assert len(enumerate_involutions(gen_hypercube(3))) == Q3_INVOLUTION_COUNT
+
+    def test_size_cap(self):
+        with pytest.raises(CapabilityError):
+            enumerate_involutions(make_graph(33, []))
+
+
+class TestFindAutomorphism:
+    def test_side_swap_found_without_an_involution(self):
+        g = decorated_c12()
+        assert len(enumerate_automorphisms(g)) == 4
+        sides = g.bipartition()
+        assert all(a.apply_set(sides[0]) == sides[0] for a in enumerate_involutions(g))
+        swap = find_automorphism(g, 0, sides[1])
+        assert swap is not None and swap.apply_set(sides[0]) == sides[1]
+        assert swap.perm in {a.perm for a in enumerate_automorphisms(g)}
+
+    def test_none_when_no_automorphism_fits(self):
+        path = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert find_automorphism(path, 0, {1, 2}) is None
+        assert find_automorphism(path, 0, {3}).perm == (3, 2, 1, 0)

@@ -99,6 +99,62 @@ class TestCertify:
         assert (code, body) == (1, b"")
 
 
+class TestCheckCert:
+    def certificate(self, tmp_path):
+        path = tmp_path / "cert.json"
+        assert main(["certify", "--graph", "q3", "--r0", "0,6", "--cert-out", str(path),
+                     "--out", str(tmp_path / "certify.txt")]) == 0
+        return path
+
+    def check(self, tmp_path, cert_path, graph="q3"):
+        code, body = run(tmp_path, "check-cert", "--graph", graph, "--cert", str(cert_path),
+                         "--format", "json")
+        return code, json.loads(body) if body else None
+
+    def test_valid_certificate_exit_zero(self, tmp_path):
+        code, report = self.check(tmp_path, self.certificate(tmp_path))
+        assert code == 0
+        assert report["valid"] is True and report["steps"] == 2
+        assert "exponent 4" in report["log"][-1]
+
+    def test_indented_file_accepted(self, tmp_path):
+        path = self.certificate(tmp_path)
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True))
+        assert self.check(tmp_path, path)[0] == 0
+
+    def test_invalid_certificate_exit_two(self, tmp_path):
+        path = self.certificate(tmp_path)
+        data = json.loads(path.read_text())
+        data["steps"] = data["steps"][:-1]
+        path.write_text(json.dumps(data))
+        code, report = self.check(tmp_path, path)
+        assert code == 2
+        assert report["valid"] is False and "full side" in report["log"][-1]
+
+    def test_swap_map_not_an_automorphism_is_invalid(self, tmp_path):
+        path = self.certificate(tmp_path)
+        data = json.loads(path.read_text())
+        data["steps"][0]["phi"] = [1, 0, 2, 3, 4, 5, 6, 7]
+        path.write_text(json.dumps(data))
+        code, report = self.check(tmp_path, path)
+        assert code == 2
+        assert "step 0" in report["log"][-1]
+
+    def test_swap_maps_of_another_graph_are_malformed(self, tmp_path, capsys):
+        assert self.check(tmp_path, self.certificate(tmp_path), graph="q4") == (1, None)
+        assert "8 images for 16 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "{", "[1, 2]", '{"start": [0, 6]}',
+                                      '{"start": [0, 99], "side": [0], "steps": []}'])
+    def test_malformed_file_exit_one(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert self.check(tmp_path, path) == (1, None)
+
+    def test_missing_file_exit_one(self, tmp_path):
+        assert self.check(tmp_path, tmp_path / "absent.json") == (1, None)
+
+
 class TestVerify:
     def test_reflection_suite_random_host(self, tmp_path):
         code, body = run(tmp_path, "verify", "section2", "--pattern", "q3",

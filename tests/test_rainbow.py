@@ -388,6 +388,24 @@ class TestCycleSearchOracle:
                     assert (res.cycle, res.exhaustive) == (want, True), (max_len, eps)
 
 
+class TestCycleSearchDepth:
+    """The search keeps its path on an explicit stack, so a path as long as
+    the vertex cap allows does not run into the interpreter's recursion
+    limit."""
+
+    def test_rainbow_cycle_1000(self):
+        g = gen_cycle(1000)
+        res = find_rainbow_cycle(g, rainbow_colouring(g))
+        assert res.cycle == tuple(range(1000)) and res.exhaustive
+
+    def test_almost_rainbow_cycle_1024(self):
+        g = gen_cycle(1024)
+        # every eighth edge repeats the colour of the next one
+        col = EdgeColouring({e: min(e) + (min(e) % 8 == 0) for e in g.edges()}, proper=False)
+        res = find_almost_rainbow(g, col, Fraction(1, 4))
+        assert len(res.cycle) == 1024 and res.exhaustive
+
+
 class TestCoincidenceTableKept:
     """The walk engine keeps the coincidence weights of the last colouring
     object and half-length it evaluated."""

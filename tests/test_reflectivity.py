@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from test_automorphisms import decorated_c12
 from homreflect import (
     Automorphism,
     CertificateStep,
@@ -16,6 +17,7 @@ from homreflect import (
     ReflectionTriple,
     certificate_from_json,
     certificate_to_json,
+    certify_pairs,
     certify_reflective,
     conjugate_certificate,
     cube_pair,
@@ -35,6 +37,8 @@ from homreflect import (
     verify_certificate,
     verify_reflection_triple,
 )
+from homreflect import enumerate_automorphisms, enumerate_involutions
+from homreflect import reflectivity
 from homreflect.reflectivity import (
     _even_prefix_set,
     _even_prefix_trimmed,
@@ -243,10 +247,15 @@ class TestCertificateSearch:
             res = certify_reflective(q5, pair, triples=triples)
             assert res.known_reflective, pair
 
-    @pytest.mark.slow
     def test_q5_every_pair_both_sides(self):
-        rep = reflectivity_report(gen_hypercube(5))
+        q5 = gen_hypercube(5)
+        rep = reflectivity_report(q5)
         assert rep["verdict"] == "yes"
+        assert (rep["sides_checked"], len(rep["pairs"])) == (1, 120)
+        for p in rep["pairs"]:
+            cert = p["certificate"]
+            assert sorted(cert.start) == p["start"]
+            assert verify_certificate(q5, cert)[0], p["start"]
 
     def test_frozen_chain_lengths(self):
         # Shortest chain lengths recorded from the antichain-pruned search
@@ -291,6 +300,87 @@ class TestSearchAgainstOracle:
             assert found == certified
 
 
+ORACLE_GRAPHS = [gen_hypercube(3), gen_hypercube(4), gen_set_graph(1, 4), gen_cycle(8),
+                 gen_cycle_blowup(6)]
+ORACLE_IDS = ["q3", "q4", "setgraph-1-4", "cycle-8", "cycle-blowup-6"]
+
+
+def aut_pair_orbits(g, side):
+    """Number of orbits of the pairs of `side` under the whole group."""
+    seen, orbits = set(), 0
+    group = enumerate_automorphisms(g)
+    for pair in combinations(sorted(side), 2):
+        if frozenset(pair) not in seen:
+            orbits += 1
+            seen |= {a.apply_set(pair) for a in group}
+    return orbits
+
+
+class TestOrbitReduction:
+    """One search per orbit of start pairs, its certificate conjugated to
+    the rest of the orbit."""
+
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=ORACLE_IDS)
+    def test_every_pair_matches_exhaustive_bfs(self, g):
+        parts = g.bipartition()
+        results = certify_pairs(g, parts)
+        assert [r0 for r0, _ in results] == [
+            r0 for side in parts for r0 in combinations(sorted(side), 2)]
+        for r0, res in results:
+            assert not res.budget_exhausted
+            steps = res.certificate.num_steps if res.certificate else None
+            assert steps == bf.shortest_chain_length(g, r0), r0
+            if res.certificate:
+                assert sorted(res.certificate.start) == list(r0)
+                assert verify_certificate(g, res.certificate)[0]
+
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=ORACLE_IDS)
+    def test_report_steps_match_exhaustive_bfs(self, g):
+        for p in reflectivity_report(g)["pairs"]:
+            assert p["steps"] == bf.shortest_chain_length(g, p["start"]), p["start"]
+
+    @pytest.mark.parametrize("g,pairs,orbits", [
+        (gen_hypercube(4), 28, 2),
+        (gen_cycle(24), 66, 6),
+        (gen_set_graph(1, 7), 21, 1),
+        (gen_hypercube(5), 120, 2),
+    ], ids=["q4", "cycle-24", "setgraph-1-7", "q5"])
+    def test_one_search_per_orbit(self, monkeypatch, g, pairs, orbits):
+        calls = []
+        search = reflectivity.certify_reflective
+
+        def counted(h, r0, **kwargs):
+            calls.append(tuple(r0))
+            return search(h, r0, **kwargs)
+
+        monkeypatch.setattr(reflectivity, "certify_reflective", counted)
+        rep = reflectivity_report(g)
+        assert (len(rep["pairs"]), len(calls)) == (pairs, orbits)
+        if g.n <= 16:
+            assert orbits == aut_pair_orbits(g, g.bipartition()[0])
+
+    def test_exhausted_budget_marks_the_whole_orbit(self):
+        rep = reflectivity_report(gen_hypercube(4), budget=1)
+        assert rep["verdict"] == "unknown" and rep["budget_exhausted"]
+        assert not any(p["certified"] for p in rep["pairs"])
+        assert len({p["states"] for p in rep["pairs"]}) == 1
+
+    def test_side_swap_needs_more_than_involutions(self):
+        # The only involution keeps the sides; the rotation by 3 swaps them.
+        g = decorated_c12()
+        sides = g.bipartition()
+        assert all(a.apply_set(sides[0]) == sides[0] for a in enumerate_involutions(g))
+        rep = reflectivity_report(g)
+        assert rep["side_swap_symmetry"] and rep["sides_checked"] == 1
+        assert len(rep["pairs"]) == 66
+
+    def test_no_side_swap_checks_both_sides(self):
+        # A 6-cycle with one pendant vertex: the sides have 4 and 3 vertices.
+        g = make_graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6)])
+        rep = reflectivity_report(g)
+        assert not rep["side_swap_symmetry"] and rep["sides_checked"] == 2
+
+
 class TestCertificateVerification:
     def test_search_output_verifies(self):
         q3 = gen_hypercube(3)
@@ -328,9 +418,43 @@ class TestCertificateVerification:
         again = certificate_from_json(q3, text)
         assert again == cert
 
+    def test_compact_layout_one_step_per_line(self):
+        q3 = gen_hypercube(3)
+        cert = certify_reflective(q3, cube_set("000", "011")).certificate
+        lines = certificate_to_json(cert).splitlines()
+        assert len(lines) == cert.num_steps + 2
+        assert lines[0] == '{"start": [0, 6], "side": [0, 3, 5, 6], "steps": ['
+        assert lines[-1] == "]}"
+        assert json.loads(lines[1].rstrip(","))["R_next"] == sorted(cert.steps[0].r_next)
+
+    def test_zero_steps_round_trip(self):
+        k22 = make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        cert = certify_reflective(k22, {0, 1}).certificate
+        text = certificate_to_json(cert)
+        assert text == '{"start": [0, 1], "side": [0, 1], "steps": []}'
+        assert certificate_from_json(k22, text) == cert
+
+    def test_indented_file_still_read(self):
+        q3 = gen_hypercube(3)
+        cert = certify_reflective(q3, cube_set("000", "011")).certificate
+        indented = json.dumps(json.loads(certificate_to_json(cert)), indent=2, sort_keys=True)
+        assert certificate_from_json(q3, indented) == cert
+
     def test_malformed_json_rejected(self):
         with pytest.raises(GraphError):
             certificate_from_json(gen_hypercube(3), "{\"start\": [0]}")
+
+    @pytest.mark.parametrize("field,value", [
+        ("start", [0, 8]), ("side", [0, "3"]), ("A", [True]), ("R_next", 5),
+        ("phi", [0, 1, 2]), ("phi", [0, 1, 2, 3, 4, 5, 6, 9]),
+    ])
+    def test_values_outside_the_graph_rejected(self, field, value):
+        q3 = gen_hypercube(3)
+        data = json.loads(certificate_to_json(
+            certify_reflective(q3, cube_set("000", "011")).certificate))
+        (data if field in data else data["steps"][0])[field] = value
+        with pytest.raises(GraphError, match="malformed certificate"):
+            certificate_from_json(q3, json.dumps(data))
 
     def test_non_automorphism_step_named_in_error(self):
         q3 = gen_hypercube(3)
