@@ -4,9 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CapabilityError, Graph, _mask
+from .graphs import CapabilityError, Graph
 
 _VERTEX_CAP = 32
+# Twin vertices multiply involutions like those of a symmetric group (the
+# star K_{1,k} has 9495 at k = 10 and 568503 at k = 13), and the triple and
+# certificate searches grow with them; 4096 leaves room above every pattern
+# the documentation, tests and benchmark use (at most 463, on setgraph(1,7)
+# and cycle-blowup(8)).
+_INVOLUTION_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -57,43 +63,51 @@ def is_automorphism(h: Graph, perm) -> bool:
 def _signatures(h: Graph) -> list[tuple]:
     """Degree plus sorted neighbour-degree multiset; invariant under Aut(H)."""
     deg = h.degrees()
-    return [(deg[v], tuple(sorted(deg[w] for w in h.adj[v]))) for v in range(h.n)]
+    return [(deg[v], tuple(sorted([deg[w] for w in nbrs]))) for v, nbrs in enumerate(h.adj)]
 
 
-def _candidates(h: Graph) -> list[list[int]]:
-    """Possible images of each vertex: the vertices with its signature."""
+def _candidates(h: Graph, target: Graph | None = None) -> list[list[int]]:
+    """Possible images of each vertex of H in the target (H itself when
+    None): the target's vertices with its signature."""
     if h.n > _VERTEX_CAP:
         raise CapabilityError(f"automorphism enumeration capped at {_VERTEX_CAP} vertices")
     sig = _signatures(h)
-    return [[w for w in range(h.n) if sig[w] == sig[v]] for v in range(h.n)]
+    image_sig = sig if target is None else _signatures(target)
+    return [[w for w, s in enumerate(image_sig) if s == sig[v]] for v in range(h.n)]
 
 
-def _placement_order(h: Graph, candidates: list[list[int]], nbr_mask: list[int]) -> list[int]:
+def _placement_order(h: Graph, candidates: list[list[int]]) -> list[int]:
     """Edge-grown order: next comes the unplaced vertex with the most placed
     neighbours, ties broken by fewer candidates, so each placement is
     constrained by adjacency as early as possible (McKay & Piperno,
     "Practical graph isomorphism II", 2014)."""
+    nbr_mask = h.nbr_mask
+    ties = [(len(candidates[u]), -h.degree(u), u) for u in range(h.n)]
     order: list[int] = []
     placed = 0
-    while len(order) < h.n:
-        v = min((u for u in range(h.n) if not placed >> u & 1),
-                key=lambda u: (-(nbr_mask[u] & placed).bit_count(), len(candidates[u]),
-                               -h.degree(u), u))
+    left = set(range(h.n))
+    while left:
+        v = min(left, key=lambda u: (-(nbr_mask[u] & placed).bit_count(), ties[u]))
         order.append(v)
+        left.discard(v)
         placed |= 1 << v
     return order
 
 
-def _backtrack(h: Graph, candidates: list[list[int]], first_only: bool) -> list[tuple[int, ...]]:
-    """Image arrays of the automorphisms that send every v into
-    candidates[v]; only the first one found when `first_only` is set.
+def _backtrack(h: Graph, candidates: list[list[int]], first_only: bool,
+               target: Graph | None = None) -> list[tuple[int, ...]]:
+    """Image arrays of the isomorphisms from H onto `target` (H itself when
+    None, so automorphisms) that send every v into candidates[v]; only the
+    first one found when `first_only` is set.  The target must have as many
+    vertices as H.
 
     Vertices are placed in the edge-grown order.  An image w is consistent
     for v when w is unused and its neighbours among the used images are
-    exactly the images of v's placed neighbours.
+    exactly the images of v's placed neighbours, so a complete placement
+    maps edges onto edges.
     """
-    nbr_mask = [_mask(h.adj[v]) for v in range(h.n)]
-    order = _placement_order(h, candidates, nbr_mask)
+    image_mask = (target or h).nbr_mask
+    order = _placement_order(h, candidates)
     placed_nbrs = [[u for u in order[:i] if u in h.adj[v]] for i, v in enumerate(order)]
     image = [-1] * h.n
     found: list[tuple[int, ...]] = []
@@ -107,7 +121,7 @@ def _backtrack(h: Graph, candidates: list[list[int]], first_only: bool) -> list[
         for u in placed_nbrs[i]:
             want |= 1 << image[u]
         for w in candidates[v]:
-            if not used >> w & 1 and nbr_mask[w] & used == want:
+            if not used >> w & 1 and image_mask[w] & used == want:
                 image[v] = w
                 if extend(i + 1, used | 1 << w):
                     return True
@@ -133,6 +147,15 @@ def find_automorphism(h: Graph, v: int, images) -> Automorphism | None:
     return Automorphism(found[0]) if found else None
 
 
+def find_isomorphism(h: Graph, g: Graph) -> tuple[int, ...] | None:
+    """The image array of some isomorphism from H onto G, or None; the
+    search stops at the first one."""
+    if h.n != g.n or h.edge_count() != g.edge_count():
+        return None
+    found = _backtrack(h, _candidates(h, g), first_only=True, target=g)
+    return found[0] if found else None
+
+
 def enumerate_involutions(h: Graph) -> list[Automorphism]:
     """All non-identity automorphisms equal to their own inverse, sorted by
     image array, found without building the group.
@@ -141,11 +164,12 @@ def enumerate_involutions(h: Graph) -> list[Automorphism]:
     and a vertex placed that way is skipped when its turn comes.  Placed
     vertices and their images are then the same set P, so a placement is
     consistent when v's neighbours in P map onto w's neighbours in P and
-    w's neighbours in P map onto v's.
+    w's neighbours in P map onto v's.  More than _INVOLUTION_CAP of them
+    raise CapabilityError as soon as the search finds one too many.
     """
     candidates = _candidates(h)
-    nbr_mask = [_mask(h.adj[v]) for v in range(h.n)]
-    order = _placement_order(h, candidates, nbr_mask)
+    nbr_mask = h.nbr_mask
+    order = _placement_order(h, candidates)
     image = [-1] * h.n
     found: list[tuple[int, ...]] = []
 
@@ -162,6 +186,9 @@ def enumerate_involutions(h: Graph) -> list[Automorphism]:
             i += 1
         if i == h.n:
             found.append(tuple(image))
+            if len(found) > _INVOLUTION_CAP + 1:  # the identity is found too
+                raise CapabilityError(f"involution enumeration capped at {_INVOLUTION_CAP} "
+                                      "involutions")
             return
         v = order[i]
         want = placed_image(v, placed)

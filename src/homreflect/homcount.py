@@ -15,25 +15,28 @@ partial count stays below 2^53, float64 residues modulo enough primes past
 it.
 Injective counts are the Moebius inversion of hom over the partitions of
 V(H) into independent blocks (Curticapean, Dell and Marx, "Homomorphisms
-are a good basis for counting small subgraphs", STOC 2017).
+are a good basis for counting small subgraphs", STOC 2017).  Only the
+isomorphism class of a quotient matters, so the weights are summed per
+class, once per pattern, and the kernel runs once per class: 25 counts for
+the 3-cube's 354 partitions.
 
 hom_count memoises its counts per (quotient pattern, host) for the life of
 the process, in one least-recently-used table of _MEMO_SIZE entries, so a
 reflection sweep (`verify section2`) runs the kernel once per distinct
-quotient instead of four times per step; injective counts share the table.
+quotient instead of four times per step; injective counts share the table,
+one entry per class representative.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
 from statistics import median
 
 import numpy as np
 
+from .automorphisms import _signatures, find_isomorphism
 from .exact import Exact, adjacency
 from .graphs import (CapabilityError, Graph, GraphError, edge_density, gen_hypercube, gen_random,
                      make_graph)
@@ -65,9 +68,15 @@ def quotient_graph(h: Graph, group) -> Graph:
 def _quotient(h: Graph, block_of) -> Graph:
     """H with vertex v sent to block block_of[v]; blocks are numbered by
     their smallest vertex and must be independent."""
-    edges = {(min(block_of[u], block_of[v]), max(block_of[u], block_of[v]))
-             for u, v in h.edges()}
-    return make_graph(max(block_of, default=-1) + 1, sorted(edges))
+    return make_graph(*_quotient_key(h.edges(), block_of))
+
+
+def _quotient_key(edges, block_of) -> tuple[int, frozenset]:
+    """The vertex count and edge set of the quotient of the graph with
+    these edges, without building it; parallel edges collapse."""
+    return (max(block_of, default=-1) + 1,
+            frozenset((block_of[u], block_of[v]) if block_of[u] < block_of[v]
+                      else (block_of[v], block_of[u]) for u, v in edges))
 
 
 def hom_count(h: Graph, g: Graph, constraint=None) -> int:
@@ -211,29 +220,57 @@ def injective_hom_count(h: Graph, g: Graph) -> int:
     partitions: hom(H/pi, G) summed over the partitions pi of V(H) into
     independent blocks, weighted by the product over blocks B of
     (-1)^(|B|-1) (|B|-1)!.  A block with an edge would need a loop, so
-    those partitions contribute nothing.  The pattern cap bounds the number
-    of partitions by Bell(10)."""
+    those partitions contribute nothing.  Isomorphic quotients have equal
+    counts, so the kernel runs once per isomorphism class of quotient
+    (_quotient_classes).  The pattern cap bounds the number of partitions
+    by Bell(10)."""
     if h.n > 10:
         raise CapabilityError("injective counting capped at 10 pattern vertices")
     if h.n > g.n:
         return 0
-    total = 0
-    for block_of in _independent_partitions(h):
-        weight = prod((-1) ** (size - 1) * factorial(size - 1)
-                      for size in Counter(block_of).values())
-        total += weight * _memoised_count(_quotient(h, block_of), g)
-    return total
+    return sum(weight * _memoised_count(rep, g) for rep, weight in _quotient_classes(h))
+
+
+@lru_cache(maxsize=64)
+def _quotient_classes(h: Graph) -> tuple[tuple[Graph, int], ...]:
+    """The isomorphism classes of H's independent-partition quotients whose
+    summed Moebius weight is not 0, as (representative, summed weight).
+
+    Each labelled quotient is formed once and its partitions' weights are
+    added up.  Quotients are then bucketed by vertex count, edge count and
+    sorted vertex signatures, and one joins a class within its bucket only
+    when an isomorphism onto the class's representative is found; the
+    representative is the class's first quotient in partition order.  The
+    3-cube has 354 partitions, 143 labelled quotients and 25 classes.
+    """
+    edges = h.edges()
+    weights: dict[tuple, int] = {}  # _quotient_key -> summed weight
+    for block_of, weight in _independent_partitions(h):
+        key = _quotient_key(edges, block_of)
+        weights[key] = weights.get(key, 0) + weight
+    buckets: dict[tuple, list[list]] = {}
+    for (n, quotient_edges), weight in weights.items():
+        q = make_graph(n, quotient_edges)
+        bucket = buckets.setdefault((n, len(quotient_edges), tuple(sorted(_signatures(q)))), [])
+        for entry in bucket:
+            if find_isomorphism(q, entry[0]) is not None:
+                entry[1] += weight
+                break
+        else:
+            bucket.append([q, weight])
+    return tuple((rep, weight) for bucket in buckets.values() for rep, weight in bucket if weight)
 
 
 def _independent_partitions(h: Graph):
     """Every partition of V(H) into independent sets, as the block of each
-    vertex, blocks numbered by their smallest vertex."""
+    vertex (blocks numbered by their smallest vertex) with its Moebius
+    weight, the product over blocks B of (-1)^(|B|-1) (|B|-1)!."""
     block_of = [0] * h.n
     blocks: list[int] = []  # vertex masks
 
-    def extend(v: int):
+    def extend(v: int, weight: int):
         if v == h.n:
-            yield tuple(block_of)
+            yield tuple(block_of), weight
             return
         for b in range(len(blocks) + 1):
             if b == len(blocks):
@@ -241,12 +278,13 @@ def _independent_partitions(h: Graph):
             elif blocks[b] & h.nbr_mask[v]:
                 continue
             block_of[v] = b
+            size = blocks[b].bit_count()
             blocks[b] |= 1 << v
-            yield from extend(v + 1)
+            yield from extend(v + 1, -size * weight if size else weight)
             blocks[b] &= ~(1 << v)
         blocks.pop()
 
-    return extend(0)
+    return extend(0, 1)
 
 
 def count_cube_homomorphisms(g: Graph) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -22,6 +23,8 @@ from homreflect import (
     identity,
     make_graph,
 )
+from homreflect.automorphisms import _INVOLUTION_CAP as INVOLUTION_CAP
+from homreflect.automorphisms import find_isomorphism
 
 # Frozen from the permutation-filter oracle.
 Q3_AUTOMORPHISM_COUNT = 48
@@ -170,6 +173,26 @@ class TestInvolutions:
         with pytest.raises(CapabilityError):
             enumerate_involutions(make_graph(33, []))
 
+    @pytest.mark.parametrize("leaves, count", [(9, 2619), (10, 9495)])
+    def test_star_counts_around_the_involution_cap(self, leaves, count):
+        # K_{1,k}: the involutions of S_k on the leaves, less the identity
+        star = make_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+        assert count == sum(factorial(leaves) // (factorial(leaves - 2 * j) * 2 ** j
+                                                  * factorial(j))
+                            for j in range(1, leaves // 2 + 1))
+        if count <= INVOLUTION_CAP:
+            assert len(enumerate_involutions(star)) == count
+        else:
+            with pytest.raises(CapabilityError, match=f"capped at {INVOLUTION_CAP} involutions"):
+                enumerate_involutions(star)
+
+    def test_involution_cap_refuses_during_the_search(self):
+        star = make_graph(14, [(0, v) for v in range(1, 14)])  # 568503 involutions
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="involution enumeration capped"):
+            enumerate_involutions(star)
+        assert time.perf_counter() - start < 2
+
 
 class TestFindAutomorphism:
     def test_side_swap_found_without_an_involution(self):
@@ -185,3 +208,103 @@ class TestFindAutomorphism:
         path = make_graph(4, [(0, 1), (1, 2), (2, 3)])
         assert find_automorphism(path, 0, {1, 2}) is None
         assert find_automorphism(path, 0, {3}).perm == (3, 2, 1, 0)
+
+
+PRISM = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+K33 = make_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+TWO_TRIANGLES = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+# 2-, 3- and 4-regular graphs on 6 and 8 vertices
+REGULAR = [gen_cycle(8), K33, gen_hypercube(3),
+           make_graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                          if v not in gen_hypercube(3).adj[u]])]
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _switched(g, rng):
+    """G after one degree-preserving switch (u-v, x-y become u-x, v-y) when
+    some pair of edges admits one, relabelled."""
+    edges = {frozenset(e) for e in g.edges()}
+    pairs = [(e, f) for e in g.edges() for f in g.edges() if not set(e) & set(f)]
+    rng.shuffle(pairs)
+    for (u, v), (x, y) in pairs:
+        if frozenset((u, x)) not in edges and frozenset((v, y)) not in edges:
+            edges -= {frozenset((u, v)), frozenset((x, y))}
+            edges |= {frozenset((u, x)), frozenset((v, y))}
+            break
+    return _relabelled(make_graph(g.n, [tuple(e) for e in edges]), rng)
+
+
+def _same_size_pair(seed):
+    """A graph on 5-8 vertices and a relabelled copy of it, or of it after
+    degree-preserving switches.  Switches keep the vertex, edge and degree
+    counts; on the regular graphs (every fourth seed) they keep the
+    signatures too, and the two graphs are isomorphic or not.  Some graphs
+    are disconnected."""
+    rng = random.Random(seed)
+    n = 5 + seed % 4
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if seed % 4 == 2:
+        a = _relabelled(REGULAR[seed // 4 % len(REGULAR)], rng)
+    else:
+        a = make_graph(n, rng.sample(pairs, rng.randint(2, len(pairs) - 2)))
+    if seed % 2:
+        return a, _relabelled(a, rng)
+    b = a
+    for _ in range(1 + seed % 3):
+        b = _switched(b, rng)
+    return a, b
+
+
+def _maps_edges_onto_edges(h, g, image):
+    return sorted(image) == list(range(g.n)) and \
+        {frozenset((image[u], image[v])) for u, v in h.edges()} == \
+        {frozenset(e) for e in g.edges()}
+
+
+class TestFindIsomorphism:
+    """The automorphism backtracking, aimed at a second graph, against the
+    permutation filter."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_matches_permutation_filter(self, seed):
+        a, b = _same_size_pair(seed)
+        image = find_isomorphism(a, b)
+        assert (image is not None) == (bf.graphs_isomorphic(a, b) is not None)
+        if image is not None:
+            assert _maps_edges_onto_edges(a, b, image)
+        if seed % 2:
+            assert image is not None
+
+    @pytest.mark.parametrize("a, b", [
+        (gen_cycle(6), TWO_TRIANGLES),
+        (K33, PRISM),
+        # both 2-regular on 7 vertices: C7 against C4 + C3
+        (gen_cycle(7), make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])),
+        # both 2-regular on 8 vertices: C3 + C5 against C4 + C4
+        (make_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)]),
+         make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])),
+    ], ids=["c6-two-triangles", "k33-prism", "c7-c4-c3", "c3c5-c4c4"])
+    def test_equal_invariants_not_isomorphic(self, a, b):
+        assert (a.n, a.edge_count()) == (b.n, b.edge_count())
+        assert sorted(a.degrees()) == sorted(b.degrees())
+        assert find_isomorphism(a, b) is None
+        assert bf.graphs_isomorphic(a, b) is None
+
+    @pytest.mark.parametrize("g", [gen_cycle(6), K33, PRISM, TWO_TRIANGLES, gen_hypercube(3),
+                                   make_graph(7, [(0, 1), (2, 3)])],
+                             ids=["c6", "k33", "prism", "two-triangles", "q3", "two-edges"])
+    def test_relabelled_copies(self, g):
+        rng = random.Random(g.n)
+        for _ in range(3):
+            copy = _relabelled(g, rng)
+            image = find_isomorphism(g, copy)
+            assert image is not None and _maps_edges_onto_edges(g, copy, image)
+
+    def test_counts_must_agree(self):
+        assert find_isomorphism(gen_cycle(5), gen_cycle(6)) is None
+        assert find_isomorphism(gen_cycle(6), make_graph(6, [(0, 1)])) is None

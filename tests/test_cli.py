@@ -1,14 +1,18 @@
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from homreflect import rainbow, read_colouring, read_edge_list
-from homreflect.cli import main
+from homreflect.cli import main, parse_graph_spec
 from homreflect.graphs import VERTEX_CAP, gen_random
+from homreflect.reflectivity import certify_pairs, certify_reflective, reflectivity_report
 
 
 def run(tmp_path, *argv, out_name="report.txt"):
@@ -97,6 +101,80 @@ class TestCertify:
     def test_duplicate_start_vertex_exit_one(self, tmp_path):
         code, body = run(tmp_path, "certify", "--graph", "q3", "--r0", "0,0")
         assert (code, body) == (1, b"")
+
+    def test_involution_cap_exit_one_quickly(self, tmp_path, capsys):
+        # K_{1,13} has 568503 involutions, all of them twin-leaf swaps
+        path = tmp_path / "star.edges"
+        path.write_text("14 13\n" + "".join(f"0 {v}\n" for v in range(1, 14)))
+        start = time.perf_counter()
+        code, body = run(tmp_path, "certify", "--graph", str(path), "--r0", "1,2")
+        assert time.perf_counter() - start < 5
+        assert (code, body) == (1, b"")
+        assert "involution enumeration capped at 4096 involutions" in capsys.readouterr().err
+
+
+BUDGET_PATTERNS = ["q3", "q4", "cycle(8)", "cycle-blowup(6)"]
+WALL_BOUND_S = 10
+
+
+def run_json(tmp_dir, *argv):
+    """Exit code, JSON report and wall time of one in-process CLI run."""
+    out = tmp_dir / "report.json"
+    start = time.perf_counter()
+    code = main(list(argv) + ["--format", "json", "--out", str(out)])
+    return code, json.loads(out.read_text()), time.perf_counter() - start
+
+
+class TestBudgetExit:
+    """A search that runs out of budget exits 3, never crashes and never
+    hangs.  Exit 3 also reports a pair whose search ended without a chain
+    (the twin pair of cycle-blowup(6)), so the property is: exit 3 exactly
+    when the search ran out of budget or the unbudgeted search finds no
+    chain either."""
+
+    @given(spec=st.sampled_from(BUDGET_PATTERNS), budget=st.integers(1, 50), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_certify_start_pair(self, tmp_path_factory, spec, budget, data):
+        g, _ = parse_graph_spec(spec)
+        side = sorted(data.draw(st.sampled_from(g.bipartition())))
+        r0 = data.draw(st.lists(st.sampled_from(side), min_size=2, max_size=2, unique=True))
+        code, report, wall = run_json(tmp_path_factory.mktemp("certify"), "certify",
+                                      "--graph", spec, "--r0", f"{r0[0]},{r0[1]}",
+                                      "--budget", str(budget))
+        limited = certify_reflective(g, r0, budget=budget)
+        full = certify_reflective(g, r0)
+        assert not full.budget_exhausted
+        assert code == (3 if limited.budget_exhausted or not full.known_reflective else 0)
+        assert report["certified"] == (code == 0)
+        assert wall < WALL_BOUND_S
+
+    @given(spec=st.sampled_from(BUDGET_PATTERNS), budget=st.integers(1, 50))
+    @settings(max_examples=20, deadline=None)
+    def test_certify_all_pairs(self, tmp_path_factory, spec, budget):
+        g, _ = parse_graph_spec(spec)
+        code, report, wall = run_json(tmp_path_factory.mktemp("certify"), "certify",
+                                      "--graph", spec, "--all-pairs", "--budget", str(budget))
+        limited = reflectivity_report(g, budget)
+        full = reflectivity_report(g)
+        assert not full["budget_exhausted"]
+        assert code == (3 if limited["budget_exhausted"] or full["verdict"] != "yes" else 0)
+        assert report["summary"] == ("reflective: yes" if code == 0 else "reflective: unknown")
+        assert wall < WALL_BOUND_S
+
+    @given(spec=st.sampled_from(BUDGET_PATTERNS), budget=st.integers(1, 50),
+           seed=st.integers(0, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_verify_section2(self, tmp_path_factory, spec, budget, seed):
+        g, _ = parse_graph_spec(spec)
+        code, report, wall = run_json(tmp_path_factory.mktemp("section2"), "verify",
+                                      "section2", "--pattern", spec,
+                                      "--host", f"random(5,1/2,{seed})", "--budget", str(budget))
+        exhausted = [list(r0) for r0, res in certify_pairs(g, [g.bipartition()[0]], budget)
+                     if res.budget_exhausted]
+        assert report["all_hold"] is True
+        assert code == (3 if exhausted else 0)
+        assert report.get("budget_exhausted_pairs", []) == exhausted
+        assert wall < WALL_BOUND_S
 
 
 class TestCheckCert:

@@ -373,6 +373,80 @@ class TestInjective:
             assert total - injective <= pair_sum
 
 
+P5 = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+K23 = make_graph(5, [(i, 2 + j) for i in range(2) for j in range(3)])
+C4_PLUS_EDGE = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
+CLASS_PATTERNS = {"q3": gen_hypercube(3), "c6": gen_cycle(6), "k23": K23, "p5": P5,
+                  "setgraph-1-4": gen_set_graph(1, 4), "c4-plus-edge": C4_PLUS_EDGE}
+
+
+class TestQuotientClasses:
+    """injective_hom_count runs the kernel once per isomorphism class of
+    quotient; the sum must equal the naive count and the Moebius sum over
+    every labelled quotient."""
+
+    @pytest.mark.parametrize("name", CLASS_PATTERNS)
+    @pytest.mark.parametrize("n, seed", [(6, 1), (7, 2), (8, 3)])
+    def test_small_hosts_match_naive_and_labelled_sum(self, name, n, seed):
+        h = CLASS_PATTERNS[name]
+        g = gen_random(n, Fraction(1, 2), seed)
+        expect = bf.injective_count_naive(h, g)
+        assert injective_hom_count(h, g) == expect
+        assert bf.injective_by_partition_moebius(h, g, hom_count) == expect
+
+    @pytest.mark.parametrize("name", CLASS_PATTERNS)
+    @pytest.mark.parametrize("n, seed", [(12, 4), (16, 5), (22, 2)])
+    def test_large_hosts_match_labelled_sum(self, name, n, seed):
+        h = CLASS_PATTERNS[name]
+        g = gen_random(n, Fraction(1, 2), seed)
+        assert injective_hom_count(h, g) == bf.injective_by_partition_moebius(h, g, hom_count)
+
+    @pytest.mark.parametrize("name", CLASS_PATTERNS)
+    def test_complete_and_empty_hosts(self, name):
+        h = CLASS_PATTERNS[name]
+        for n in (h.n, h.n + 3):
+            assert injective_hom_count(h, gen_complete(n)) == math.perm(n, h.n)
+        assert injective_hom_count(h, make_graph(h.n + 2, [])) == 0
+
+    def test_ten_vertex_cycle(self):
+        c10 = gen_cycle(10)
+        g = gen_random(12, Fraction(1, 2), 6)
+        assert injective_hom_count(c10, g) == bf.injective_by_partition_moebius(c10, g, hom_count)
+        assert injective_hom_count(c10, gen_complete(11)) == math.perm(11, 10)
+        assert injective_hom_count(c10, make_graph(12, [])) == 0
+
+    def test_q3_table(self):
+        classes = homcount._quotient_classes(gen_hypercube(3))
+        assert len(classes) == 25 and all(weight for _, weight in classes)
+        assert sum(1 for _ in homcount._independent_partitions(gen_hypercube(3))) == 354
+        # the discrete partition is a class of its own, weight 1
+        assert (gen_hypercube(3), 1) in classes
+
+    def test_cold_memo_one_count_per_class_and_table_reused(self):
+        q3 = gen_hypercube(3)
+        _memoised_count.cache_clear()
+        homcount._quotient_classes.cache_clear()
+        injective_hom_count(q3, gen_random(8, Fraction(1, 2), 1))
+        assert _memoised_count.cache_info().misses == 25
+        injective_hom_count(q3, gen_random(9, Fraction(1, 2), 2))
+        assert _memoised_count.cache_info().misses == 50
+        info = homcount._quotient_classes.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("h", [gen_hypercube(3), gen_cycle(8), gen_set_graph(1, 4), K23],
+                             ids=["q3", "c8", "setgraph-1-4", "k23"])
+    def test_representatives_plan_like_every_labelled_quotient(self, h):
+        # the work cap is decided on the representatives: they condition on
+        # as many vertices as the most any labelled quotient would
+        def conditioned(q):
+            return max((sum(step[2] for step in homcount._plan(q, comp))
+                        for comp in q.components()), default=0)
+        labelled = {homcount._quotient(h, block_of)
+                    for block_of, _ in homcount._independent_partitions(h)}
+        assert max(conditioned(rep) for rep, _ in homcount._quotient_classes(h)) == \
+            max(conditioned(q) for q in labelled)
+
+
 class TestCubeKernel:
     def test_complete_host(self):
         hom, inj = count_cube_homomorphisms(gen_complete(9))
