@@ -179,6 +179,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.r0 is not None and args.all_pairs:
+        raise GraphError("--r0 and --all-pairs are alternatives; give one of them")
+    if args.r0 is not None and args.cert_dir:
+        raise GraphError("--cert-dir holds all-pairs certificates; with --r0 use --cert-out")
+    if args.r0 is None and args.cert_out:
+        raise GraphError("--cert-out holds a single start's certificate; it needs --r0")
     g, _ = parse_graph_spec(args.graph)
     parts = g.bipartition()
     if parts is None or not g.is_connected():

@@ -68,9 +68,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees()) if self.n else 0
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 

@@ -19,10 +19,8 @@ from itertools import combinations
 
 from .automorphisms import (Automorphism, enumerate_involutions, find_automorphism, identity,
                            is_automorphism)
-from .graphs import (CapabilityError, Graph, GraphError, _mask, cube_vertex, gen_hypercube,
-                     gen_set_graph)
+from .graphs import Graph, GraphError, _mask, gen_hypercube, gen_set_graph
 
-_SIDE_CAP = 20
 DEFAULT_BUDGET = 10 ** 6
 
 
@@ -301,8 +299,6 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
     side = parts[0] if r0 <= parts[0] else parts[1] if r0 <= parts[1] else None
     if side is None:
         raise GraphError("starting set must lie inside one bipartition side")
-    if len(side) > _SIDE_CAP:
-        raise CapabilityError(f"side size {len(side)} exceeds the search cap {_SIDE_CAP}")
     if triples is None:
         triples = enumerate_reflection_triples(h)
 
@@ -460,57 +456,82 @@ def reflectivity_report(h: Graph, budget: int = DEFAULT_BUDGET) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Explicit hypercube chain
+# Explicit chains
 # ---------------------------------------------------------------------------
+#
+# Both builders bring the starting pair to a canonical one by at most one
+# normalisation step and an automorphism sigma, then run a fixed schedule of
+# canonical triples conjugated by sigma (`_run_chain`).
+
+def _triple(phi: Automorphism, a) -> ReflectionTriple:
+    """The triple (A, phi(A), phi)."""
+    a = frozenset(a)
+    return ReflectionTriple(a, phi.apply_set(a), phi)
+
+
+def _complete(moves: dict[int, int], n: int) -> dict[int, int]:
+    """Extend a partial injection of {1..n} to a permutation that sends the
+    remaining points, in increasing order, to the remaining images."""
+    full = dict(moves)
+    full.update(zip([x for x in range(1, n + 1) if x not in moves],
+                    [x for x in range(1, n + 1) if x not in moves.values()]))
+    return full
+
+
+def _normalise(h: Graph, triple: ReflectionTriple, r0: frozenset[int],
+               steps: list[CertificateStep]) -> frozenset[int]:
+    """Append the step from r0 to {x, phi(x)}, x the member of r0 in A, and
+    return that pair; the other member lies in F or B, so the reflection
+    keeps x and adds its mirror."""
+    (x,) = r0 & triple.side_a
+    pair = frozenset({x, triple.swap(x)})
+    assert pair <= reflect_set(h, triple, r0)
+    steps.append(CertificateStep(triple, pair))
+    return pair
+
+
+def _run_chain(h: Graph, r0: frozenset[int], side: frozenset[int],
+               steps: list[CertificateStep], sigma: Automorphism, start: frozenset[int],
+               plan: list[tuple[ReflectionTriple, frozenset[int]]]) -> ReflectionCertificate:
+    """Finish a chain whose current set is sigma(start): conjugate each
+    canonical (triple, target) of `plan` by sigma, reflect, and assert that
+    the result is sigma(target).  The whole certificate is then verified."""
+    current = steps[-1].r_next if steps else r0
+    assert current == sigma.apply_set(start)
+    for base, target in plan:
+        triple = _conjugate_triple(base, sigma)
+        current = reflect_set(h, triple, current)
+        assert current == sigma.apply_set(target)
+        steps.append(CertificateStep(triple, current))
+    cert = ReflectionCertificate(r0, side, tuple(steps))
+    ok, rep = verify_certificate(h, cert)
+    if not ok:
+        raise AssertionError(f"explicit chain failed validation: {rep}")
+    return cert
+
 
 def _coord(v: int, i: int) -> int:
     """Coordinate i (1-based) of cube vertex v."""
     return (v >> (i - 1)) & 1
 
 
-def _swap_coords_perm(d: int, i: int, j: int) -> Automorphism:
-    perm = []
-    for v in range(1 << d):
-        w = v
-        bi, bj = _coord(v, i), _coord(v, j)
-        if bi != bj:
-            w ^= (1 << (i - 1)) | (1 << (j - 1))
-        perm.append(w)
+def _cube_map(d: int, moves: dict[int, int], shift: int = 0) -> Automorphism:
+    """The cube automorphism v -> pi(v) xor shift, where pi carries
+    coordinate i to coordinate moves[i] and is extended by `_complete`."""
+    full = _complete(moves, d)
+    perm = [shift]
+    for v in range(1, 1 << d):
+        low = v & -v  # pi is linear: pi(v) = pi(v - low) xor pi(low)
+        perm.append(perm[v ^ low] ^ (1 << (full[low.bit_length()] - 1)))
     return Automorphism(tuple(perm))
 
 
-def _flip_swap_coords_perm(d: int, i: int, j: int) -> Automorphism:
-    """Coordinates i and j exchanged and complemented, the rest untouched."""
-    perm = []
-    for v in range(1 << d):
-        w = v & ~((1 << (i - 1)) | (1 << (j - 1)))
-        if not _coord(v, j):
-            w |= 1 << (i - 1)
-        if not _coord(v, i):
-            w |= 1 << (j - 1)
-        perm.append(w)
-    return Automorphism(tuple(perm))
-
-
-def _translate_perm(d: int, shift: int) -> Automorphism:
-    return Automorphism(tuple(v ^ shift for v in range(1 << d)))
-
-
-def _coord_perm(d: int, mapping: dict[int, int]) -> Automorphism:
-    """Permutation of coordinates: coordinate mapping[i] of the image reads
-    coordinate i of the argument."""
-    full = dict(mapping)
-    rest_src = [i for i in range(1, d + 1) if i not in mapping]
-    rest_dst = [i for i in range(1, d + 1) if i not in mapping.values()]
-    full.update(zip(rest_src, rest_dst))
-    perm = []
-    for v in range(1 << d):
-        w = 0
-        for i in range(1, d + 1):
-            if _coord(v, i):
-                w |= 1 << (full[i] - 1)
-        perm.append(w)
-    return Automorphism(tuple(perm))
+def _coord_swap(d: int, i: int, j: int, flip: bool) -> ReflectionTriple:
+    """Coordinates i and j exchanged, and also complemented when `flip`; A
+    holds the vertices with (x_i, x_j) = (1, 0), or (0, 0) when `flip`."""
+    shift = (1 << (i - 1)) | (1 << (j - 1)) if flip else 0
+    return _triple(_cube_map(d, {i: j, j: i}, shift),
+                   (v for v in range(1 << d) if _coord(v, i) != flip and not _coord(v, j)))
 
 
 def _even_prefix_set(d: int, k: int) -> frozenset[int]:
@@ -531,15 +552,7 @@ def _even_prefix_trimmed(d: int, k: int) -> frozenset[int]:
 def hypercube_growth_step(d: int, k: int) -> tuple[ReflectionTriple, ReflectionTriple]:
     """The two triples that grow the prefix set at coordinate k: a plain
     coordinate swap then a flip-swap, for 2 <= k <= d-1."""
-    swap = _swap_coords_perm(d, k, k + 1)
-    a = frozenset(v for v in range(1 << d) if _coord(v, k) and not _coord(v, k + 1))
-    b = frozenset(v for v in range(1 << d) if not _coord(v, k) and _coord(v, k + 1))
-    first = ReflectionTriple(a, b, swap)
-    flip = _flip_swap_coords_perm(d, k, k + 1)
-    a2 = frozenset(v for v in range(1 << d) if not _coord(v, k) and not _coord(v, k + 1))
-    b2 = frozenset(v for v in range(1 << d) if _coord(v, k) and _coord(v, k + 1))
-    second = ReflectionTriple(a2, b2, flip)
-    return first, second
+    return _coord_swap(d, k, k + 1, False), _coord_swap(d, k, k + 1, True)
 
 
 def hypercube_reflection_chain(d: int, r0) -> ReflectionCertificate:
@@ -552,105 +565,60 @@ def hypercube_reflection_chain(d: int, r0) -> ReflectionCertificate:
     coordinate at a time to the full parity class.  Every claimed identity
     is recomputed through the reflection map and asserted.
     """
-    if not 3 <= d <= 6:
-        raise GraphError(f"explicit cube chain supports 3 <= d <= 6, got {d}")
     h = gen_hypercube(d)
     r0 = frozenset(r0)
-    if len(r0) != 2:
-        raise GraphError("starting set must have exactly two vertices")
+    if len(r0) != 2 or not all(0 <= v < h.n for v in r0):
+        raise GraphError("starting set must be two vertices of the graph")
     u, v = sorted(r0)
     if bin(u).count("1") % 2 != bin(v).count("1") % 2:
         raise GraphError("starting vertices lie in different parity classes")
 
     steps: list[CertificateStep] = []
+    pair = r0
     diff = u ^ v
-    if bin(diff).count("1") == 2:
-        pair = (u, v)
-    elif diff == (1 << d) - 1:
-        # Antipodal: flip-swap on the first two coordinates, conjugated so
-        # that u plays the all-zero corner.
-        tau = _translate_perm(d, u)
-        base = ReflectionTriple(
-            frozenset(x for x in range(1 << d) if not _coord(x, 1) and not _coord(x, 2)),
-            frozenset(x for x in range(1 << d) if _coord(x, 1) and _coord(x, 2)),
-            _flip_swap_coords_perm(d, 1, 2))
-        triple = _conjugate_triple(base, tau)
-        new = reflect_set(h, triple, r0)
-        assert new == frozenset({u, u ^ 0b11})
-        steps.append(CertificateStep(triple, new))
-        pair = tuple(sorted(new))
-    else:
-        # Generic far pair: swap a coordinate where u, v differ with one
-        # where they agree, fixing u; the image holds v and its mirror.
-        w = diff
-        i = (w & -w).bit_length()
-        j = next(c for c in range(1, d + 1) if c != i and _coord(w, c) != _coord(w, i))
-        tau = _translate_perm(d, u)
-        wi, wj = _coord(w, i), _coord(w, j)
-        base = ReflectionTriple(
-            frozenset(x for x in range(1 << d) if _coord(x, i) == wi and _coord(x, j) == wj),
-            frozenset(x for x in range(1 << d) if _coord(x, i) != wi and _coord(x, j) != wj),
-            _swap_coords_perm(d, i, j))
-        triple = _conjugate_triple(base, tau)
-        full = reflect_set(h, triple, r0)
-        mirror = triple.swap(v)
-        assert v in full and mirror in full and bin(v ^ mirror).count("1") == 2
-        steps.append(CertificateStep(triple, frozenset({v, mirror})))
-        pair = tuple(sorted((v, mirror)))
+    if bin(diff).count("1") != 2:
+        # Antipodal: flip-swap the first two coordinates.  Otherwise swap a
+        # coordinate where u and v differ with one where they agree.  Either
+        # base is conjugated so that u plays the all-zero corner.
+        if diff == (1 << d) - 1:
+            base = _coord_swap(d, 1, 2, True)
+        else:
+            i = (diff & -diff).bit_length()
+            j = next(c for c in range(1, d + 1) if not _coord(diff, c))
+            base = _coord_swap(d, i, j, False)
+        pair = _normalise(h, _conjugate_triple(base, _cube_map(d, {}, u)), r0, steps)
 
-    # Relabel so the distance-two pair becomes {0, e1+e2}, run the canonical
-    # growth chain, and conjugate it back.
-    a, b = pair
+    # Relabel so the distance-two pair becomes {0, e1+e2}, then grow it.
+    a, b = sorted(pair)
     w = a ^ b
-    c1 = (w & -w).bit_length()
-    c2 = (w ^ (1 << (c1 - 1))).bit_length()
-    sigma = _translate_perm(d, a).compose(_coord_perm(d, {1: c1, 2: c2}))
-    current = frozenset(pair)
-    assert sigma.apply_set(_even_prefix_set(d, 2)) == current
-    for k in range(2, d):
-        grow, finish = hypercube_growth_step(d, k)
-        for base_triple, canonical_target in (
-            (grow, _even_prefix_trimmed(d, k)),
-            (finish, _even_prefix_set(d, k + 1)),
-        ):
-            triple = _conjugate_triple(base_triple, sigma)
-            new = reflect_set(h, triple, current)
-            assert new == sigma.apply_set(canonical_target)
-            steps.append(CertificateStep(triple, new))
-            current = new
-
+    sigma = _cube_map(d, {1: (w & -w).bit_length(), 2: w.bit_length()}, a)
+    plan = [(triple, target) for k in range(2, d)
+            for triple, target in zip(hypercube_growth_step(d, k),
+                                      (_even_prefix_trimmed(d, k), _even_prefix_set(d, k + 1)))]
     side = h.bipartition()[h.side_of(u)]
-    cert = ReflectionCertificate(r0, side, tuple(steps))
-    ok, rep = verify_certificate(h, cert)
-    if not ok:
-        raise AssertionError(f"cube chain failed validation: {rep}")
-    return cert
+    return _run_chain(h, r0, side, steps, sigma, _even_prefix_set(d, 2), plan)
 
 
-# ---------------------------------------------------------------------------
-# Explicit set-graph chain
-# ---------------------------------------------------------------------------
-
-_SET_GRAPH_SUPPORTED = {(1, 3), (1, 4), (2, 5), (1, 5)}
+def _ground_map(g: Graph, moves: dict[int, int]) -> Automorphism:
+    """The automorphism of a set graph induced by the ground-set permutation
+    x -> moves[x], extended by `_complete`."""
+    full = _complete(moves, max(map(max, g.labels)))
+    index = {lab: v for v, lab in enumerate(g.labels)}
+    return Automorphism(tuple(index[frozenset(full[x] for x in lab)] for lab in g.labels))
 
 
 def _element_swap(g: Graph, i: int, j: int) -> ReflectionTriple:
     """Triple from the ground-set transposition (i j): A holds the vertices
     containing i but not j, B the reverse."""
-    perm = []
-    index = {lab: v for v, lab in enumerate(g.labels)}
-    for lab in g.labels:
-        if i in lab and j not in lab:
-            moved = (lab - {i}) | {j}
-        elif j in lab and i not in lab:
-            moved = (lab - {j}) | {i}
-        else:
-            moved = lab
-        perm.append(index[moved])
-    swap = Automorphism(tuple(perm))
-    a = frozenset(v for v, lab in enumerate(g.labels) if i in lab and j not in lab)
-    b = frozenset(v for v, lab in enumerate(g.labels) if j in lab and i not in lab)
-    return ReflectionTriple(a, b, swap)
+    return _triple(_ground_map(g, {i: j, j: i}),
+                   (v for v, lab in enumerate(g.labels) if i in lab and j not in lab))
+
+
+def _prefix_cover(g: Graph, ell: int, i: int, j: int) -> frozenset[int]:
+    """The ell-subsets containing {1..i-1} and meeting {i..j}."""
+    return frozenset(v for v, lab in enumerate(g.labels)
+                     if len(lab) == ell and all(x in lab for x in range(1, i))
+                     and any(i <= x <= j for x in lab))
 
 
 def set_graph_reflection_chain(ell: int, k: int, r0) -> ReflectionCertificate:
@@ -661,85 +629,27 @@ def set_graph_reflection_chain(ell: int, k: int, r0) -> ReflectionCertificate:
     transposition moving one private element onto a fresh one, giving a pair
     differing in a single element; a ground-set relabelling then reduces to
     the pair {1..ell} / {1..ell-1, ell+1}, which a fixed transposition
-    schedule grows to all ell-subsets.  The prefix-coverage invariant of the
-    schedule is asserted after every step.
+    schedule grows to all ell-subsets.  After the swap (i j) the set is
+    asserted to be exactly the prefix cover of (i, j).
     """
-    if (ell, k) not in _SET_GRAPH_SUPPORTED:
-        raise CapabilityError(f"explicit chain not provided for ({ell},{k})")
     g = gen_set_graph(ell, k)
     r0 = frozenset(r0)
-    if len(r0) != 2:
-        raise GraphError("starting set must have exactly two vertices")
-    labels = {v: g.labels[v] for v in r0}
-    if any(len(lab) != ell for lab in labels.values()):
+    if len(r0) != 2 or not all(0 <= v < g.n for v in r0):
+        raise GraphError("starting set must be two vertices of the graph")
+    if any(len(g.labels[v]) != ell for v in r0):
         raise GraphError("starting vertices must be small-side subsets")
 
     steps: list[CertificateStep] = []
-    va, vb = sorted(r0)
-    sa, sb = g.labels[va], g.labels[vb]
+    sa, sb = (g.labels[v] for v in sorted(r0))
     if len(sa ^ sb) > 2:
-        i = min(sa - sb)
-        j = min(set(range(1, k + 1)) - (sa | sb))
-        triple = _element_swap(g, i, j)
-        if va not in triple.side_a:
-            triple = triple.flipped()
-        full = reflect_set(g, triple, r0)
-        mirror = triple.swap(va)
-        assert va in full and mirror in full
-        steps.append(CertificateStep(triple, frozenset({va, mirror})))
-        va, vb = sorted((va, mirror))
-        sa, sb = g.labels[va], g.labels[vb]
+        fresh = min(set(range(1, k + 1)) - (sa | sb))
+        pair = _normalise(g, _element_swap(g, min(sa - sb), fresh), r0, steps)
+        sa, sb = (g.labels[v] for v in sorted(pair))
 
     # Ground-set relabelling onto the canonical adjacent pair.
-    shared = sorted(sa & sb)
-    lone_a = min(sa - sb)
-    lone_b = min(sb - sa)
-    source = shared + [lone_a, lone_b]
-    mapping = {}
-    mapping.update(zip(range(1, ell), source[:ell - 1]))
-    mapping[ell] = source[ell - 1]
-    mapping[ell + 1] = source[ell]
-    rest_src = [x for x in range(1, k + 1) if x not in mapping]
-    rest_dst = [x for x in range(1, k + 1) if x not in mapping.values()]
-    mapping.update(zip(rest_src, rest_dst))
-    index = {lab: v for v, lab in enumerate(g.labels)}
-    sigma = Automorphism(tuple(index[frozenset(mapping[x] for x in lab)]
-                               for lab in g.labels))
-    canon_pair = {frozenset(range(1, ell + 1)),
-                  frozenset(range(1, ell)) | {ell + 1}}
-    current = frozenset({va, vb})
-    assert sigma.apply_set({index[lab] for lab in canon_pair}) == current
-
-    schedule = [(i, j) for i in range(ell, 0, -1) for j in range(i + 1, k + 1)]
+    sigma = _ground_map(g, dict(zip(range(1, ell + 2),
+                                    sorted(sa & sb) + [min(sa - sb), min(sb - sa)])))
+    plan = [(_element_swap(g, i, j), _prefix_cover(g, ell, i, j))
+            for i in range(ell, 0, -1) for j in range(i + 1, k + 1)]
     small_side = frozenset(v for v, lab in enumerate(g.labels) if len(lab) == ell)
-    for i, j in schedule:
-        triple = _conjugate_triple(_element_swap(g, i, j), sigma)
-        current = reflect_set(g, triple, current)
-        steps.append(CertificateStep(triple, current))
-        covered = {index[frozenset(mapping[x] for x in lab)]
-                   for lab in _prefix_cover(ell, k, i, j)}
-        assert covered <= current, f"coverage invariant failed at swap ({i},{j})"
-    assert current == small_side
-
-    cert = ReflectionCertificate(r0, small_side, tuple(steps))
-    ok, rep = verify_certificate(g, cert)
-    if not ok:
-        raise AssertionError(f"set-graph chain failed validation: {rep}")
-    return cert
-
-
-def _prefix_cover(ell: int, k: int, i: int, j: int) -> list[frozenset[int]]:
-    """ell-subsets containing {1..i-1} and meeting {i..j}."""
-    out = []
-    for c in combinations(range(1, k + 1), ell):
-        s = frozenset(c)
-        if frozenset(range(1, i)) <= s and s & frozenset(range(i, j + 1)):
-            out.append(s)
-    return out
-
-
-def cube_pair(d: int, bits_a: str, bits_b: str) -> frozenset[int]:
-    """Convenience: a starting pair given as coordinate strings."""
-    if len(bits_a) != d or len(bits_b) != d:
-        raise GraphError("coordinate strings must have length d")
-    return frozenset({cube_vertex(bits_a), cube_vertex(bits_b)})
+    return _run_chain(g, r0, small_side, steps, sigma, _prefix_cover(g, ell, ell, ell + 1), plan)

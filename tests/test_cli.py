@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from homreflect import rainbow, read_colouring, read_edge_list
+from test_reflectivity import comb_graph
+from homreflect import rainbow, read_colouring, read_edge_list, write_edge_list
 from homreflect.cli import main, parse_graph_spec
 from homreflect.graphs import VERTEX_CAP, gen_random
 from homreflect.reflectivity import certify_pairs, certify_reflective, reflectivity_report
@@ -111,6 +112,28 @@ class TestCertify:
         assert time.perf_counter() - start < 5
         assert (code, body) == (1, b"")
         assert "involution enumeration capped at 4096 involutions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,named", [
+        (("--r0", "0,3", "--all-pairs"), ("--r0", "--all-pairs")),
+        (("--r0", "0,3", "--cert-dir", "certs"), ("--r0", "--cert-dir")),
+        (("--all-pairs", "--cert-out", "cert.json"), ("--r0", "--cert-out")),
+    ])
+    def test_conflicting_flags_exit_one(self, tmp_path, capsys, flags, named):
+        code, body = run(tmp_path, "certify", "--graph", "q3", *flags)
+        assert (code, body) == (1, b"")
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in named), err
+        assert not (tmp_path / "certs").exists() and not (tmp_path / "cert.json").exists()
+
+    def test_side_over_twenty_vertices(self, tmp_path):
+        path = tmp_path / "comb.edges"
+        write_edge_list(comb_graph(), path)
+        code, body = run(tmp_path, "certify", "--graph", str(path), "--r0", "11,12",
+                         "--format", "json")
+        report = json.loads(body)
+        assert (code, report["certified"], report["states_visited"]) == (3, False, 1)
+        code, body = run(tmp_path, "certify", "--graph", str(path), "--all-pairs")
+        assert code == 3 and b"reflective: unknown" in body
 
 
 BUDGET_PATTERNS = ["q3", "q4", "cycle(8)", "cycle-blowup(6)"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -20,7 +21,6 @@ from homreflect import (
     certify_pairs,
     certify_reflective,
     conjugate_certificate,
-    cube_pair,
     cube_vertex,
     enumerate_reflection_triples,
     gen_cycle,
@@ -488,13 +488,13 @@ class TestHypercubeChain:
         assert cert.num_steps == 2 * (d - 2)
 
     def test_distance_two_relabelled(self):
-        cert = hypercube_reflection_chain(3, cube_pair(3, "000", "011"))
+        cert = hypercube_reflection_chain(3, cube_set("000", "011"))
         assert verify_certificate(gen_hypercube(3), cert)[0]
 
     def test_far_pair_gets_normalisation_step(self):
         # distance-4 but not antipodal, so the coordinate-swap normalisation
         # runs first; only possible from dimension 5 up
-        cert = hypercube_reflection_chain(5, cube_pair(5, "00000", "11110"))
+        cert = hypercube_reflection_chain(5, cube_set("00000", "11110"))
         assert cert.num_steps == 2 * 3 + 1
         assert verify_certificate(gen_hypercube(5), cert)[0]
 
@@ -504,13 +504,13 @@ class TestHypercubeChain:
         assert verify_certificate(gen_hypercube(d), cert)[0]
 
     def test_odd_side_pairs(self):
-        cert = hypercube_reflection_chain(3, cube_pair(3, "100", "111"))
+        cert = hypercube_reflection_chain(3, cube_set("100", "111"))
         assert verify_certificate(gen_hypercube(3), cert)[0]
         assert cert.side == frozenset(v for v in range(8) if bin(v).count("1") % 2 == 1)
 
     def test_mixed_parity_error(self):
         with pytest.raises(GraphError):
-            hypercube_reflection_chain(3, cube_pair(3, "000", "111"))
+            hypercube_reflection_chain(3, cube_set("000", "111"))
 
     def test_every_even_pair_q4(self):
         g = gen_hypercube(4)
@@ -562,12 +562,87 @@ class TestSetGraphChain:
         # the transported certificate must verify on the 6-cycle itself
         assert verify_certificate(c6, moved)[0]
 
-    def test_unsupported_shape(self):
-        g = gen_set_graph(1, 4)
-        with pytest.raises(Exception):
-            set_graph_reflection_chain(1, 6, {0, 1})
+    def test_invalid_shape_refused(self):
+        # the builder takes every shape gen_set_graph takes, which needs 2*ell < k
+        with pytest.raises(GraphError, match="ell < k/2"):
+            set_graph_reflection_chain(2, 4, {0, 1})
 
     def test_search_agrees_these_graphs_are_reflective(self):
         for ell, k in [(1, 3), (1, 4)]:
             rep = reflectivity_report(gen_set_graph(ell, k))
             assert rep["verdict"] == "yes"
+
+
+class TestExplicitReach:
+    """Both builders run for every cube and set graph under the vertex cap;
+    each certificate is verified inside the builder and again here."""
+
+    def test_q2_every_pair(self):
+        g = gen_hypercube(2)
+        for side in g.bipartition():
+            cert = hypercube_reflection_chain(2, side)
+            assert cert.num_steps == 0 and verify_certificate(g, cert)[0]
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_every_distance(self, d):
+        g = gen_hypercube(d)
+        for dist in range(2, d + 1, 2):
+            for u in (0, 1 << (d - 1)):  # one start on each side
+                cert = hypercube_reflection_chain(d, {u, u ^ ((1 << dist) - 1)})
+                assert verify_certificate(g, cert)[0], (dist, u)
+                assert cert.num_steps == 2 * (d - 2) + (dist > 2)
+
+    @pytest.mark.parametrize("ell,k", [(1, 6), (2, 7), (3, 7), (2, 9)])
+    def test_set_graph_shapes(self, ell, k):
+        g = gen_set_graph(ell, k)
+        near = {set_graph_vertex(g, range(1, ell + 1)),
+                set_graph_vertex(g, list(range(1, ell)) + [k])}
+        far = {set_graph_vertex(g, range(1, ell + 1)),
+               set_graph_vertex(g, range(k - ell + 1, k + 1))}
+        for r0 in (near, far):
+            cert = set_graph_reflection_chain(ell, k, r0)
+            assert verify_certificate(g, cert)[0]
+            schedule = sum(k - i for i in range(1, ell + 1))
+            assert cert.num_steps == schedule + (r0 == far and ell > 1)
+
+    def test_chains_frozen(self):
+        # sha256 of certificate_to_json over every pair, one chain per line,
+        # recorded before the builders were rebuilt on one skeleton
+        q4 = gen_hypercube(4)
+        text = "\n".join(certificate_to_json(hypercube_reflection_chain(4, pair))
+                         for side in q4.bipartition()
+                         for pair in combinations(sorted(side), 2))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "508a717b677952a848ac126c7c26563440d52b9a1c7eb53f972de142f2958298"
+        g = gen_set_graph(2, 5)
+        small = [v for v, lab in enumerate(g.labels) if len(lab) == 2]
+        text = "\n".join(certificate_to_json(set_graph_reflection_chain(2, 5, pair))
+                         for pair in combinations(small, 2))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "ea9bd7969356108f3c7c721f8603c785704d66618588594d41f8f94c5bbec55c"
+
+    @pytest.mark.parametrize("build,r0", [
+        (lambda r0: hypercube_reflection_chain(3, r0), {0, 99}),
+        (lambda r0: hypercube_reflection_chain(3, r0), {0, -3}),
+        (lambda r0: set_graph_reflection_chain(1, 3, r0), {0, 99}),
+        (lambda r0: set_graph_reflection_chain(1, 3, r0), {0, 1, 2}),
+    ])
+    def test_start_not_a_pair_of_vertices(self, build, r0):
+        with pytest.raises(GraphError, match="two vertices of the graph"):
+            build(r0)
+
+
+def comb_graph():
+    """Path b0-a0-b1-...-a9-b10 with one leaf on each b_i: a_i = i, the leaf
+    of b_i is 10 + i, b_i = 21 + i.  Sides of 21 and 11 vertices."""
+    edges = ([(i, 21 + i) for i in range(10)] + [(i, 22 + i) for i in range(10)]
+             + [(10 + i, 21 + i) for i in range(11)])
+    return make_graph(32, edges)
+
+
+class TestLargeSides:
+    def test_side_over_twenty_searched(self):
+        g = comb_graph()
+        assert sorted(len(p) for p in g.bipartition()) == [11, 21]
+        res = certify_reflective(g, {11, 12})
+        assert (res.certificate, res.states_visited, res.budget_exhausted) == (None, 1, False)
