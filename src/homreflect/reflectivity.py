@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .automorphisms import (Automorphism, enumerate_involutions, find_automorphism, identity,
                            is_automorphism)
-from .graphs import Graph, GraphError, _mask, gen_hypercube, gen_set_graph
+from .graphs import CapabilityError, Graph, GraphError, _mask, gen_hypercube, gen_set_graph
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -266,6 +269,108 @@ def certificate_from_json(h: Graph, text: str) -> ReflectionCertificate:
 # Certificate search
 # ---------------------------------------------------------------------------
 
+# Words (64 bits) in any one array of a search's expansion and in each of
+# its digit tables.  Chunks of 2^16 words raised the peak RSS of
+# `certify --graph q5 --r0 16,31` from 33 to 37 MB, above the 35 MB of the
+# former per-state loop, and were no faster.
+_CELL_CAP = 1 << 14
+
+
+class _SideMoves:
+    """The triples as word arrays over one bipartition side.
+
+    A state is a subset of the side: a row of `words` 64-bit words, with bit
+    j for the vertex order[j].  Per triple, `keep` is A with F, `need` is B
+    with F, `b` is B (each restricted to the side), and `swap_of` numbers
+    its involution.  An involution of a reflection triple maps each side onto
+    itself, so its image of a state is looked up a digit at a time:
+    tables[k][i << width | d] is the image under involution i of the side
+    bits k*width .. k*width + width - 1 when they read d.  Digits are as
+    wide as _CELL_CAP allows one table to be, and one bit wide at least:
+    like the per-triple rows, the tables then hold O(n) words per involution.
+    """
+
+    def __init__(self, triples: list[ReflectionTriple], side: frozenset[int], n: int):
+        self.order = sorted(side)
+        size = len(self.order)
+        self.words = -(-size // 64)
+        self.dtype = np.dtype(np.uint64) if self.words == 1 else np.dtype((np.void, 8 * self.words))
+        bits = [0] * n
+        position = np.full(n, -1, dtype=np.intp)
+        for j, v in enumerate(self.order):
+            bits[v] = 1 << j
+            position[v] = j
+        swaps: dict[tuple[int, ...], int] = {}
+        self.swap_of = np.fromiter((swaps.setdefault(t.swap.perm, len(swaps)) for t in triples),
+                                   dtype=np.intp, count=len(triples))
+        perms = np.array(list(swaps), dtype=np.intp).reshape(len(swaps), n)
+        images = position[perms[:, self.order]]
+
+        self.width = next((w for w in (8, 4, 2) if len(swaps) * self.words << w <= _CELL_CAP), 1)
+        one_bit = np.zeros((len(swaps), size, self.words), dtype=np.uint64)
+        one_bit[np.arange(len(swaps))[:, None], np.arange(size), images // 64] = \
+            np.uint64(1) << (images % 64).astype(np.uint64)
+        self.tables = []
+        for low in range(0, size, self.width):
+            table = np.zeros((len(swaps), 1 << self.width, self.words), dtype=np.uint64)
+            # the values with this bit set: the value without it, plus its image
+            for bit in range(min(self.width, size - low)):
+                table[:, 1 << bit:2 << bit] = table[:, :1 << bit] | one_bit[:, low + bit, None]
+            self.tables.append(table.reshape(len(swaps) << self.width, self.words))
+
+        a = self.rows(sum(map(bits.__getitem__, t.side_a)) for t in triples)
+        self.b = self.image(a, self.swap_of)
+        fixed = self.rows([(1 << size) - 1]) ^ a ^ self.b
+        self.keep, self.need = a | fixed, self.b | fixed
+
+    def rows(self, masks) -> np.ndarray:
+        """Bitmasks over the side as rows of words."""
+        raw = b"".join(m.to_bytes(8 * self.words, "little") for m in masks)
+        return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, self.words)
+
+    def state(self, vertices) -> np.ndarray:
+        """The subset `vertices` of the side as a one-element array of keys."""
+        return self.rows([_mask(self.order.index(v) for v in vertices)]).view(self.dtype)[:, 0]
+
+    def vertices(self, key) -> frozenset[int]:
+        """The vertices of the state with key `key`."""
+        mask = int.from_bytes(np.atleast_1d(key).view("<u8").tobytes(), "little")
+        return frozenset(v for j, v in enumerate(self.order) if mask >> j & 1)
+
+    def image(self, states: np.ndarray, swaps: np.ndarray) -> np.ndarray:
+        """phi(s) for each state row of `states` under the involution
+        numbered in `swaps`, which broadcasts against states[..., 0]."""
+        out = 0
+        for k, table in enumerate(self.tables):
+            word, shift = divmod(k * self.width, 64)
+            digit = states[..., word] >> np.uint64(shift) & np.uint64((1 << self.width) - 1)
+            out = out | table[swaps << self.width | digit.astype(np.intp)]
+        return out
+
+    def expand(self, states: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The successors of every state under every triple lo .. hi-1, as a
+        (state, triple, word) array, and which of them count: admissible
+        for the triple and different from the state."""
+        cells = len(states) * (hi - lo) * self.words
+        if cells > _CELL_CAP:
+            raise CapabilityError(f"certificate search array of {cells} words exceeds the cap "
+                                  f"{_CELL_CAP}")
+        here = states[:, None, :]
+        kept = here & self.keep[lo:hi]
+        ok = kept.any(2) & (here & self.need[lo:hi]).any(2)
+        succ = kept | (self.image(here, self.swap_of[lo:hi]) & self.b[lo:hi])
+        ok &= (succ != here).any(2)
+        return succ, ok
+
+
+@lru_cache(maxsize=4)
+def _side_moves(triples: tuple[ReflectionTriple, ...], side: frozenset[int], n: int) -> _SideMoves:
+    """The arrays of a triple list over one side, built once for all the
+    searches on that list (certify_pairs runs one per orbit of pairs).  The
+    key is the triples' content, so a list changed in place is rebuilt."""
+    return _SideMoves(triples, side, n)
+
+
 @dataclass
 class ReflectivitySearch:
     """Outcome of one breadth-first certificate search."""
@@ -287,6 +392,13 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
     States are constraint sets and `budget` counts the states taken off the
     queue.  No certificate within budget yields an unknown outcome, never a
     negative one.
+
+    The search expands a layer a chunk of states at a time: every (state,
+    triple) successor of the chunk is computed at once (`_SideMoves`), and
+    the first occurrence, in row-major (state, triple) order, of each state
+    not seen before joins the next layer.  That is the order of a loop over the
+    states and, for each, over the triples, so the states visited, the
+    parents and the chain are the ones such a loop finds.
     """
     parts = h.bipartition()
     if parts is None or not h.is_connected():
@@ -302,63 +414,11 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
     if triples is None:
         triples = enumerate_reflection_triples(h)
 
-    start = _mask(r0)
-    target = _mask(side)
-    # Per-triple bitmask tables so each transition is a few integer ops.
-    table = []
-    for t in triples:
-        keep = _mask(t.side_a | t.fixed)
-        a_mask = _mask(t.side_a)
-        need_b = _mask(t.side_b | t.fixed)
-        images = {1 << v: 1 << t.swap(v) for v in t.side_a}
-        table.append((keep, a_mask, need_b, images))
-
-    parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    frontier = [start]
-    visited = 0
-    exhausted_budget = False
-    goal = start if start == target else None
-
-    while frontier and goal is None:
-        nxt = []
-        for state in frontier:
-            visited += 1
-            if visited > budget:
-                exhausted_budget = True
-                break
-            for idx, (keep, a_mask, need_b, images) in enumerate(table):
-                if not (state & (keep)) or not (state & need_b):
-                    continue
-                moved = state & a_mask
-                new = state & keep
-                while moved:
-                    bit = moved & -moved
-                    new |= images[bit]
-                    moved ^= bit
-                if new == state or new in parent:
-                    continue
-                parent[new] = (state, idx)
-                if new == target:
-                    goal = new
-                    break
-                nxt.append(new)
-            if goal is not None:
-                break
-        if exhausted_budget:
-            break
-        frontier = nxt
-
-    if goal is None:
-        return ReflectivitySearch(None, visited, exhausted_budget)
-
-    chain = []
-    cur = goal
-    while parent[cur][0] != -1:
-        prev, idx = parent[cur]
-        chain.append((triples[idx], cur))
-        cur = prev
-    chain.reverse()
-    steps = tuple(CertificateStep(t, _unmask(m)) for t, m in chain)
+    moves = _side_moves(tuple(triples), side, h.n)
+    chain, visited = _layered_search(moves, moves.state(r0), budget)
+    if chain is None:
+        return ReflectivitySearch(None, visited, visited > budget)
+    steps = tuple(CertificateStep(triples[idx], moves.vertices(key)) for idx, key in chain)
     cert = ReflectionCertificate(r0, side, steps)
     ok, rep = verify_certificate(h, cert)
     if not ok:
@@ -366,13 +426,84 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
     return ReflectivitySearch(cert, visited, False)
 
 
-def _unmask(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        bit = mask & -mask
-        out.add(bit.bit_length() - 1)
-        mask ^= bit
-    return frozenset(out)
+def _layered_search(moves: _SideMoves, start: np.ndarray, budget: int):
+    """Breadth-first search from the state key `start` to the full side.
+
+    Returns the chain as (triple index, state key) pairs, or None, and the
+    number of states taken off the queue: budget + 1 when the budget ran
+    out.  Chunks take at most `budget` states, and a chunk of one state
+    takes the triples in slices when a row of them exceeds _CELL_CAP; either
+    way the cells are met in row-major order."""
+    target = moves.state(moves.order)
+    if start[0] == target[0]:
+        return [], 0
+    count = len(moves.swap_of)
+    rows = max(1, _CELL_CAP // max(1, count * moves.words))
+    span = max(1, min(count, _CELL_CAP // moves.words))
+    # Layer l: its states' keys, each one's parent as an index into layer
+    # l-1, and the triple that reached it.
+    layers = [(start, None, None)]
+    seen = [start]
+    visited = 0
+    while len(layers[-1][0]):
+        frontier = layers[-1][0].view(np.uint64).reshape(-1, moves.words)
+        keys_out = [np.empty(0, moves.dtype)]
+        parents_out, via_out = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        hi = 0
+        while hi < len(frontier):
+            if visited == budget:
+                return None, budget + 1
+            lo, hi = hi, min(hi + rows, len(frontier), hi + budget - visited)
+            for t_lo in range(0, count, span):
+                width = min(span, count - t_lo)
+                succ, ok = moves.expand(frontier[lo:hi], t_lo, t_lo + width)
+                keys = succ.view(moves.dtype)[..., 0].ravel()
+                cells = np.flatnonzero(ok)
+                hit = cells[keys[cells] == target[0]]
+                if hit.size:
+                    row, col = divmod(int(hit[0]), width)
+                    chain, at = [(t_lo + col, target[0])], lo + row
+                    for layer_keys, parents, via in reversed(layers[1:]):
+                        chain.append((via[at], layer_keys[at]))
+                        at = parents[at]
+                    return chain[::-1], visited + row + 1
+                if cells.size:
+                    fresh, first = _first_new(keys[cells], cells, seen)
+                    order = np.argsort(first)
+                    first = first[order]
+                    keys_out.append(fresh[order])
+                    parents_out.append(lo + first // width)
+                    via_out.append(t_lo + first % width)
+            visited += hi - lo
+        layers.append((np.concatenate(keys_out), np.concatenate(parents_out),
+                       np.concatenate(via_out)))
+    return None, visited
+
+
+def _first_new(keys: np.ndarray, cells: np.ndarray, seen: list[np.ndarray]):
+    """The distinct `keys` that are in no run of `seen`, in sorted order,
+    each with the least of its `cells`; they are merged into `seen`.
+
+    `seen` is a list of sorted runs, each at least twice as long as the
+    next, so a key is looked up in O(log) runs and each key is merged
+    O(log) times.  Sorting groups the copies of a key; np.unique would
+    import numpy.ma, which costs a fresh process 15-40 ms."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keys = keys[starts]
+    first = np.minimum.reduceat(cells[order], starts)
+    new = np.ones(len(keys), dtype=bool)
+    for run in seen:
+        new &= run[np.minimum(np.searchsorted(run, keys), len(run) - 1)] != keys
+    keys, first = keys[new], first[new]
+    run = keys
+    while seen and len(seen[-1]) <= 2 * len(run):
+        run = np.concatenate((seen.pop(), run))
+        run.sort(kind="stable")  # a merge of two sorted runs
+    if len(run):
+        seen.append(run)
+    return keys, first
 
 
 def certify_pairs(h: Graph, sides, budget: int = DEFAULT_BUDGET,
@@ -495,14 +626,18 @@ def _run_chain(h: Graph, r0: frozenset[int], side: frozenset[int],
                plan: list[tuple[ReflectionTriple, frozenset[int]]]) -> ReflectionCertificate:
     """Finish a chain whose current set is sigma(start): conjugate each
     canonical (triple, target) of `plan` by sigma, reflect, and assert that
-    the result is sigma(target).  The whole certificate is then verified."""
+    the result is sigma(target).  A step that leaves the set unchanged is
+    left out: it would double the exponent 2^m for nothing.  The whole
+    certificate is then verified."""
     current = steps[-1].r_next if steps else r0
     assert current == sigma.apply_set(start)
     for base, target in plan:
         triple = _conjugate_triple(base, sigma)
-        current = reflect_set(h, triple, current)
-        assert current == sigma.apply_set(target)
-        steps.append(CertificateStep(triple, current))
+        reflected = reflect_set(h, triple, current)
+        assert reflected == sigma.apply_set(target)
+        if reflected != current:
+            steps.append(CertificateStep(triple, reflected))
+        current = reflected
     cert = ReflectionCertificate(r0, side, tuple(steps))
     ok, rep = verify_certificate(h, cert)
     if not ok:

@@ -5,6 +5,9 @@ kernels: automorphisms filter all permutations, homomorphism counts walk
 plain product spaces with per-edge checks, injective counts come from the
 coincidence-partition inclusion-exclusion, G(n, p) expectations sum over
 the same partitions, and cycle weights enumerate closed walks one by one.
+The certificate search oracle is the package's former search, one
+breadth-first loop over (state, triple) pairs, kept verbatim: the layered
+search must match its states_visited, budget_exhausted and chain exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +16,11 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, lcm, perm as falling_factorial
 from operator import mul
+
+from homreflect.graphs import Graph, GraphError, _mask
+from homreflect.reflectivity import (DEFAULT_BUDGET, CertificateStep, ReflectionCertificate,
+                                     ReflectionTriple, ReflectivitySearch,
+                                     enumerate_reflection_triples, verify_certificate)
 
 
 def all_automorphisms(g) -> list[tuple[int, ...]]:
@@ -237,3 +245,99 @@ def graphs_isomorphic(g1, g2) -> tuple[int, ...] | None:
         if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in e2 for u, v in e1):
             return perm
     return None
+
+
+def certify_reflective_loop(h: Graph, r0, budget: int = DEFAULT_BUDGET,
+                            triples: list[ReflectionTriple] | None = None) -> ReflectivitySearch:
+    """Plain breadth-first search for a reflection chain from r0 to a full
+    side; the chain it returns is a shortest one.
+
+    States are constraint sets and `budget` counts the states taken off the
+    queue.  No certificate within budget yields an unknown outcome, never a
+    negative one.
+    """
+    parts = h.bipartition()
+    if parts is None or not h.is_connected():
+        raise GraphError("certificate search needs a connected bipartite pattern")
+    r0 = frozenset(r0)
+    if not r0:
+        raise GraphError("starting set must not be empty")
+    if budget < 1:
+        raise GraphError(f"budget must be at least 1, got {budget}")
+    side = parts[0] if r0 <= parts[0] else parts[1] if r0 <= parts[1] else None
+    if side is None:
+        raise GraphError("starting set must lie inside one bipartition side")
+    if triples is None:
+        triples = enumerate_reflection_triples(h)
+
+    start = _mask(r0)
+    target = _mask(side)
+    # Per-triple bitmask tables so each transition is a few integer ops.
+    table = []
+    for t in triples:
+        keep = _mask(t.side_a | t.fixed)
+        a_mask = _mask(t.side_a)
+        need_b = _mask(t.side_b | t.fixed)
+        images = {1 << v: 1 << t.swap(v) for v in t.side_a}
+        table.append((keep, a_mask, need_b, images))
+
+    parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
+    frontier = [start]
+    visited = 0
+    exhausted_budget = False
+    goal = start if start == target else None
+
+    while frontier and goal is None:
+        nxt = []
+        for state in frontier:
+            visited += 1
+            if visited > budget:
+                exhausted_budget = True
+                break
+            for idx, (keep, a_mask, need_b, images) in enumerate(table):
+                if not (state & (keep)) or not (state & need_b):
+                    continue
+                moved = state & a_mask
+                new = state & keep
+                while moved:
+                    bit = moved & -moved
+                    new |= images[bit]
+                    moved ^= bit
+                if new == state or new in parent:
+                    continue
+                parent[new] = (state, idx)
+                if new == target:
+                    goal = new
+                    break
+                nxt.append(new)
+            if goal is not None:
+                break
+        if exhausted_budget:
+            break
+        frontier = nxt
+
+    if goal is None:
+        return ReflectivitySearch(None, visited, exhausted_budget)
+
+    chain = []
+    cur = goal
+    while parent[cur][0] != -1:
+        prev, idx = parent[cur]
+        chain.append((triples[idx], cur))
+        cur = prev
+    chain.reverse()
+    steps = tuple(CertificateStep(t, _unmask(m)) for t, m in chain)
+    cert = ReflectionCertificate(r0, side, steps)
+    ok, rep = verify_certificate(h, cert)
+    if not ok:
+        raise AssertionError(f"search produced an invalid certificate: {rep}")
+    return ReflectivitySearch(cert, visited, False)
+
+
+def _unmask(mask: int) -> frozenset[int]:
+    out = set()
+    while mask:
+        bit = mask & -mask
+        out.add(bit.bit_length() - 1)
+        mask ^= bit
+    return frozenset(out)

@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from test_reflectivity import comb_graph
+import homreflect
 from homreflect import rainbow, read_colouring, read_edge_list, write_edge_list
 from homreflect.cli import main, parse_graph_spec
 from homreflect.graphs import VERTEX_CAP, gen_random
@@ -146,6 +150,18 @@ def run_json(tmp_dir, *argv):
     start = time.perf_counter()
     code = main(list(argv) + ["--format", "json", "--out", str(out)])
     return code, json.loads(out.read_text()), time.perf_counter() - start
+
+
+class TestSearchImports:
+    def test_certify_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique and its kin import numpy.ma, 15-40 ms in every fresh process
+        argv = ["certify", "--graph", "q5", "--r0", "8,25", "--out", str(tmp_path / "r.txt")]
+        script = ("import sys; from homreflect.cli import main; "
+                  f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+        src = str(Path(homreflect.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=60, env={"PYTHONPATH": src, "PATH": ""})
+        assert out.stdout.split() == ["0", "False"], out.stderr
 
 
 class TestBudgetExit:

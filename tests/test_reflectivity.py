@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -535,13 +536,13 @@ class TestSetGraphChain:
         g = gen_set_graph(1, 4)
         r0 = {set_graph_vertex(g, {2}), set_graph_vertex(g, {4})}
         cert = set_graph_reflection_chain(1, 4, r0)
-        assert cert.num_steps == 3  # C(4,2) - C(3,2)
+        assert cert.num_steps == 2  # swaps (1 3), (1 4); (1 2) fixes the canonical pair
 
     def test_far_pair_normalised_2_5(self):
         g = gen_set_graph(2, 5)
         r0 = {set_graph_vertex(g, {1, 2}), set_graph_vertex(g, {3, 4})}
         cert = set_graph_reflection_chain(2, 5, r0)
-        assert cert.num_steps == 8  # one normalisation + C(5,2) - C(3,2)
+        assert cert.num_steps == 6  # one normalisation + 7 scheduled swaps, 2 of them no-ops
         assert verify_certificate(g, cert)[0]
 
     def test_every_pair_2_5(self):
@@ -594,20 +595,24 @@ class TestExplicitReach:
 
     @pytest.mark.parametrize("ell,k", [(1, 6), (2, 7), (3, 7), (2, 9)])
     def test_set_graph_shapes(self, ell, k):
+        # the schedule's sum(k - i, i = 1..ell) swaps less those that leave
+        # the set unchanged, plus one normalisation step for a far pair
+        near_steps, far_steps = {(1, 6): (4, 4), (2, 7): (9, 10), (3, 7): (11, 12),
+                                 (2, 9): (13, 14)}[ell, k]
         g = gen_set_graph(ell, k)
         near = {set_graph_vertex(g, range(1, ell + 1)),
                 set_graph_vertex(g, list(range(1, ell)) + [k])}
         far = {set_graph_vertex(g, range(1, ell + 1)),
                set_graph_vertex(g, range(k - ell + 1, k + 1))}
-        for r0 in (near, far):
+        for r0, steps in ((near, near_steps), (far, far_steps)):
             cert = set_graph_reflection_chain(ell, k, r0)
             assert verify_certificate(g, cert)[0]
-            schedule = sum(k - i for i in range(1, ell + 1))
-            assert cert.num_steps == schedule + (r0 == far and ell > 1)
+            assert cert.num_steps == steps
 
     def test_chains_frozen(self):
-        # sha256 of certificate_to_json over every pair, one chain per line,
-        # recorded before the builders were rebuilt on one skeleton
+        # sha256 of certificate_to_json over every pair, one chain per line:
+        # Q4's recorded before the builders were rebuilt on one skeleton,
+        # H_{2,5}'s once the steps that change nothing were left out
         q4 = gen_hypercube(4)
         text = "\n".join(certificate_to_json(hypercube_reflection_chain(4, pair))
                          for side in q4.bipartition()
@@ -619,7 +624,27 @@ class TestExplicitReach:
         text = "\n".join(certificate_to_json(set_graph_reflection_chain(2, 5, pair))
                          for pair in combinations(small, 2))
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "ea9bd7969356108f3c7c721f8603c785704d66618588594d41f8f94c5bbec55c"
+            "607317b7aea729282f1ac39bddff7caae65cffd3a09c97ca4eb928b20c4e9710"
+
+    def test_no_step_leaves_its_set_unchanged(self):
+        # every pair of Q3-Q5 and of the set graphs with at most 10 small
+        # vertices; on Q6 and the larger set graphs every pair through one
+        # vertex (for the cube, one per side), which meets every case of
+        # the builders' normalisation
+        def pairs(side, through=None):
+            return [p for p in combinations(sorted(side), 2) if through in (None, p[0])]
+
+        chains = [hypercube_reflection_chain(d, pair) for d in (3, 4, 5, 6)
+                  for side in gen_hypercube(d).bipartition()
+                  for pair in pairs(side, min(side) if d == 6 else None)]
+        for ell, k in [(1, 4), (2, 5), (1, 6), (2, 7), (3, 7), (2, 9)]:
+            g = gen_set_graph(ell, k)
+            small = [v for v, lab in enumerate(g.labels) if len(lab) == ell]
+            chains += [set_graph_reflection_chain(ell, k, pair)
+                       for pair in pairs(small, small[0] if len(small) > 10 else None)]
+        for cert in chains:
+            sets = cert.sets()
+            assert all(a != b for a, b in zip(sets, sets[1:])), certificate_to_json(cert)
 
     @pytest.mark.parametrize("build,r0", [
         (lambda r0: hypercube_reflection_chain(3, r0), {0, 99}),
@@ -646,3 +671,113 @@ class TestLargeSides:
         assert sorted(len(p) for p in g.bipartition()) == [11, 21]
         res = certify_reflective(g, {11, 12})
         assert (res.certificate, res.states_visited, res.budget_exhausted) == (None, 1, False)
+
+
+def star(k):
+    return make_graph(k + 1, [(0, leaf) for leaf in range(1, k + 1)])
+
+
+def search_outcome(res):
+    return (res.states_visited, res.budget_exhausted,
+            certificate_to_json(res.certificate) if res.certificate else None)
+
+
+def loop_at_budget(full, budget):
+    """The per-state loop's outcome under `budget`, from its unbudgeted one:
+    the loop takes states off the queue in an order that does not depend on
+    the budget, and stops when it takes the (budget + 1)-th."""
+    return full if full[0] <= budget else (budget + 1, True, None)
+
+
+LOOP_GRAPHS = {
+    "q3": gen_hypercube(3), "q4": gen_hypercube(4), "setgraph-1-4": gen_set_graph(1, 4),
+    "setgraph-1-7": gen_set_graph(1, 7), "setgraph-2-5": gen_set_graph(2, 5),
+    "cycle-8": gen_cycle(8), "cycle-24": gen_cycle(24), "cycle-blowup-6": gen_cycle_blowup(6),
+    "cycle-blowup-8": gen_cycle_blowup(8), "star-6": star(6),
+}
+BUDGETS = (reflectivity.DEFAULT_BUDGET, 1, 2, 3, 5, 8, 13, 50, 200)
+
+
+@functools.cache
+def loop_triples(name):
+    return enumerate_reflection_triples(LOOP_GRAPHS[name])
+
+
+def assert_matches_loop(g, pairs, triples=None):
+    if triples is None:
+        triples = enumerate_reflection_triples(g)
+    for pair in pairs:
+        full = search_outcome(bf.certify_reflective_loop(g, pair, triples=triples))
+        for budget in BUDGETS:
+            res = certify_reflective(g, pair, budget, triples)
+            assert search_outcome(res) == loop_at_budget(full, budget), (pair, budget)
+
+
+class TestLayeredSearch:
+    """The layer-at-a-time search against the per-state loop it replaced
+    (`bruteforce.certify_reflective_loop`): equal states_visited, budget
+    exhaustion and certificate text."""
+
+    @pytest.mark.parametrize("name", LOOP_GRAPHS)
+    def test_every_pair_matches_loop(self, name):
+        g = LOOP_GRAPHS[name]
+        assert_matches_loop(g, [pair for side in g.bipartition()
+                                for pair in combinations(sorted(side), 2)], loop_triples(name))
+
+    def test_q5_pairs_match_loop(self):
+        assert_matches_loop(gen_hypercube(5), [(8, 25), (16, 31), (0, 3), (0, 15), (0, 30)])
+
+    def test_two_word_states_match_loop(self):
+        # a side of 65 vertices needs two 64-bit words per state; the
+        # involutions are the 65 reflections of the cycle through vertices
+        n = 130
+        g = gen_cycle(n)
+        triples = enumerate_reflection_triples(
+            g, [Automorphism(tuple((2 * a - v) % n for v in range(n))) for a in range(n // 2)])
+        assert_matches_loop(g, [(0, 2)], triples)
+
+    @given(name=st.sampled_from(sorted(LOOP_GRAPHS)), budget=st.integers(1, 50),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_budgets_match_loop(self, name, budget, data):
+        g = LOOP_GRAPHS[name]
+        side = sorted(data.draw(st.sampled_from([s for s in g.bipartition() if len(s) > 1])))
+        pair = data.draw(st.lists(st.sampled_from(side), min_size=2, max_size=2, unique=True))
+        triples = loop_triples(name)
+        assert search_outcome(certify_reflective(g, pair, budget, triples)) == \
+            search_outcome(bf.certify_reflective_loop(g, pair, budget, triples))
+
+    @pytest.mark.parametrize("cells", [
+        lambda triples: triples,           # one state per chunk
+        lambda triples: 3 * triples,       # layers split into chunks of three states
+    ], ids=["one-state", "three-states"])
+    def test_chunk_boundaries_change_nothing(self, monkeypatch, cells):
+        q4, q5 = gen_hypercube(4), gen_hypercube(5)
+        cases = [(q4, pair) for side in q4.bipartition()
+                 for pair in combinations(sorted(side), 2)] + [(q5, (8, 25))]
+        assert_cap_changes_nothing(monkeypatch, cells, cases)
+
+    def test_triple_slices_change_nothing(self, monkeypatch):
+        # a row of triples over the cap is taken in slices, as on K_{1,9}
+        q4 = gen_hypercube(4)
+        cases = [(q4, pair) for side in q4.bipartition() for pair in combinations(sorted(side), 2)
+                 if min(side) in pair]
+        assert_cap_changes_nothing(monkeypatch, lambda triples: triples // 3, cases)
+
+
+def assert_cap_changes_nothing(monkeypatch, cells, cases):
+    """Outcomes under the cap `cells(number of triples)` equal those under
+    the default cap; the cached arrays are rebuilt, so that their digit
+    tables follow the cap too."""
+    triples = {g.n: enumerate_reflection_triples(g) for g, _ in cases}
+    expected = [search_outcome(certify_reflective(g, pair, triples=triples[g.n]))
+                for g, pair in cases]
+    got = []
+    try:
+        for g, pair in cases:
+            monkeypatch.setattr(reflectivity, "_CELL_CAP", cells(len(triples[g.n])))
+            reflectivity._side_moves.cache_clear()
+            got.append(search_outcome(certify_reflective(g, pair, triples=triples[g.n])))
+    finally:
+        reflectivity._side_moves.cache_clear()
+    assert got == expected
