@@ -57,27 +57,24 @@ def parse_graph_spec(spec: str) -> tuple[Graph, EdgeColouring | None]:
         g = gen_complete(3)
         return g, rainbow_colouring(g)
     if low.startswith("q") and low[1:].isdigit():
-        return gen_hypercube(int(low[1:])), None
+        return gen_hypercube(*_spec_args(spec, [low[1:]], int)), None
     name, args = _split_call(low)
     if name in ("hypercube", "cube"):
-        return gen_hypercube(_int1(args, spec)), None
+        return gen_hypercube(*_spec_args(spec, args, int)), None
     if name == "setgraph":
-        ell, k = (int(a) for a in _nargs(args, 2, spec))
-        return gen_set_graph(ell, k), None
+        return gen_set_graph(*_spec_args(spec, args, int, int)), None
     if name == "random":
-        n_s, p_s, seed_s = _nargs(args, 3, spec)
-        return gen_random(int(n_s), parse_fraction(p_s), int(seed_s)), None
+        return gen_random(*_spec_args(spec, args, int, parse_fraction, int)), None
     if name in ("clique", "complete"):
-        return gen_complete(_int1(args, spec)), None
+        return gen_complete(*_spec_args(spec, args, int)), None
     if name == "cycle":
-        return gen_cycle(_int1(args, spec)), None
+        return gen_cycle(*_spec_args(spec, args, int)), None
     if name in ("clique-union", "cliqueunion"):
-        size, count = (int(a) for a in _nargs(args, 2, spec))
-        return gen_clique_union(size, count), None
+        return gen_clique_union(*_spec_args(spec, args, int, int)), None
     if name in ("cycle-blowup", "blowup"):
-        return gen_cycle_blowup(_int1(args, spec)), None
+        return gen_cycle_blowup(*_spec_args(spec, args, int)), None
     if name in ("direction-cube", "direction-coloured-cube"):
-        return direction_colouring(_int1(args, spec))
+        return direction_colouring(*_spec_args(spec, args, int))
     raise GraphError(f"unrecognised graph spec {spec!r}")
 
 
@@ -92,14 +89,19 @@ def _split_call(spec: str) -> tuple[str, list[str]]:
     return spec, []
 
 
-def _nargs(args: list[str], n: int, spec: str) -> list[str]:
-    if len(args) != n:
-        raise GraphError(f"spec {spec!r} needs {n} arguments")
-    return args
-
-
-def _int1(args: list[str], spec: str) -> int:
-    return int(_nargs(args, 1, spec)[0])
+def _spec_args(spec: str, args: list[str], *kinds) -> list:
+    """The arguments of `spec`, each read by its entry of `kinds` (int or
+    parse_fraction); a wrong count or an argument it cannot read raises
+    GraphError."""
+    if len(args) != len(kinds):
+        raise GraphError(f"spec {spec!r} needs {len(kinds)} arguments")
+    values = []
+    for kind, arg in zip(kinds, args):
+        try:
+            values.append(kind(arg))
+        except ValueError:
+            raise GraphError(f"spec {spec!r} has a malformed argument {arg!r}") from None
+    return values
 
 
 def resolve_colouring(g: Graph, spec: str | None,
@@ -116,7 +118,7 @@ def resolve_colouring(g: Graph, spec: str | None,
         return rainbow_colouring(g)
     name, args = _split_call(low)
     if name == "greedy":
-        return greedy_proper_colouring(g, int(args[0]) if args else seed)
+        return greedy_proper_colouring(g, _spec_args(spec, args, int)[0] if args else seed)
     if os.path.exists(spec):
         return read_colouring(g, spec)
     raise GraphError(f"unrecognised colouring spec {spec!r}")

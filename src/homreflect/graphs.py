@@ -75,16 +75,7 @@ class Graph:
         return sum(len(s) for s in self.adj) // 2
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self.adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return len(self.components()) <= 1
 
     def components(self, removed: frozenset[int] = frozenset()) -> list[frozenset[int]]:
         """Connected components of the graph with the `removed` vertices deleted."""
@@ -158,18 +149,7 @@ def make_graph(n: int, edges, labels=None) -> Graph:
             raise GraphError(f"self-loop at vertex {u}")
         adj[u].add(v)
         adj[v].add(u)
-    g = Graph(n, tuple(frozenset(s) for s in adj), labels)
-    _check_invariants(g)
-    return g
-
-
-def _check_invariants(g: Graph) -> None:
-    for u in range(g.n):
-        if u in g.adj[u]:
-            raise GraphError(f"self-loop at vertex {u}")
-        for v in g.adj[u]:
-            if u not in g.adj[v]:
-                raise GraphError(f"asymmetric adjacency at ({u},{v})")
+    return Graph(n, tuple(frozenset(s) for s in adj), labels)
 
 
 # ---------------------------------------------------------------------------

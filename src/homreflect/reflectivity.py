@@ -22,7 +22,7 @@ import numpy as np
 
 from .automorphisms import (Automorphism, enumerate_involutions, find_automorphism, identity,
                            is_automorphism)
-from .graphs import CapabilityError, Graph, GraphError, _mask, gen_hypercube, gen_set_graph
+from .graphs import CapabilityError, Graph, GraphError, gen_hypercube, gen_set_graph
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -277,89 +277,76 @@ _CELL_CAP = 1 << 14
 
 
 class _SideMoves:
-    """The triples as word arrays over one bipartition side.
+    """The triples as 64-bit masks over one bipartition side.
 
-    A state is a subset of the side: a row of `words` 64-bit words, with bit
-    j for the vertex order[j].  Per triple, `keep` is A with F, `need` is B
-    with F, `b` is B (each restricted to the side), and `swap_of` numbers
-    its involution.  An involution of a reflection triple maps each side onto
-    itself, so its image of a state is looked up a digit at a time:
-    tables[k][i << width | d] is the image under involution i of the side
-    bits k*width .. k*width + width - 1 when they read d.  Digits are as
-    wide as _CELL_CAP allows one table to be, and one bit wide at least:
-    like the per-triple rows, the tables then hold O(n) words per involution.
+    A state is a subset of the side: one uint64 with bit j for the vertex
+    order[j].  Per triple, `keep` is A with F, `need` is B with F, `b` is B
+    (each restricted to the side), and `swap_of` numbers its involution.  An
+    involution of a reflection triple maps each side onto itself, so its
+    image of a state is looked up a digit at a time: tables[k][i << width | d]
+    is the image under involution i of the side bits k*width .. k*width +
+    width - 1 when they read d.  Digits are as wide as _CELL_CAP allows one
+    table to be, and one bit wide at least: like the per-triple masks, the
+    tables then hold O(n) words per involution.
     """
 
     def __init__(self, triples: list[ReflectionTriple], side: frozenset[int], n: int):
         self.order = sorted(side)
         size = len(self.order)
-        self.words = -(-size // 64)
-        self.dtype = np.dtype(np.uint64) if self.words == 1 else np.dtype((np.void, 8 * self.words))
-        bits = [0] * n
-        position = np.full(n, -1, dtype=np.intp)
-        for j, v in enumerate(self.order):
-            bits[v] = 1 << j
-            position[v] = j
+        self.bit = {v: 1 << j for j, v in enumerate(self.order)}
         swaps: dict[tuple[int, ...], int] = {}
         self.swap_of = np.fromiter((swaps.setdefault(t.swap.perm, len(swaps)) for t in triples),
                                    dtype=np.intp, count=len(triples))
         perms = np.array(list(swaps), dtype=np.intp).reshape(len(swaps), n)
-        images = position[perms[:, self.order]]
+        position = np.zeros(n, dtype=np.uint64)
+        position[self.order] = np.arange(size, dtype=np.uint64)
+        one_bit = np.uint64(1) << position[perms[:, self.order]]
 
-        self.width = next((w for w in (8, 4, 2) if len(swaps) * self.words << w <= _CELL_CAP), 1)
-        one_bit = np.zeros((len(swaps), size, self.words), dtype=np.uint64)
-        one_bit[np.arange(len(swaps))[:, None], np.arange(size), images // 64] = \
-            np.uint64(1) << (images % 64).astype(np.uint64)
+        self.width = next((w for w in (8, 4, 2) if len(swaps) << w <= _CELL_CAP), 1)
         self.tables = []
         for low in range(0, size, self.width):
-            table = np.zeros((len(swaps), 1 << self.width, self.words), dtype=np.uint64)
+            table = np.zeros((len(swaps), 1 << self.width), dtype=np.uint64)
             # the values with this bit set: the value without it, plus its image
             for bit in range(min(self.width, size - low)):
                 table[:, 1 << bit:2 << bit] = table[:, :1 << bit] | one_bit[:, low + bit, None]
-            self.tables.append(table.reshape(len(swaps) << self.width, self.words))
+            self.tables.append(table.ravel())
 
-        a = self.rows(sum(map(bits.__getitem__, t.side_a)) for t in triples)
+        a = np.array([self.mask(t.side_a) for t in triples], dtype=np.uint64)
         self.b = self.image(a, self.swap_of)
-        fixed = self.rows([(1 << size) - 1]) ^ a ^ self.b
+        fixed = np.uint64(self.mask(self.order)) ^ a ^ self.b
         self.keep, self.need = a | fixed, self.b | fixed
 
-    def rows(self, masks) -> np.ndarray:
-        """Bitmasks over the side as rows of words."""
-        raw = b"".join(m.to_bytes(8 * self.words, "little") for m in masks)
-        return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, self.words)
+    def mask(self, vertices) -> int:
+        """The state of the members of `vertices` that lie on the side."""
+        return sum(self.bit.get(v, 0) for v in vertices)
 
-    def state(self, vertices) -> np.ndarray:
-        """The subset `vertices` of the side as a one-element array of keys."""
-        return self.rows([_mask(self.order.index(v) for v in vertices)]).view(self.dtype)[:, 0]
-
-    def vertices(self, key) -> frozenset[int]:
-        """The vertices of the state with key `key`."""
-        mask = int.from_bytes(np.atleast_1d(key).view("<u8").tobytes(), "little")
-        return frozenset(v for j, v in enumerate(self.order) if mask >> j & 1)
+    def vertices(self, state) -> frozenset[int]:
+        """The vertices of `state`."""
+        state = int(state)
+        return frozenset(v for j, v in enumerate(self.order) if state >> j & 1)
 
     def image(self, states: np.ndarray, swaps: np.ndarray) -> np.ndarray:
-        """phi(s) for each state row of `states` under the involution
-        numbered in `swaps`, which broadcasts against states[..., 0]."""
+        """phi(s) for each of `states` under the involution numbered in
+        `swaps`, which broadcasts against `states`."""
         out = 0
         for k, table in enumerate(self.tables):
-            word, shift = divmod(k * self.width, 64)
-            digit = states[..., word] >> np.uint64(shift) & np.uint64((1 << self.width) - 1)
+            digit = states >> np.uint64(k * self.width) & np.uint64((1 << self.width) - 1)
             out = out | table[swaps << self.width | digit.astype(np.intp)]
         return out
 
     def expand(self, states: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The successors of every state under every triple lo .. hi-1, as a
-        (state, triple, word) array, and which of them count: admissible
-        for the triple and different from the state."""
-        cells = len(states) * (hi - lo) * self.words
+        (state, triple) array, and which of them count: admissible for the
+        triple and different from the state."""
+        cells = len(states) * (hi - lo)
         if cells > _CELL_CAP:
             raise CapabilityError(f"certificate search array of {cells} words exceeds the cap "
                                   f"{_CELL_CAP}")
-        here = states[:, None, :]
+        here = states[:, None]
         kept = here & self.keep[lo:hi]
-        ok = kept.any(2) & (here & self.need[lo:hi]).any(2)
+        ok = (kept != 0) & (here & self.need[lo:hi] != 0)
         succ = kept | (self.image(here, self.swap_of[lo:hi]) & self.b[lo:hi])
-        ok &= (succ != here).any(2)
+        ok &= succ != here
         return succ, ok
 
 
@@ -391,7 +378,8 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
 
     States are constraint sets and `budget` counts the states taken off the
     queue.  No certificate within budget yields an unknown outcome, never a
-    negative one.
+    negative one.  A state is held in one 64-bit word, so a start whose side
+    has more than 64 vertices raises CapabilityError.
 
     The search expands a layer a chunk of states at a time: every (state,
     triple) successor of the chunk is computed at once (`_SideMoves`), and
@@ -411,14 +399,17 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
     side = parts[0] if r0 <= parts[0] else parts[1] if r0 <= parts[1] else None
     if side is None:
         raise GraphError("starting set must lie inside one bipartition side")
+    if len(side) > 64:
+        raise CapabilityError(f"certificate search holds a state in one 64-bit word; the start's "
+                              f"side has {len(side)} vertices, over the limit of 64")
     if triples is None:
         triples = enumerate_reflection_triples(h)
 
     moves = _side_moves(tuple(triples), side, h.n)
-    chain, visited = _layered_search(moves, moves.state(r0), budget)
+    chain, visited = _layered_search(moves, moves.mask(r0), budget)
     if chain is None:
         return ReflectivitySearch(None, visited, visited > budget)
-    steps = tuple(CertificateStep(triples[idx], moves.vertices(key)) for idx, key in chain)
+    steps = tuple(CertificateStep(triples[idx], moves.vertices(state)) for idx, state in chain)
     cert = ReflectionCertificate(r0, side, steps)
     ok, rep = verify_certificate(h, cert)
     if not ok:
@@ -426,28 +417,28 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
     return ReflectivitySearch(cert, visited, False)
 
 
-def _layered_search(moves: _SideMoves, start: np.ndarray, budget: int):
-    """Breadth-first search from the state key `start` to the full side.
+def _layered_search(moves: _SideMoves, start: int, budget: int):
+    """Breadth-first search from the state `start` to the full side.
 
-    Returns the chain as (triple index, state key) pairs, or None, and the
+    Returns the chain as (triple index, state) pairs, or None, and the
     number of states taken off the queue: budget + 1 when the budget ran
     out.  Chunks take at most `budget` states, and a chunk of one state
     takes the triples in slices when a row of them exceeds _CELL_CAP; either
     way the cells are met in row-major order."""
-    target = moves.state(moves.order)
-    if start[0] == target[0]:
+    target = np.uint64(moves.mask(moves.order))
+    if start == target:
         return [], 0
     count = len(moves.swap_of)
-    rows = max(1, _CELL_CAP // max(1, count * moves.words))
-    span = max(1, min(count, _CELL_CAP // moves.words))
-    # Layer l: its states' keys, each one's parent as an index into layer
-    # l-1, and the triple that reached it.
-    layers = [(start, None, None)]
-    seen = [start]
+    rows = max(1, _CELL_CAP // max(1, count))
+    span = max(1, min(count, _CELL_CAP))
+    # Layer l: its states, each one's parent as an index into layer l-1, and
+    # the triple that reached it.
+    layers = [(np.array([start], dtype=np.uint64), None, None)]
+    seen = [layers[0][0]]
     visited = 0
     while len(layers[-1][0]):
-        frontier = layers[-1][0].view(np.uint64).reshape(-1, moves.words)
-        keys_out = [np.empty(0, moves.dtype)]
+        frontier = layers[-1][0]
+        states_out = [np.empty(0, np.uint64)]
         parents_out, via_out = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
         hi = 0
         while hi < len(frontier):
@@ -457,25 +448,25 @@ def _layered_search(moves: _SideMoves, start: np.ndarray, budget: int):
             for t_lo in range(0, count, span):
                 width = min(span, count - t_lo)
                 succ, ok = moves.expand(frontier[lo:hi], t_lo, t_lo + width)
-                keys = succ.view(moves.dtype)[..., 0].ravel()
+                succ = succ.ravel()
                 cells = np.flatnonzero(ok)
-                hit = cells[keys[cells] == target[0]]
+                hit = cells[succ[cells] == target]
                 if hit.size:
                     row, col = divmod(int(hit[0]), width)
-                    chain, at = [(t_lo + col, target[0])], lo + row
-                    for layer_keys, parents, via in reversed(layers[1:]):
-                        chain.append((via[at], layer_keys[at]))
+                    chain, at = [(t_lo + col, target)], lo + row
+                    for states, parents, via in reversed(layers[1:]):
+                        chain.append((via[at], states[at]))
                         at = parents[at]
                     return chain[::-1], visited + row + 1
                 if cells.size:
-                    fresh, first = _first_new(keys[cells], cells, seen)
+                    fresh, first = _first_new(succ[cells], cells, seen)
                     order = np.argsort(first)
                     first = first[order]
-                    keys_out.append(fresh[order])
+                    states_out.append(fresh[order])
                     parents_out.append(lo + first // width)
                     via_out.append(t_lo + first % width)
             visited += hi - lo
-        layers.append((np.concatenate(keys_out), np.concatenate(parents_out),
+        layers.append((np.concatenate(states_out), np.concatenate(parents_out),
                        np.concatenate(via_out)))
     return None, visited
 

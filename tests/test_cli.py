@@ -422,6 +422,22 @@ class TestSizeCaps:
         assert f"capped at {VERTEX_CAP} vertices" in capsys.readouterr().err
 
 
+class TestSpecErrors:
+    @pytest.mark.parametrize("argv", [
+        ["homcount", "--pattern", "q3", "--host", "random(x,1/2,1)"],
+        ["homcount", "--pattern", "q3", "--host", "random(5,x,1)"],
+        ["certify", "--graph", "setgraph(1,)"],
+        ["h2k", "--host", "hypercube(3)", "--k", "1", "--patterns", "--colouring", "greedy(x)"],
+    ], ids=["random-size", "random-density", "setgraph-empty", "greedy-seed"])
+    def test_malformed_argument_exit_one(self, tmp_path, argv):
+        src = str(Path(homreflect.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-m", "homreflect.cli", *argv], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60,
+                             env={"PYTHONPATH": src, "PATH": ""})
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.startswith("error: spec ") and "Traceback" not in out.stderr
+
+
 class TestWorkCap:
     """hom_count plans its elimination from the pattern alone and refuses,
     before any array is built, when n^(|C| + 2) > 3*10^8 for the |C|

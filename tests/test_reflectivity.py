@@ -13,6 +13,7 @@ import bruteforce as bf
 from test_automorphisms import decorated_c12
 from homreflect import (
     Automorphism,
+    CapabilityError,
     CertificateStep,
     GraphError,
     ReflectionCertificate,
@@ -727,14 +728,22 @@ class TestLayeredSearch:
     def test_q5_pairs_match_loop(self):
         assert_matches_loop(gen_hypercube(5), [(8, 25), (16, 31), (0, 3), (0, 15), (0, 30)])
 
-    def test_two_word_states_match_loop(self):
-        # a side of 65 vertices needs two 64-bit words per state; the
-        # involutions are the 65 reflections of the cycle through vertices
-        n = 130
-        g = gen_cycle(n)
-        triples = enumerate_reflection_triples(
-            g, [Automorphism(tuple((2 * a - v) % n for v in range(n))) for a in range(n // 2)])
-        assert_matches_loop(g, [(0, 2)], triples)
+    def test_side_of_64_matches_loop(self):
+        # a side of 64 vertices fills the state word; the involutions are
+        # the 64 reflections of the cycle through vertices
+        assert_matches_loop(gen_cycle(128), [(0, 2)], cycle_reflection_triples(128))
+
+    def test_q7_side_matches_loop(self):
+        # Q7's sides have 64 vertices; its explicit chain's triples suffice
+        triples = sorted({st.triple for st in hypercube_reflection_chain(7, (0, 3)).steps},
+                         key=ReflectionTriple.sort_key)
+        res = certify_reflective(gen_hypercube(7), (0, 3), triples=triples)
+        assert (res.states_visited, res.certificate.num_steps) == (11138, 10)
+        assert_matches_loop(gen_hypercube(7), [(0, 3)], triples)
+
+    def test_side_over_64_is_refused(self):
+        with pytest.raises(CapabilityError, match="65 vertices, over the limit of 64"):
+            certify_reflective(gen_cycle(130), (0, 2), triples=cycle_reflection_triples(130))
 
     @given(name=st.sampled_from(sorted(LOOP_GRAPHS)), budget=st.integers(1, 50),
            data=st.data())
@@ -763,6 +772,12 @@ class TestLayeredSearch:
         cases = [(q4, pair) for side in q4.bipartition() for pair in combinations(sorted(side), 2)
                  if min(side) in pair]
         assert_cap_changes_nothing(monkeypatch, lambda triples: triples // 3, cases)
+
+
+def cycle_reflection_triples(n):
+    """The triples of the n/2 reflections of the n-cycle through vertices."""
+    reflections = [Automorphism(tuple((2 * a - v) % n for v in range(n))) for a in range(n // 2)]
+    return enumerate_reflection_triples(gen_cycle(n), reflections)
 
 
 def assert_cap_changes_nothing(monkeypatch, cells, cases):
