@@ -252,6 +252,8 @@ def cmd_verify(args) -> int:
 
 
 def _verify_reflection_suite(args) -> int:
+    if args.max_sets < 0:
+        raise GraphError(f"--max-sets must be 0 (all) or positive, got {args.max_sets}")
     pattern, _ = parse_graph_spec(args.pattern)
     host, _ = parse_graph_spec(args.host)
     if pattern.bipartition() is None or not pattern.is_connected():
@@ -405,10 +407,10 @@ def cmd_homcount(args) -> int:
         "pattern": args.pattern, "host": args.host,
         "constraint": args.constraint, "injective": args.injective,
     })
-    if args.injective:
-        report["injective_count"] = injective_hom_count(pattern, host)
     constraint = _parse_vertices(args.constraint) if args.constraint else None
     report["count"] = hom_count(pattern, host, constraint)
+    if args.injective:
+        report["injective_count"] = injective_hom_count(pattern, host)
     emit(report, args.format, args.out)
     return EXIT_OK
 

@@ -20,11 +20,11 @@ isomorphism class of a quotient matters, so the weights are summed per
 class, once per pattern, and the kernel runs once per class: 25 counts for
 the 3-cube's 354 partitions.
 
-hom_count memoises its counts per (quotient pattern, host) for the life of
-the process, in one least-recently-used table of _MEMO_SIZE entries, so a
-reflection sweep (`verify section2`) runs the kernel once per distinct
-quotient instead of four times per step; injective counts share the table,
-one entry per class representative.
+hom_count memoises its counts per (quotient vertex count and edge set, host)
+in one least-recently-used table of _MEMO_SIZE entries and builds a pattern
+graph only on a miss, so a reflection sweep (`verify section2`) runs the
+kernel once per distinct quotient instead of four times per step; injective
+counts share the table, one entry per class representative.
 """
 
 from __future__ import annotations
@@ -51,6 +51,12 @@ def quotient_graph(h: Graph, group) -> Graph:
     """Identify the vertices of `group` to one vertex, collapsing parallel
     edges; the group must be independent in H or the quotient would need a
     loop."""
+    return make_graph(*_quotient_key(h.edges(), _blocks(h, group)))
+
+
+def _blocks(h: Graph, group) -> list[int]:
+    """The block of each vertex of H, numbered by their smallest vertex,
+    once the non-empty independent set `group` is one vertex."""
     group = frozenset(group)
     if not group:
         raise GraphError("cannot quotient by an empty set")
@@ -61,14 +67,7 @@ def quotient_graph(h: Graph, group) -> Graph:
             raise GraphError("quotient set is not independent (self-loop would arise)")
     rep = min(group)
     ids: dict[int, int] = {}
-    return _quotient(h, [ids.setdefault(rep if v in group else v, len(ids))
-                         for v in range(h.n)])
-
-
-def _quotient(h: Graph, block_of) -> Graph:
-    """H with vertex v sent to block block_of[v]; blocks are numbered by
-    their smallest vertex and must be independent."""
-    return make_graph(*_quotient_key(h.edges(), block_of))
+    return [ids.setdefault(rep if v in group else v, len(ids)) for v in range(h.n)]
 
 
 def _quotient_key(edges, block_of) -> tuple[int, frozenset]:
@@ -82,17 +81,17 @@ def _quotient_key(edges, block_of) -> tuple[int, frozenset]:
 def hom_count(h: Graph, g: Graph, constraint=None) -> int:
     """Number of homomorphisms H -> G, optionally with every vertex of
     `constraint` forced to a common image.  Counts are memoised per
-    (quotient pattern, host); a CapabilityError is raised again on every
+    (quotient key, host); a CapabilityError is raised again on every
     call, never stored."""
     if h.n > _PATTERN_CAP:
         raise CapabilityError(f"pattern size capped at {_PATTERN_CAP} vertices")
-    if constraint is not None:
-        h = quotient_graph(h, constraint)
-    return _memoised_count(h, g)
+    blocks = range(h.n) if constraint is None else _blocks(h, constraint)
+    return _memoised_count(_quotient_key(h.edges(), blocks), g)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _memoised_count(h: Graph, g: Graph) -> int:
+def _memoised_count(key: tuple[int, frozenset], g: Graph) -> int:
+    h = make_graph(*key)
     plans = [(comp, _plan(h, comp)) for comp in h.components()]
     conditioned = [sum(step[2] for step in steps) for _, steps in plans]
     if g.n ** (max(conditioned, default=0) + 2) > _WORK_CAP:
@@ -228,7 +227,8 @@ def injective_hom_count(h: Graph, g: Graph) -> int:
         raise CapabilityError("injective counting capped at 10 pattern vertices")
     if h.n > g.n:
         return 0
-    return sum(weight * _memoised_count(rep, g) for rep, weight in _quotient_classes(h))
+    return sum(weight * _memoised_count(_quotient_key(rep.edges(), range(rep.n)), g)
+               for rep, weight in _quotient_classes(h))
 
 
 @lru_cache(maxsize=64)

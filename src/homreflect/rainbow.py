@@ -43,8 +43,8 @@ class _WalkEngine:
     T = max(k, 2k - 2): step_trace(2j), j <= k, needs B^j, and
     matched_trace(a, b), a + b = 2k - 2, needs B^a and B^b, B^0 being the
     coincidence of row and column vertices.  It holds those T matrices and
-    at most three temporaries of n^2 cells, a colour class of a proper
-    colouring having at most n oriented edges.
+    at most three temporaries of n^2 cells, a colour class of any colouring
+    being taken in slices of n^2 cells.
 
     Every value it forms is at most n L^2k / delta, delta the minimum
     degree, the bound it hands to Exact.  Every entry is non-negative, so
@@ -108,12 +108,20 @@ class _WalkEngine:
 
     def _colour_total(self, a: int, b: int, xs, ys) -> int:
         """The sum over a colour's oriented edges (x,y), (z,p) of
-        B^a[p,x] B^b[y,z] w[x] w[z]; its blocks are freed on return."""
+        B^a[p,x] B^b[y,z] w[x] w[z].  The m oriented edges (x,y) are taken
+        in slices of at most n^2 / m, so that no block exceeds n^2 cells;
+        a proper colouring's m <= n takes one slice.  Blocks are freed
+        slice by slice."""
         exact = self.exact
         w = self.weights[..., xs]
-        pairs = exact.mul(self._block(a, ys, xs).mT, self._block(b, ys, xs))
-        rows = exact.total(exact.mul(pairs, w[..., None, :]), -1)
-        return exact.to_int(exact.total(exact.mul(rows, w), -1))
+        step = self.g.n ** 2 // len(xs)  # m <= n(n-1): at least 1
+        total = 0
+        for i in range(0, len(xs), step):
+            sx, sy = xs[i:i + step], ys[i:i + step]
+            pairs = exact.mul(self._block(a, ys, sx).mT, self._block(b, sy, xs))
+            rows = exact.total(exact.mul(pairs, w[..., None, :]), -1)
+            total += exact.to_int(exact.total(exact.mul(rows, w[..., i:i + step]), -1))
+        return total
 
     def _block(self, t: int, ys, xs):
         """B^t at rows ys and columns xs."""

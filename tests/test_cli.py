@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from test_reflectivity import comb_graph
 import homreflect
-from homreflect import rainbow, read_colouring, read_edge_list, write_edge_list
+from homreflect import cli, rainbow, read_colouring, read_edge_list, write_edge_list
 from homreflect.cli import main, parse_graph_spec
 from homreflect.graphs import VERTEX_CAP, gen_random
 from homreflect.reflectivity import certify_pairs, certify_reflective, reflectivity_report
@@ -436,6 +436,36 @@ class TestSpecErrors:
                              env={"PYTHONPATH": src, "PATH": ""})
         assert out.returncode == 1, out.stderr
         assert out.stderr.startswith("error: spec ") and "Traceback" not in out.stderr
+
+
+class TestInputsCheckedFirst:
+    """A bad input exits 1 before the command does any counting."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "section2", "--host", "random(6,1/2,1)", "--max-sets", "-1"],
+        ["homcount", "--pattern", "q3", "--host", "random(8,1/2,1)", "--injective",
+         "--constraint", "0,x"],
+    ], ids=["negative-max-sets", "unreadable-constraint"])
+    def test_exit_one_without_traceback(self, tmp_path, argv):
+        src = str(Path(homreflect.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-m", "homreflect.cli", *argv], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60,
+                             env={"PYTHONPATH": src, "PATH": ""})
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+        assert out.stdout == ""
+
+    @pytest.mark.parametrize("constraint", ["0,x", "0,1"], ids=["unreadable", "dependent"])
+    def test_bad_constraint_skips_injective_count(self, tmp_path, capsys, monkeypatch,
+                                                  constraint):
+        def never(h, g):
+            raise AssertionError("injective count run before the constraint was checked")
+
+        monkeypatch.setattr(cli, "injective_hom_count", never)
+        code, body = run(tmp_path, "homcount", "--pattern", "q3", "--host", "random(8,1/2,1)",
+                         "--injective", "--constraint", constraint)
+        assert (code, body) == (1, b"")
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestWorkCap:

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 import bruteforce as bf
-from homreflect import (CapabilityError, coincidence_table, cycle_weight_sum, exact,
-                        gen_complete, gen_cycle, gen_random, greedy_proper_colouring,
+from homreflect import (CapabilityError, EdgeColouring, coincidence_table, cycle_weight_sum,
+                        exact, gen_complete, gen_cycle, gen_random, greedy_proper_colouring,
                         hom_count, homcount, rainbow)
 from homreflect.exact import Exact
 
@@ -106,6 +106,20 @@ class TestCellCap:
             rainbow._last_engine.clear()
             cycle_weight_sum(g, 3)
             coincidence_table(g, col, 3)
+            rainbow._last_engine.clear()
+
+        cells, peak = self._declared_and_peak(monkeypatch, rainbow, run)
+        assert peak <= 8 * cells + SLACK
+
+    def test_walk_engine_one_colour_holds_what_it_declares(self, monkeypatch):
+        # one colour class of K40 has 1560 oriented edges, more than the
+        # 40 rows of the matrices the engine declares
+        g = gen_complete(40)
+        col = EdgeColouring({e: 0 for e in g.edges()}, proper=False)
+
+        def run():
+            rainbow._last_engine.clear()
+            coincidence_table(g, col, 2)
             rainbow._last_engine.clear()
 
         cells, peak = self._declared_and_peak(monkeypatch, rainbow, run)

@@ -169,7 +169,7 @@ def _sweep_sets(h):
 
 
 class TestMemo:
-    """hom_count memoises per (quotient pattern, host), compared as graphs."""
+    """hom_count memoises per (quotient vertex count and edge set, host)."""
 
     @pytest.mark.parametrize("pattern", [gen_hypercube(3), gen_set_graph(1, 4)],
                              ids=["q3", "setgraph-1-4"])
@@ -192,6 +192,24 @@ class TestMemo:
         assert [hom_count(pattern, g, r) for r in sets] == expected
         warm = _memoised_count.cache_info()
         assert (warm.misses, warm.hits) == (23, 7 + 30)
+
+    def test_pattern_graph_built_only_on_a_miss(self, monkeypatch):
+        built = []
+
+        def spy(n, edges, labels=None):
+            built.append(n)
+            return make_graph(n, edges, labels)
+
+        monkeypatch.setattr(homcount, "make_graph", spy)
+        q3 = gen_hypercube(3)
+        g = gen_random(5, Fraction(1, 2), 5)
+        sets = _sweep_sets(q3)
+        _memoised_count.cache_clear()
+        cold = [hom_count(q3, g, r) for r in sets]
+        assert len(built) == 23
+        built.clear()
+        assert [hom_count(q3, g, r) for r in sets] == cold
+        assert built == []
 
     def test_sets_with_one_quotient_share_an_entry(self):
         q3 = gen_hypercube(3)
@@ -441,7 +459,7 @@ class TestQuotientClasses:
         def conditioned(q):
             return max((sum(step[2] for step in homcount._plan(q, comp))
                         for comp in q.components()), default=0)
-        labelled = {homcount._quotient(h, block_of)
+        labelled = {make_graph(*homcount._quotient_key(h.edges(), block_of))
                     for block_of, _ in homcount._independent_partitions(h)}
         assert max(conditioned(rep) for rep, _ in homcount._quotient_classes(h)) == \
             max(conditioned(q) for q in labelled)

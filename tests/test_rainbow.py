@@ -132,6 +132,24 @@ class TestWalkEngineDtype:
                                                           colouring=col), (k, i, j)
         rainbow._last_engine.clear()
 
+    @pytest.mark.parametrize("plain_limit", [exact._PLAIN_LIMIT, 2], ids=["float64", "residues"])
+    def test_improper_colourings_match_oracle(self, monkeypatch, plain_limit):
+        """One colour puts all 2e > n oriented edges in one class, which the
+        engine then takes in slices of n^2 / 2e edges; a random two-colouring
+        gives two such classes of unequal size."""
+        monkeypatch.setattr(exact, "_PLAIN_LIMIT", plain_limit)
+        rainbow._last_engine.clear()
+        g = random_host_with_degrees(7, 3, 5, 3)
+        assert 2 * g.edge_count() > g.n
+        rng = random.Random(3)
+        for col in (EdgeColouring({e: 0 for e in g.edges()}, proper=False),
+                    EdgeColouring({e: rng.randrange(2) for e in g.edges()}, proper=False)):
+            for k in (1, 2):
+                for (i, j), value in coincidence_table(g, col, k).items():
+                    assert value == bf.closed_walk_weight_sum(g, 2 * k, colour_match=(i, j),
+                                                              colouring=col), (k, i, j)
+        rainbow._last_engine.clear()
+
     def test_irregular_host_past_64_vertices_matches_integer_oracle(self):
         # the former Python-integer engine refused hosts over 64 vertices
         g = gen_random(65, Fraction(1, 2), 1)
