@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CapabilityError, Graph
+from .graphs import CapabilityError, Graph, _mask
 
 _VERTEX_CAP = 32
 # Twin vertices multiply involutions like those of a symmetric group (the
 # star K_{1,k} has 9495 at k = 10 and 568503 at k = 13), and the triple and
 # certificate searches grow with them; 4096 leaves room above every pattern
 # the documentation, tests and benchmark use (at most 463, on setgraph(1,7)
-# and cycle-blowup(8)).
+# and cycle-blowup(8)).  The cap counts the involutions a search keeps: all
+# of them for `enumerate_involutions`, only those passing the carrying test
+# when triples alone are wanted (setgraph(1,10): 18991 and 46).
 _INVOLUTION_CAP = 4096
 
 
@@ -104,9 +106,16 @@ def _backtrack(h: Graph, candidates: list[list[int]], first_only: bool,
     Vertices are placed in the edge-grown order.  An image w is consistent
     for v when w is unused and its neighbours among the used images are
     exactly the images of v's placed neighbours, so a complete placement
-    maps edges onto edges.
+    maps edges onto edges.  A consistent w is therefore adjacent to the
+    image of v's first placed neighbour u, and only the neighbours of
+    image[u] that are candidates of v are tried, in ascending order, as
+    the candidates themselves are: the same placements are met in the same
+    order (McKay & Piperno, "Practical graph isomorphism II", 2014).
     """
-    image_mask = (target or h).nbr_mask
+    image_graph = target or h
+    image_mask = image_graph.nbr_mask
+    image_nbrs = [sorted(nbrs) for nbrs in image_graph.adj]
+    allowed = [_mask(c) for c in candidates]
     order = _placement_order(h, candidates)
     placed_nbrs = [[u for u in order[:i] if u in h.adj[v]] for i, v in enumerate(order)]
     image = [-1] * h.n
@@ -120,8 +129,9 @@ def _backtrack(h: Graph, candidates: list[list[int]], first_only: bool,
         want = 0
         for u in placed_nbrs[i]:
             want |= 1 << image[u]
-        for w in candidates[v]:
-            if not used >> w & 1 and image_mask[w] & used == want:
+        tries = image_nbrs[image[placed_nbrs[i][0]]] if placed_nbrs[i] else candidates[v]
+        for w in tries:
+            if allowed[v] >> w & 1 and not used >> w & 1 and image_mask[w] & used == want:
                 image[v] = w
                 if extend(i + 1, used | 1 << w):
                     return True
@@ -158,30 +168,43 @@ def find_isomorphism(h: Graph, g: Graph) -> tuple[int, ...] | None:
 
 def enumerate_involutions(h: Graph) -> list[Automorphism]:
     """All non-identity automorphisms equal to their own inverse, sorted by
-    image array, found without building the group.
+    image array, found without building the group.  More than
+    _INVOLUTION_CAP of them raise CapabilityError as soon as the search
+    finds one too many."""
+    return _involutions(h, carrying_only=False)
+
+
+def _involutions(h: Graph, carrying_only: bool) -> list[Automorphism]:
+    """The involutions of `enumerate_involutions`, or, with `carrying_only`,
+    those of them that pass a test every involution carrying a reflection
+    triple passes; the cap counts the involutions kept.
 
     Backtracking as for the group, but placing v -> w also places w -> v,
     and a vertex placed that way is skipped when its turn comes.  Placed
-    vertices and their images are then the same set P, so a placement is
-    consistent when v's neighbours in P map onto w's neighbours in P and
-    w's neighbours in P map onto v's.  More than _INVOLUTION_CAP of them
-    raise CapabilityError as soon as the search finds one too many.
+    vertices and their images are then the same set P, and the image map
+    is an involution of P.  A placement is consistent when v's neighbours
+    in P map onto w's neighbours in P; that w's map onto v's follows by
+    applying the involution, so a consistent w is adjacent to the image of
+    every placed neighbour of v.  Only neighbours of the image of v's least
+    placed neighbour are tried, in ascending order: as in `_backtrack`, the
+    placements and their order are those of trying every candidate.
+
+    The test: if phi carries a triple, no moved vertex x is adjacent to
+    phi(x) or to phi(y) for a moved neighbour y, since x and y lie in one
+    component C of H - F and phi(x), phi(y) in phi(C), another one.  As
+    x ~ phi(y) exactly when y ~ phi(x), placing a moved pair {v, w} checks
+    that v and w are not adjacent and have no moved common neighbour; every
+    offending pair is met that way once both of its pairs are placed.
     """
     candidates = _candidates(h)
     nbr_mask = h.nbr_mask
+    nbrs = [sorted(adj) for adj in h.adj]
+    allowed = [_mask(c) for c in candidates]
     order = _placement_order(h, candidates)
     image = [-1] * h.n
     found: list[tuple[int, ...]] = []
 
-    def placed_image(v: int, placed: int) -> int:
-        """The images of v's placed neighbours, as a mask."""
-        out = 0
-        for u in h.adj[v]:
-            if placed >> u & 1:
-                out |= 1 << image[u]
-        return out
-
-    def extend(i: int, placed: int) -> None:
+    def extend(i: int, placed: int, moved: int) -> None:
         while i < h.n and placed >> order[i] & 1:
             i += 1
         if i == h.n:
@@ -191,14 +214,22 @@ def enumerate_involutions(h: Graph) -> list[Automorphism]:
                                       "involutions")
             return
         v = order[i]
-        want = placed_image(v, placed)
-        for w in candidates[v]:
-            if placed >> w & 1 or nbr_mask[w] & placed != want or \
-                    w != v and nbr_mask[v] & placed != placed_image(w, placed):
+        want, anchor = 0, -1
+        for u in nbrs[v]:
+            if placed >> u & 1:
+                want |= 1 << image[u]
+                if anchor < 0:
+                    anchor = u
+        for w in candidates[v] if anchor < 0 else nbrs[image[anchor]]:
+            if not allowed[v] >> w & 1 or placed >> w & 1 or nbr_mask[w] & placed != want:
+                continue
+            if carrying_only and w != v and (nbr_mask[v] >> w & 1 or
+                                             nbr_mask[v] & nbr_mask[w] & moved):
                 continue
             image[v], image[w] = w, v
-            extend(i + 1, placed | 1 << v | 1 << w)
+            pair = 1 << v | 1 << w
+            extend(i + 1, placed | pair, moved if w == v else moved | pair)
 
-    extend(0, 0)
+    extend(0, 0, 0)
     ident = tuple(range(h.n))
     return [Automorphism(p) for p in sorted(found) if p != ident]

@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checks ran and every unconditional one held; 1 input
 error; 2 an unconditional invariant failed (an implementation bug, not a
-property of the inputs); 3 a search budget ran out.  Reports carry exact
+property of the inputs); 3 a search ended without an answer: its budget
+ran out, or a certificate search met every set it can reach without a
+full side, which leaves reflectivity unknown.  Reports carry exact
 values as num/den strings and are byte-identical across reruns with the
 same inputs; wall-clock timing goes to stderr only.
 """
@@ -142,8 +144,13 @@ def base_report(command: str, params: dict) -> dict:
 
 
 def _parse_vertices(text: str) -> list[int]:
+    """Vertices separated by commas or spaces; an empty item between
+    commas is an error."""
+    items = text.split(",")
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        if not all(item.strip() for item in items):
+            raise ValueError("empty item")
+        return [int(tok) for item in items for tok in item.split()]
     except ValueError:
         raise GraphError(f"bad vertex list {text!r}") from None
 

@@ -20,8 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .automorphisms import (Automorphism, enumerate_involutions, find_automorphism, identity,
-                           is_automorphism)
+from .automorphisms import (_INVOLUTION_CAP, Automorphism, _involutions, enumerate_involutions,
+                           find_automorphism, identity, is_automorphism)
 from .graphs import CapabilityError, Graph, GraphError, gen_hypercube, gen_set_graph
 
 DEFAULT_BUDGET = 10 ** 6
@@ -46,20 +46,46 @@ class ReflectionTriple:
 
 def verify_reflection_triple(h: Graph, a, b, phi: Automorphism) -> tuple[bool, str | None]:
     """Check the four triple conditions; on failure name the first violated one."""
-    if not is_automorphism(h, phi.perm):
+    why = _triple_failure(h, ReflectionTriple(frozenset(a), frozenset(b), phi))
+    return why is None, why
+
+
+# One swap map serves several triples, and one triple many certificate
+# steps (the mapped certificates of `certify_pairs` repeat them), so both
+# checks are memoised by content.  A command meets at most _INVOLUTION_CAP
+# swap maps, as conjugates of involutions are involutions.
+@lru_cache(maxsize=_INVOLUTION_CAP)
+def _swap_fixed_set(h: Graph, perm: tuple[int, ...]) -> frozenset[int] | None:
+    """The fixed set of perm when it is a non-identity involution of H, and
+    None for any other automorphism; GraphError when it is not one."""
+    if not is_automorphism(h, perm):
         raise GraphError("phi is not an automorphism of the pattern")
-    a, b = frozenset(a), frozenset(b)
+    phi = Automorphism(perm)
     if not phi.is_involution or phi.is_identity:
-        return False, "swap map is not a non-identity involution"
-    fixed = phi.fixed_set()
+        return None
+    return phi.fixed_set()
+
+
+@lru_cache(maxsize=_INVOLUTION_CAP)
+def _triple_failure(h: Graph, t: ReflectionTriple) -> str | None:
+    fixed = _swap_fixed_set(h, t.swap.perm)
+    if fixed is None:
+        return "swap map is not a non-identity involution"
+    return _sides_failure(h, t, fixed)
+
+
+def _sides_failure(h: Graph, t: ReflectionTriple, fixed: frozenset[int]) -> str | None:
+    """The first condition on A and B that the triple violates, given the
+    fixed set of its swap map."""
+    a, b = t.side_a, t.side_b
     if a | b | fixed != frozenset(range(h.n)) or (a & b) or (a & fixed) or (b & fixed):
-        return False, "A, B and the fixed set do not partition the vertices"
+        return "A, B and the fixed set do not partition the vertices"
     for u in a:
         if h.adj[u] & b:
-            return False, "an edge joins A and B"
-    if phi.apply_set(a) != b:
-        return False, "swap map does not carry A onto B"
-    return True, None
+            return "an edge joins A and B"
+    if t.swap.apply_set(a) != b:
+        return "swap map does not carry A onto B"
+    return None
 
 
 def enumerate_reflection_triples(h: Graph,
@@ -67,13 +93,16 @@ def enumerate_reflection_triples(h: Graph,
                                  ) -> list[ReflectionTriple]:
     """All reflection triples of H, both orientations of each component pairing.
 
-    For each involution (`involutions`, when given, must be all of them):
-    remove its fixed set, take connected components, and demand the
-    involution move every component; each way of assigning the component
-    pairs to the two sides yields one triple.
+    For each involution (`involutions`; by default those that pass the
+    involution search's carrying test, as every involution carrying a
+    triple does): remove its fixed set, take connected components, and
+    demand the involution move every component; each way of assigning the
+    component pairs to the two sides yields one triple.  The swap map of
+    an involution that yields triples is checked once, the sides once per
+    triple.
     """
     if involutions is None:
-        involutions = enumerate_involutions(h)
+        involutions = _involutions(h, carrying_only=True)
     triples: list[ReflectionTriple] = []
     for phi in involutions:
         comps = h.components(removed=phi.fixed_set())
@@ -92,6 +121,10 @@ def enumerate_reflection_triples(h: Graph,
             seen.add(img)
         if not ok or not pairs:
             continue
+        fixed = _swap_fixed_set(h, phi.perm)
+        if fixed is None:
+            raise AssertionError("enumerated triple fails validation: swap map is not a "
+                                 "non-identity involution")
         for assign in range(1 << len(pairs)):
             a: set[int] = set()
             b: set[int] = set()
@@ -103,8 +136,8 @@ def enumerate_reflection_triples(h: Graph,
                     a |= left
                     b |= right
             triple = ReflectionTriple(frozenset(a), frozenset(b), phi)
-            good, why = verify_reflection_triple(h, triple.side_a, triple.side_b, phi)
-            if not good:
+            why = _sides_failure(h, triple, fixed)
+            if why is not None:
                 raise AssertionError(f"enumerated triple fails validation: {why}")
             triples.append(triple)
     triples.sort(key=ReflectionTriple.sort_key)
@@ -211,11 +244,13 @@ def verify_certificate(h: Graph, cert: ReflectionCertificate) -> tuple[bool, lis
 
 
 def _conjugate_triple(t: ReflectionTriple, sigma: Automorphism) -> ReflectionTriple:
-    return ReflectionTriple(
-        sigma.apply_set(t.side_a),
-        sigma.apply_set(t.side_b),
-        sigma.compose(t.swap).compose(sigma.inverse()),
-    )
+    """(sigma(A), sigma(B), sigma phi sigma^-1), which sends sigma(v) to
+    sigma(phi(v))."""
+    swap = [0] * len(sigma.perm)
+    for v, w in enumerate(t.swap.perm):
+        swap[sigma.perm[v]] = sigma.perm[w]
+    return ReflectionTriple(sigma.apply_set(t.side_a), sigma.apply_set(t.side_b),
+                            Automorphism(tuple(swap)))
 
 
 def conjugate_certificate(cert: ReflectionCertificate,

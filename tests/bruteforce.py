@@ -8,6 +8,10 @@ the same partitions, and cycle weights enumerate closed walks one by one.
 The certificate search oracle is the package's former search, one
 breadth-first loop over (state, triple) pairs, kept verbatim: the layered
 search must match its states_visited, budget_exhausted and chain exactly.
+Likewise the isomorphism and involution searches keep their former loops,
+which try every candidate image rather than only the neighbours of a
+placed neighbour's image: the anchored searches must find the same maps in
+the same order and refuse at the same point.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from itertools import permutations, product
 from math import factorial, lcm, perm as falling_factorial
 from operator import mul
 
-from homreflect.graphs import Graph, GraphError, _mask
+from homreflect.automorphisms import (_INVOLUTION_CAP, Automorphism, _candidates,
+                                      _placement_order)
+from homreflect.graphs import CapabilityError, Graph, GraphError, _mask
 from homreflect.reflectivity import (DEFAULT_BUDGET, CertificateStep, ReflectionCertificate,
                                      ReflectionTriple, ReflectivitySearch,
                                      enumerate_reflection_triples, verify_certificate)
@@ -341,3 +347,88 @@ def _unmask(mask: int) -> frozenset[int]:
         out.add(bit.bit_length() - 1)
         mask ^= bit
     return frozenset(out)
+
+
+def backtrack_unanchored(h: Graph, candidates: list[list[int]], first_only: bool,
+                         target: Graph | None = None) -> list[tuple[int, ...]]:
+    """Image arrays of the isomorphisms from H onto `target` (H itself when
+    None, so automorphisms) that send every v into candidates[v]; only the
+    first one found when `first_only` is set.  The target must have as many
+    vertices as H.
+
+    Vertices are placed in the edge-grown order.  An image w is consistent
+    for v when w is unused and its neighbours among the used images are
+    exactly the images of v's placed neighbours, so a complete placement
+    maps edges onto edges.
+    """
+    image_mask = (target or h).nbr_mask
+    order = _placement_order(h, candidates)
+    placed_nbrs = [[u for u in order[:i] if u in h.adj[v]] for i, v in enumerate(order)]
+    image = [-1] * h.n
+    found: list[tuple[int, ...]] = []
+
+    def extend(i: int, used: int) -> bool:
+        if i == h.n:
+            found.append(tuple(image))
+            return first_only
+        v = order[i]
+        want = 0
+        for u in placed_nbrs[i]:
+            want |= 1 << image[u]
+        for w in candidates[v]:
+            if not used >> w & 1 and image_mask[w] & used == want:
+                image[v] = w
+                if extend(i + 1, used | 1 << w):
+                    return True
+        return False
+
+    extend(0, 0)
+    return found
+
+
+def involutions_unanchored(h: Graph) -> list[Automorphism]:
+    """All non-identity automorphisms equal to their own inverse, sorted by
+    image array, found without building the group.
+
+    Backtracking as for the group, but placing v -> w also places w -> v,
+    and a vertex placed that way is skipped when its turn comes.  Placed
+    vertices and their images are then the same set P, so a placement is
+    consistent when v's neighbours in P map onto w's neighbours in P and
+    w's neighbours in P map onto v's.  More than _INVOLUTION_CAP of them
+    raise CapabilityError as soon as the search finds one too many.
+    """
+    candidates = _candidates(h)
+    nbr_mask = h.nbr_mask
+    order = _placement_order(h, candidates)
+    image = [-1] * h.n
+    found: list[tuple[int, ...]] = []
+
+    def placed_image(v: int, placed: int) -> int:
+        """The images of v's placed neighbours, as a mask."""
+        out = 0
+        for u in h.adj[v]:
+            if placed >> u & 1:
+                out |= 1 << image[u]
+        return out
+
+    def extend(i: int, placed: int) -> None:
+        while i < h.n and placed >> order[i] & 1:
+            i += 1
+        if i == h.n:
+            found.append(tuple(image))
+            if len(found) > _INVOLUTION_CAP + 1:  # the identity is found too
+                raise CapabilityError(f"involution enumeration capped at {_INVOLUTION_CAP} "
+                                      "involutions")
+            return
+        v = order[i]
+        want = placed_image(v, placed)
+        for w in candidates[v]:
+            if placed >> w & 1 or nbr_mask[w] & placed != want or \
+                    w != v and nbr_mask[v] & placed != placed_image(w, placed):
+                continue
+            image[v], image[w] = w, v
+            extend(i + 1, placed | 1 << v | 1 << w)
+
+    extend(0, 0)
+    ident = tuple(range(h.n))
+    return [Automorphism(p) for p in sorted(found) if p != ident]

@@ -23,8 +23,9 @@ from homreflect import (
     identity,
     make_graph,
 )
+from homreflect import enumerate_reflection_triples
 from homreflect.automorphisms import _INVOLUTION_CAP as INVOLUTION_CAP
-from homreflect.automorphisms import find_isomorphism
+from homreflect.automorphisms import _backtrack, _candidates, _involutions, find_isomorphism
 
 # Frozen from the permutation-filter oracle.
 Q3_AUTOMORPHISM_COUNT = 48
@@ -308,3 +309,84 @@ class TestFindIsomorphism:
     def test_counts_must_agree(self):
         assert find_isomorphism(gen_cycle(5), gen_cycle(6)) is None
         assert find_isomorphism(gen_cycle(6), make_graph(6, [(0, 1)])) is None
+
+
+ORACLE_GRAPHS = {
+    "q3": gen_hypercube(3), "q4": gen_hypercube(4), "q5": gen_hypercube(5),
+    "setgraph-1-4": gen_set_graph(1, 4), "setgraph-2-5": gen_set_graph(2, 5),
+    "setgraph-1-7": gen_set_graph(1, 7), "cycle-8": gen_cycle(8), "cycle-24": gen_cycle(24),
+    "cycle-blowup-6": gen_cycle_blowup(6), "cycle-blowup-8": gen_cycle_blowup(8),
+    "q4-side-first": side_first_q4(), "decorated-c12": decorated_c12(),
+}
+
+
+def bipartite_graphs():
+    """Bipartite graphs on 2-8 vertices, sides interleaved by a random
+    labelling, some disconnected."""
+    @st.composite
+    def build(draw):
+        left = draw(st.integers(min_value=1, max_value=4))
+        right = draw(st.integers(min_value=1, max_value=4))
+        pairs = [(u, left + v) for u in range(left) for v in range(right)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        labels = draw(st.permutations(range(left + right)))
+        return make_graph(left + right, [(labels[u], labels[v]) for u, v in edges])
+    return build()
+
+
+def assert_anchored_matches_oracle(g):
+    """The anchored searches find the maps of the unanchored loops in the
+    same order, and the carrying-only involutions carry every triple."""
+    cands = _candidates(g)
+    assert _backtrack(g, cands, False) == bf.backtrack_unanchored(g, cands, False)
+    involutions = enumerate_involutions(g)
+    assert [a.perm for a in involutions] == [a.perm for a in bf.involutions_unanchored(g)]
+    for v in range(0, g.n, 3):
+        for images in ({w} for w in range(g.n)):
+            restricted = [list(c) for c in cands]
+            restricted[v] = [w for w in restricted[v] if w in images]
+            first = bf.backtrack_unanchored(g, restricted, True)
+            got = find_automorphism(g, v, images)
+            assert (got.perm if got else None) == (first[0] if first else None), (v, images)
+    rng = random.Random(g.n)
+    copy = _relabelled(g, rng)
+    first = bf.backtrack_unanchored(g, _candidates(g, copy), True, target=copy)
+    assert find_isomorphism(g, copy) == first[0]
+    carrying = {a.perm for a in _involutions(g, carrying_only=True)}
+    assert carrying <= {a.perm for a in involutions}
+    triples = enumerate_reflection_triples(g, involutions)
+    assert {t.swap.perm for t in triples} <= carrying
+    assert enumerate_reflection_triples(g) == triples  # by default from the carrying list
+
+
+class TestAnchoredSearch:
+    """Trying only neighbours of a placed neighbour's image, against the
+    loops that try every candidate (`bruteforce.backtrack_unanchored`,
+    `bruteforce.involutions_unanchored`)."""
+
+    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    def test_named_patterns(self, name):
+        assert_anchored_matches_oracle(ORACLE_GRAPHS[name])
+
+    @given(bipartite_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_relabelled_bipartite_graphs(self, g):
+        assert_anchored_matches_oracle(g)
+
+    def test_same_cap_refusal(self):
+        star = make_graph(11, [(0, v) for v in range(1, 11)])  # K_{1,10}: 9495 involutions
+        message = f"involution enumeration capped at {INVOLUTION_CAP} involutions"
+        for search in (enumerate_involutions, bf.involutions_unanchored,
+                       lambda g: _involutions(g, carrying_only=True)):
+            with pytest.raises(CapabilityError, match=message):
+                search(star)
+
+    def test_carrying_only_keeps_a_few(self):
+        # Q5 has 311 involutions; 116 pass the test and carry all 40 triples.
+        # setgraph(1,10) has 18991, over the cap, and only 46 pass.
+        q5 = gen_hypercube(5)
+        assert (len(enumerate_involutions(q5)), len(_involutions(q5, True))) == (311, 116)
+        assert len(enumerate_reflection_triples(q5)) == 40
+        assert len(_involutions(gen_set_graph(1, 10), carrying_only=True)) == 46
+        with pytest.raises(CapabilityError):
+            enumerate_involutions(gen_set_graph(1, 10))

@@ -117,6 +117,32 @@ class TestCertify:
         assert (code, body) == (1, b"")
         assert "involution enumeration capped at 4096 involutions" in capsys.readouterr().err
 
+    def test_carrying_involutions_under_the_cap_certify(self, tmp_path, capsys):
+        # setgraph(1,10) has 18991 involutions; 46 can carry a triple, and
+        # one start needs no more.  The orbits of --all-pairs need them all.
+        code, body = run(tmp_path, "certify", "--graph", "setgraph(1,10)", "--r0", "0,1",
+                         "--format", "json")
+        report = json.loads(body)
+        assert (code, report["certified"], report["steps"]) == (0, True, 8)
+        code, body = run(tmp_path, "certify", "--graph", "setgraph(1,10)", "--all-pairs",
+                         out_name="all.txt")
+        assert (code, body) == (1, b"")
+        assert "involution enumeration capped at 4096 involutions" in capsys.readouterr().err
+
+    def test_search_without_a_chain_exits_three_within_budget(self, tmp_path):
+        # No triple moves a single vertex: the search ends after one state.
+        code, body = run(tmp_path, "certify", "--graph", "q3", "--r0", "0", "--format", "json")
+        report = json.loads(body)
+        assert (code, report["certified"], report["states_visited"]) == (3, False, 1)
+        code, body = run(tmp_path, "certify", "--graph", "cycle-blowup(8)", "--all-pairs",
+                         out_name="all.txt")
+        assert code == 3 and b"reflective: unknown" in body
+        rep = reflectivity_report(parse_graph_spec("cycle-blowup(8)")[0])
+        assert rep["budget_exhausted"] is False
+        assert [p["start"] for p in rep["pairs"] if not p["certified"]] == \
+            [[0, 1], [4, 5], [8, 9], [12, 13]]
+        assert all(p["states"] == 1 for p in rep["pairs"] if not p["certified"])
+
     @pytest.mark.parametrize("flags,named", [
         (("--r0", "0,3", "--all-pairs"), ("--r0", "--all-pairs")),
         (("--r0", "0,3", "--cert-dir", "certs"), ("--r0", "--cert-dir")),
@@ -436,6 +462,23 @@ class TestSpecErrors:
                              env={"PYTHONPATH": src, "PATH": ""})
         assert out.returncode == 1, out.stderr
         assert out.stderr.startswith("error: spec ") and "Traceback" not in out.stderr
+
+
+class TestVertexLists:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--graph", "q3", "--r0", "3,,5"],
+        ["certify", "--graph", "q3", "--r0", ",3"],
+        ["certify", "--graph", "q3", "--r0", "3,"],
+        ["homcount", "--pattern", "q3", "--host", "clique(4)", "--constraint", "0,,3"],
+    ], ids=["inner", "leading", "trailing", "constraint"])
+    def test_empty_item_exit_one(self, tmp_path, argv):
+        src = str(Path(homreflect.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-m", "homreflect.cli", *argv], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60,
+                             env={"PYTHONPATH": src, "PATH": ""})
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.startswith("error: bad vertex list ") and "Traceback" not in out.stderr
+        assert out.stdout == ""
 
 
 class TestInputsCheckedFirst:

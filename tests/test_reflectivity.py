@@ -117,6 +117,46 @@ class TestTripleEnumeration:
                 assert ok
 
 
+class TestChecksOnce:
+    """The automorphism, involution and fixed-set checks run once per swap
+    map, the side checks once per triple."""
+
+    def test_each_involution_checked_once(self, monkeypatch):
+        g = star(6)  # 75 involutions carry 330 triples
+        checked = record_calls(monkeypatch, "is_automorphism", lambda h, perm: perm)
+        triples = enumerate_reflection_triples(g)
+        assert len(triples) == 330
+        assert sorted(checked) == [a.perm for a in enumerate_involutions(g)]
+
+    def test_certify_pairs_checks_each_distinct_triple_once(self, monkeypatch):
+        g = gen_cycle(24)
+        triples = enumerate_reflection_triples(g)
+        swaps = record_calls(monkeypatch, "is_automorphism", lambda h, perm: perm)
+        sides = record_calls(monkeypatch, "_sides_failure",
+                             lambda h, t, fixed: (t.side_a, t.side_b, t.swap.perm))
+        results = certify_pairs(g, g.bipartition(), triples=triples)
+        assert all(res.known_reflective for _, res in results)
+        steps = [st.triple for _, res in results for st in res.certificate.steps]
+        assert len(set(sides)) == len(sides) == len(set(steps)) < len(steps)
+        assert len(set(swaps)) == len(swaps) == len({t.swap for t in steps})
+
+
+def record_calls(monkeypatch, name, key):
+    """Wrap reflectivity.<name> to record key(*args) per call, with the
+    memos of the triple checks emptied first."""
+    reflectivity._swap_fixed_set.cache_clear()
+    reflectivity._triple_failure.cache_clear()
+    calls = []
+    real = getattr(reflectivity, name)
+
+    def wrapper(*args):
+        calls.append(key(*args))
+        return real(*args)
+
+    monkeypatch.setattr(reflectivity, name, wrapper)
+    return calls
+
+
 class TestAdmissibilityAndReflection:
     def setup_method(self):
         self.q3 = gen_hypercube(3)
