@@ -8,12 +8,11 @@ from .graphs import CapabilityError, Graph, _mask
 
 _VERTEX_CAP = 32
 # Twin vertices multiply involutions like those of a symmetric group (the
-# star K_{1,k} has 9495 at k = 10 and 568503 at k = 13), and the triple and
-# certificate searches grow with them; 4096 leaves room above every pattern
-# the documentation, tests and benchmark use (at most 463, on setgraph(1,7)
-# and cycle-blowup(8)).  The cap counts the involutions a search keeps: all
-# of them for `enumerate_involutions`, only those passing the carrying test
-# when triples alone are wanted (setgraph(1,10): 18991 and 46).
+# star K_{1,k} has 9495 at k = 10 and 568503 at k = 13, each of them able to
+# carry a triple), and the triple and certificate searches grow with them.
+# The cap counts only the involutions that pass the carrying test of
+# `_involutions` (setgraph(1,10): 46 of 18991); 4096 leaves room above every
+# pattern the documentation and benchmark use (at most 116, on Q5).
 _INVOLUTION_CAP = 4096
 
 
@@ -166,18 +165,11 @@ def find_isomorphism(h: Graph, g: Graph) -> tuple[int, ...] | None:
     return found[0] if found else None
 
 
-def enumerate_involutions(h: Graph) -> list[Automorphism]:
-    """All non-identity automorphisms equal to their own inverse, sorted by
-    image array, found without building the group.  More than
-    _INVOLUTION_CAP of them raise CapabilityError as soon as the search
-    finds one too many."""
-    return _involutions(h, carrying_only=False)
-
-
-def _involutions(h: Graph, carrying_only: bool) -> list[Automorphism]:
-    """The involutions of `enumerate_involutions`, or, with `carrying_only`,
-    those of them that pass a test every involution carrying a reflection
-    triple passes; the cap counts the involutions kept.
+def _involutions(h: Graph) -> list[Automorphism]:
+    """The non-identity involutions of H that pass a test every involution
+    carrying a reflection triple passes, sorted by image array, found
+    without building the group.  More than _INVOLUTION_CAP of them raise
+    CapabilityError as soon as the search finds one too many.
 
     Backtracking as for the group, but placing v -> w also places w -> v,
     and a vertex placed that way is skipped when its turn comes.  Placed
@@ -223,8 +215,7 @@ def _involutions(h: Graph, carrying_only: bool) -> list[Automorphism]:
         for w in candidates[v] if anchor < 0 else nbrs[image[anchor]]:
             if not allowed[v] >> w & 1 or placed >> w & 1 or nbr_mask[w] & placed != want:
                 continue
-            if carrying_only and w != v and (nbr_mask[v] >> w & 1 or
-                                             nbr_mask[v] & nbr_mask[w] & moved):
+            if w != v and (nbr_mask[v] >> w & 1 or nbr_mask[v] & nbr_mask[w] & moved):
                 continue
             image[v], image[w] = w, v
             pair = 1 << v | 1 << w

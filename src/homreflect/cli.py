@@ -31,7 +31,6 @@ from .rainbow import (check_pattern_chain, check_variant_chain,
                       coincidence_table, cycle_weight_sum,
                       cycle_weight_sum_spectral, find_almost_rainbow,
                       find_rainbow_cycle, walk_engine)
-from .automorphisms import enumerate_involutions
 from .reflectivity import (DEFAULT_BUDGET, certificate_from_json, certificate_to_json,
                            certify_pairs, certify_reflective, enumerate_reflection_triples,
                            is_admissible, reflectivity_report, verify_certificate)
@@ -272,8 +271,7 @@ def _verify_reflection_suite(args) -> int:
     sid = sidorenko_check(pattern, host)
     checks.append({"name": "density_lower_bound", "lhs": sid.hom,
                    "rhs": sid.bound, "holds": sid.holds})
-    involutions = enumerate_involutions(pattern)
-    triples = enumerate_reflection_triples(pattern, involutions)
+    triples = enumerate_reflection_triples(pattern)
     parts = pattern.bipartition()
     candidates = [frozenset(c)
                   for part in parts
@@ -298,7 +296,7 @@ def _verify_reflection_suite(args) -> int:
     checks.append({"name": "reflection_steps_swept", "count": done,
                    "holds": violations == 0})
     exhausted = []
-    for r0, res in certify_pairs(pattern, [parts[0]], args.budget, involutions, triples):
+    for r0, res in certify_pairs(pattern, [parts[0]], args.budget, triples=triples):
         if res.budget_exhausted:
             exhausted.append(list(r0))
         if res.certificate is None:

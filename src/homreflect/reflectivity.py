@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .automorphisms import (_INVOLUTION_CAP, Automorphism, _involutions, enumerate_involutions,
-                           find_automorphism, identity, is_automorphism)
+from .automorphisms import (_INVOLUTION_CAP, Automorphism, _involutions, find_automorphism,
+                            identity, is_automorphism)
 from .graphs import CapabilityError, Graph, GraphError, gen_hypercube, gen_set_graph
 
 DEFAULT_BUDGET = 10 ** 6
@@ -33,8 +33,9 @@ class ReflectionTriple:
     side_b: frozenset[int]
     swap: Automorphism
 
-    @property
+    @cached_property
     def fixed(self) -> frozenset[int]:
+        """The swap map's fixed set, computed once per triple object."""
         return self.swap.fixed_set()
 
     def flipped(self) -> "ReflectionTriple":
@@ -102,7 +103,7 @@ def enumerate_reflection_triples(h: Graph,
     triple.
     """
     if involutions is None:
-        involutions = _involutions(h, carrying_only=True)
+        involutions = _involutions(h)
     triples: list[ReflectionTriple] = []
     for phi in involutions:
         comps = h.components(removed=phi.fixed_set())
@@ -164,13 +165,17 @@ def reflect_set(h: Graph, triple: ReflectionTriple, r) -> frozenset[int]:
     r = frozenset(r)
     if not is_admissible(h, triple, r):
         raise GraphError("constraint set is not admissible for the triple")
-    kept = r & (triple.side_a | triple.fixed)
-    out = kept | triple.swap.apply_set(r & triple.side_a)
+    out = _reflect(triple, r)
     assert out, "reflection of an admissible set is never empty"
     parts = h.bipartition()
     side = parts[0] if r <= parts[0] else parts[1]
     assert out <= side, "reflection left the bipartition side"
     return out
+
+
+def _reflect(triple: ReflectionTriple, r: frozenset[int]) -> frozenset[int]:
+    """The reflection map on a set already known to be admissible."""
+    return r & (triple.side_a | triple.fixed) | triple.swap.apply_set(r & triple.side_a)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +234,7 @@ def verify_certificate(h: Graph, cert: ReflectionCertificate) -> tuple[bool, lis
             return False, report + [f"step {j}: malformed triple: {why}"]
         if not is_admissible(h, t, current):
             return False, report + [f"step {j}: set not admissible"]
-        reflected = reflect_set(h, t, current)
+        reflected = _reflect(t, current)
         if not step.r_next <= reflected:
             return False, report + [f"step {j}: next set not contained in the reflection"]
         if not step.r_next:
@@ -533,7 +538,6 @@ def _first_new(keys: np.ndarray, cells: np.ndarray, seen: list[np.ndarray]):
 
 
 def certify_pairs(h: Graph, sides, budget: int = DEFAULT_BUDGET,
-                  involutions: list[Automorphism] | None = None,
                   triples: list[ReflectionTriple] | None = None,
                   ) -> list[tuple[tuple[int, int], ReflectivitySearch]]:
     """The certificate search from every pair of each side in `sides`, run
@@ -541,15 +545,15 @@ def certify_pairs(h: Graph, sides, budget: int = DEFAULT_BUDGET,
 
     Automorphisms commute with reflection moves, so a certificate from a
     pair maps to one from its image (`conjugate_certificate`).  The orbits
-    are closures under the involutions, which serve as generators; each
+    are those of the group that the triples' distinct swap maps generate:
+    a subgroup of Aut(H), and the orbits of any subgroup are sound.  Each
     pair records an automorphism taking its orbit's first pair to it.  Only
     that first pair is searched; the others get its outcome, with its
     `states_visited`, and every mapped certificate is verified.
     """
-    if involutions is None:
-        involutions = enumerate_involutions(h)
     if triples is None:
-        triples = enumerate_reflection_triples(h, involutions)
+        triples = enumerate_reflection_triples(h)
+    generators = list(dict.fromkeys(t.swap for t in triples))
     orbit: dict[tuple[int, int], tuple[tuple[int, int], Automorphism]] = {}
     searched: dict[tuple[int, int], ReflectivitySearch] = {}
     results = []
@@ -560,7 +564,7 @@ def certify_pairs(h: Graph, sides, budget: int = DEFAULT_BUDGET,
                 queue = [pair]
                 for u, v in queue:
                     sigma = orbit[u, v][1]
-                    for phi in involutions:
+                    for phi in generators:
                         a, b = phi.perm[u], phi.perm[v]
                         image = (a, b) if a < b else (b, a)
                         if image not in orbit:
@@ -581,8 +585,8 @@ def certify_pairs(h: Graph, sides, budget: int = DEFAULT_BUDGET,
 
 def reflectivity_report(h: Graph, budget: int = DEFAULT_BUDGET) -> dict:
     """Run the certificate search from every size-2 start on both sides,
-    once per orbit of start pairs (`certify_pairs`); a pair's `states` is
-    its orbit's search count.
+    once per orbit of start pairs under the triples' swap maps
+    (`certify_pairs`); a pair's `states` is its orbit's search count.
 
     When some automorphism exchanges the two sides, the second side is
     skipped and marked as covered by symmetry.  Verdict is "yes" only if

@@ -432,3 +432,12 @@ def involutions_unanchored(h: Graph) -> list[Automorphism]:
     extend(0, 0)
     ident = tuple(range(h.n))
     return [Automorphism(p) for p in sorted(found) if p != ident]
+
+
+def passes_carrying_test(h: Graph, phi: Automorphism) -> bool:
+    """The test of the carrying involution search, vertex by vertex: no moved
+    vertex x is adjacent to phi(x), nor to phi(y) for a moved neighbour y."""
+    moved = [x for x in range(h.n) if phi(x) != x]
+    return all(phi(x) not in h.adj[x] and
+               not any(phi(y) in h.adj[x] for y in h.adj[x] if phi(y) != y)
+               for x in moved)

@@ -13,7 +13,6 @@ from homreflect import (
     CapabilityError,
     cube_vertex,
     enumerate_automorphisms,
-    enumerate_involutions,
     find_automorphism,
     gen_cycle,
     gen_cycle_blowup,
@@ -30,6 +29,7 @@ from homreflect.automorphisms import _backtrack, _candidates, _involutions, find
 # Frozen from the permutation-filter oracle.
 Q3_AUTOMORPHISM_COUNT = 48
 Q3_INVOLUTION_COUNT = 19
+Q3_CARRYING_COUNT = 7
 
 
 def side_first_q4():
@@ -122,19 +122,33 @@ class TestGroupEnumeration:
             enumerate_automorphisms(big)
 
 
+def carrying_oracle(g):
+    """The image arrays of the oracle's involutions that pass the carrying
+    test, in the oracle's order."""
+    return [a.perm for a in bf.involutions_unanchored(g) if bf.passes_carrying_test(g, a)]
+
+
 class TestInvolutions:
+    """The whole involution set comes from the oracle
+    (`bruteforce.involutions_unanchored`); the package's search keeps the
+    involutions that pass the carrying test."""
+
     def test_edge_swap(self):
-        invs = enumerate_involutions(make_graph(2, [(0, 1)]))
+        g = make_graph(2, [(0, 1)])
+        invs = bf.involutions_unanchored(g)
         assert len(invs) == 1
         assert invs[0].fixed_set() == frozenset()
+        assert _involutions(g) == []  # the swap moves an edge onto itself
 
     def test_q3_count_frozen(self):
-        assert len(enumerate_involutions(gen_hypercube(3))) == Q3_INVOLUTION_COUNT
+        g = gen_hypercube(3)
+        assert len(bf.involutions_unanchored(g)) == Q3_INVOLUTION_COUNT
+        assert len(_involutions(g)) == Q3_CARRYING_COUNT
 
     def test_q3_coordinate_swap_present_with_fixed_set(self):
         g = gen_hypercube(3)
         swap12 = tuple((v & ~3) | ((v & 1) << 1) | ((v >> 1) & 1) for v in range(8))
-        invs = {a.perm: a for a in enumerate_involutions(g)}
+        invs = {a.perm: a for a in _involutions(g)}
         assert swap12 in invs
         want = frozenset(cube_vertex(b) for b in ("000", "001", "110", "111"))
         assert invs[swap12].fixed_set() == want
@@ -143,7 +157,7 @@ class TestInvolutions:
         g = gen_cycle(6)
         full = enumerate_automorphisms(g)
         expect = {a.perm for a in full if a.is_involution and not a.is_identity}
-        assert {a.perm for a in enumerate_involutions(g)} == expect
+        assert {a.perm for a in bf.involutions_unanchored(g)} == expect
 
     def test_identity_fixed_set_is_everything(self):
         assert identity(5).fixed_set() == frozenset(range(5))
@@ -153,13 +167,15 @@ class TestInvolutions:
         gen_cycle_blowup(8), side_first_q4(),
     ], ids=["q3", "q4", "q5", "setgraph-1-7", "cycle-blowup-8", "q4-side-first"])
     def test_direct_enumeration_is_the_group_filter(self, g):
-        assert [a.perm for a in enumerate_involutions(g)] == involutive_elements(g)
+        assert [a.perm for a in bf.involutions_unanchored(g)] == involutive_elements(g)
+        assert [a.perm for a in _involutions(g)] == carrying_oracle(g)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_direct_enumeration_on_random_graphs(self, seed):
         rng = random.Random(seed)
         g = gen_random(8 + seed % 2, Fraction(rng.randint(1, 9), 10), seed)
-        assert [a.perm for a in enumerate_involutions(g)] == involutive_elements(g)
+        assert [a.perm for a in bf.involutions_unanchored(g)] == involutive_elements(g)
+        assert [a.perm for a in _involutions(g)] == carrying_oracle(g)
 
     def test_group_is_not_built(self, monkeypatch):
         import homreflect.automorphisms as automorphisms
@@ -168,30 +184,31 @@ class TestInvolutions:
             raise AssertionError("the whole group was enumerated")
 
         monkeypatch.setattr(automorphisms, "enumerate_automorphisms", refuse)
-        assert len(enumerate_involutions(gen_hypercube(3))) == Q3_INVOLUTION_COUNT
+        assert len(_involutions(gen_hypercube(3))) == Q3_CARRYING_COUNT
 
     def test_size_cap(self):
         with pytest.raises(CapabilityError):
-            enumerate_involutions(make_graph(33, []))
+            _involutions(make_graph(33, []))
 
     @pytest.mark.parametrize("leaves, count", [(9, 2619), (10, 9495)])
     def test_star_counts_around_the_involution_cap(self, leaves, count):
-        # K_{1,k}: the involutions of S_k on the leaves, less the identity
+        # K_{1,k}: the involutions of S_k on the leaves, less the identity;
+        # each of them fixes the centre and passes the carrying test
         star = make_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
         assert count == sum(factorial(leaves) // (factorial(leaves - 2 * j) * 2 ** j
                                                   * factorial(j))
                             for j in range(1, leaves // 2 + 1))
         if count <= INVOLUTION_CAP:
-            assert len(enumerate_involutions(star)) == count
+            assert len(_involutions(star)) == count
         else:
             with pytest.raises(CapabilityError, match=f"capped at {INVOLUTION_CAP} involutions"):
-                enumerate_involutions(star)
+                _involutions(star)
 
     def test_involution_cap_refuses_during_the_search(self):
         star = make_graph(14, [(0, v) for v in range(1, 14)])  # 568503 involutions
         start = time.perf_counter()
         with pytest.raises(CapabilityError, match="involution enumeration capped"):
-            enumerate_involutions(star)
+            _involutions(star)
         assert time.perf_counter() - start < 2
 
 
@@ -200,7 +217,7 @@ class TestFindAutomorphism:
         g = decorated_c12()
         assert len(enumerate_automorphisms(g)) == 4
         sides = g.bipartition()
-        assert all(a.apply_set(sides[0]) == sides[0] for a in enumerate_involutions(g))
+        assert all(a.apply_set(sides[0]) == sides[0] for a in bf.involutions_unanchored(g))
         swap = find_automorphism(g, 0, sides[1])
         assert swap is not None and swap.apply_set(sides[0]) == sides[1]
         assert swap.perm in {a.perm for a in enumerate_automorphisms(g)}
@@ -336,11 +353,11 @@ def bipartite_graphs():
 
 def assert_anchored_matches_oracle(g):
     """The anchored searches find the maps of the unanchored loops in the
-    same order, and the carrying-only involutions carry every triple."""
+    same order, the carrying search finds those of the oracle's involutions
+    that pass the carrying test, and they carry every triple."""
     cands = _candidates(g)
     assert _backtrack(g, cands, False) == bf.backtrack_unanchored(g, cands, False)
-    involutions = enumerate_involutions(g)
-    assert [a.perm for a in involutions] == [a.perm for a in bf.involutions_unanchored(g)]
+    assert [a.perm for a in _involutions(g)] == carrying_oracle(g)
     for v in range(0, g.n, 3):
         for images in ({w} for w in range(g.n)):
             restricted = [list(c) for c in cands]
@@ -352,11 +369,8 @@ def assert_anchored_matches_oracle(g):
     copy = _relabelled(g, rng)
     first = bf.backtrack_unanchored(g, _candidates(g, copy), True, target=copy)
     assert find_isomorphism(g, copy) == first[0]
-    carrying = {a.perm for a in _involutions(g, carrying_only=True)}
-    assert carrying <= {a.perm for a in involutions}
-    triples = enumerate_reflection_triples(g, involutions)
-    assert {t.swap.perm for t in triples} <= carrying
-    assert enumerate_reflection_triples(g) == triples  # by default from the carrying list
+    assert enumerate_reflection_triples(g) == \
+        enumerate_reflection_triples(g, bf.involutions_unanchored(g))
 
 
 class TestAnchoredSearch:
@@ -376,8 +390,7 @@ class TestAnchoredSearch:
     def test_same_cap_refusal(self):
         star = make_graph(11, [(0, v) for v in range(1, 11)])  # K_{1,10}: 9495 involutions
         message = f"involution enumeration capped at {INVOLUTION_CAP} involutions"
-        for search in (enumerate_involutions, bf.involutions_unanchored,
-                       lambda g: _involutions(g, carrying_only=True)):
+        for search in (bf.involutions_unanchored, _involutions):
             with pytest.raises(CapabilityError, match=message):
                 search(star)
 
@@ -385,8 +398,8 @@ class TestAnchoredSearch:
         # Q5 has 311 involutions; 116 pass the test and carry all 40 triples.
         # setgraph(1,10) has 18991, over the cap, and only 46 pass.
         q5 = gen_hypercube(5)
-        assert (len(enumerate_involutions(q5)), len(_involutions(q5, True))) == (311, 116)
+        assert (len(bf.involutions_unanchored(q5)), len(_involutions(q5))) == (311, 116)
         assert len(enumerate_reflection_triples(q5)) == 40
-        assert len(_involutions(gen_set_graph(1, 10), carrying_only=True)) == 46
+        assert len(_involutions(gen_set_graph(1, 10))) == 46
         with pytest.raises(CapabilityError):
-            enumerate_involutions(gen_set_graph(1, 10))
+            bf.involutions_unanchored(gen_set_graph(1, 10))

@@ -117,17 +117,25 @@ class TestCertify:
         assert (code, body) == (1, b"")
         assert "involution enumeration capped at 4096 involutions" in capsys.readouterr().err
 
-    def test_carrying_involutions_under_the_cap_certify(self, tmp_path, capsys):
-        # setgraph(1,10) has 18991 involutions; 46 can carry a triple, and
-        # one start needs no more.  The orbits of --all-pairs need them all.
+    def test_carrying_involutions_under_the_cap_certify(self, tmp_path):
+        # setgraph(1,10) has 18991 involutions, over the cap; 46 can carry a
+        # triple, and the searches and the orbits of --all-pairs need no more.
         code, body = run(tmp_path, "certify", "--graph", "setgraph(1,10)", "--r0", "0,1",
                          "--format", "json")
         report = json.loads(body)
         assert (code, report["certified"], report["steps"]) == (0, True, 8)
+        certs = tmp_path / "certs"
         code, body = run(tmp_path, "certify", "--graph", "setgraph(1,10)", "--all-pairs",
-                         out_name="all.txt")
-        assert (code, body) == (1, b"")
-        assert "involution enumeration capped at 4096 involutions" in capsys.readouterr().err
+                         "--cert-dir", str(certs), "--format", "json", out_name="all.json")
+        pairs = json.loads(body)["pairs"]
+        assert (code, len(pairs), all(p["certified"] for p in pairs)) == (0, 45, True)
+        assert len(list(certs.iterdir())) == 45
+        for p in pairs:
+            u, v = p["start"]
+            code, body = run(tmp_path, "check-cert", "--graph", "setgraph(1,10)", "--cert",
+                             str(certs / f"cert_{u}_{v}.json"), "--format", "json",
+                             out_name="check.json")
+            assert (code, json.loads(body)["steps"]) == (0, p["steps"]), p["start"]
 
     def test_search_without_a_chain_exits_three_within_budget(self, tmp_path):
         # No triple moves a single vertex: the search ends after one state.

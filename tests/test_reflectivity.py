@@ -39,7 +39,7 @@ from homreflect import (
     verify_certificate,
     verify_reflection_triple,
 )
-from homreflect import enumerate_automorphisms, enumerate_involutions
+from homreflect import enumerate_automorphisms
 from homreflect import reflectivity
 from homreflect.reflectivity import (
     _even_prefix_set,
@@ -126,7 +126,7 @@ class TestChecksOnce:
         checked = record_calls(monkeypatch, "is_automorphism", lambda h, perm: perm)
         triples = enumerate_reflection_triples(g)
         assert len(triples) == 330
-        assert sorted(checked) == [a.perm for a in enumerate_involutions(g)]
+        assert sorted(checked) == [a.perm for a in bf.involutions_unanchored(g)]
 
     def test_certify_pairs_checks_each_distinct_triple_once(self, monkeypatch):
         g = gen_cycle(24)
@@ -347,14 +347,29 @@ ORACLE_GRAPHS = [gen_hypercube(3), gen_hypercube(4), gen_set_graph(1, 4), gen_cy
 ORACLE_IDS = ["q3", "q4", "setgraph-1-4", "cycle-8", "cycle-blowup-6"]
 
 
-def aut_pair_orbits(g, side):
-    """Number of orbits of the pairs of `side` under the whole group."""
+# Its one involution, (0 1)(4 5)(6 10)(8 9), carries no triple: under the
+# triples' swap maps each start pair is an orbit of its own, while the
+# involution joins pairs into 9 and 6 orbits on the two sides.
+SPLIT_ORBITS = make_graph(11, [
+    (0, 6), (0, 7), (0, 8), (0, 9), (1, 7), (1, 8), (1, 9), (1, 10), (2, 7), (2, 8), (2, 9),
+    (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (4, 6), (4, 7), (4, 8), (5, 7), (5, 9), (5, 10)])
+
+
+def pair_orbits(side, generators):
+    """Number of orbits of the pairs of `side` under the group that
+    `generators` generate."""
     seen, orbits = set(), 0
-    group = enumerate_automorphisms(g)
     for pair in combinations(sorted(side), 2):
         if frozenset(pair) not in seen:
             orbits += 1
-            seen |= {a.apply_set(pair) for a in group}
+            queue = [frozenset(pair)]
+            seen.add(queue[0])
+            for current in queue:
+                for phi in generators:
+                    image = phi.apply_set(current)
+                    if image not in seen:
+                        seen.add(image)
+                        queue.append(image)
     return orbits
 
 
@@ -399,7 +414,35 @@ class TestOrbitReduction:
         rep = reflectivity_report(g)
         assert (len(rep["pairs"]), len(calls)) == (pairs, orbits)
         if g.n <= 16:
-            assert orbits == aut_pair_orbits(g, g.bipartition()[0])
+            assert orbits == pair_orbits(g.bipartition()[0], enumerate_automorphisms(g))
+
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS + [SPLIT_ORBITS],
+                             ids=ORACLE_IDS + ["split-orbits-11"])
+    def test_every_pair_matches_a_direct_search(self, g):
+        parts = g.bipartition()
+        triples = enumerate_reflection_triples(g)
+        for r0, res in certify_pairs(g, parts, triples=triples):
+            direct = certify_reflective(g, r0, triples=triples)
+            assert (res.known_reflective, res.certificate and res.certificate.num_steps) == \
+                (direct.known_reflective, direct.certificate and direct.certificate.num_steps), r0
+
+    def test_swap_maps_give_smaller_orbits_than_the_involutions(self, monkeypatch):
+        g = SPLIT_ORBITS
+        parts = g.bipartition()
+        swaps = {t.swap for t in enumerate_reflection_triples(g)}
+        involutions = bf.involutions_unanchored(g)
+        assert [pair_orbits(side, involutions) for side in parts] == [9, 6]
+        assert [pair_orbits(side, swaps) for side in parts] == [15, 10]
+        calls = []
+        search = reflectivity.certify_reflective
+
+        def counted(h, r0, **kwargs):
+            calls.append(tuple(r0))
+            return search(h, r0, **kwargs)
+
+        monkeypatch.setattr(reflectivity, "certify_reflective", counted)
+        results = certify_pairs(g, parts)
+        assert len(calls) == len(results) == 25
 
     def test_exhausted_budget_marks_the_whole_orbit(self):
         rep = reflectivity_report(gen_hypercube(4), budget=1)
@@ -411,7 +454,7 @@ class TestOrbitReduction:
         # The only involution keeps the sides; the rotation by 3 swaps them.
         g = decorated_c12()
         sides = g.bipartition()
-        assert all(a.apply_set(sides[0]) == sides[0] for a in enumerate_involutions(g))
+        assert all(a.apply_set(sides[0]) == sides[0] for a in bf.involutions_unanchored(g))
         rep = reflectivity_report(g)
         assert rep["side_swap_symmetry"] and rep["sides_checked"] == 1
         assert len(rep["pairs"]) == 66
@@ -430,6 +473,16 @@ class TestCertificateVerification:
         ok, report = verify_certificate(q3, cert)
         assert ok
         assert "exponent" in report[-1]
+
+    def test_step_off_the_side_is_reported_not_raised(self):
+        # Two disjoint edges: the swap of the edges exchanges the sides, so
+        # the one step leaves the side of its start.
+        g = make_graph(4, [(0, 1), (2, 3)])
+        step = CertificateStep(ReflectionTriple(frozenset({0, 1}), frozenset({2, 3}),
+                                                Automorphism((3, 2, 1, 0))), frozenset({0, 3}))
+        ok, report = verify_certificate(
+            g, ReflectionCertificate(frozenset({0, 2}), frozenset({0, 2}), (step,)))
+        assert not ok and report[-1] == "final set is not the full side"
 
     def test_wrong_final_side_detected(self):
         q3 = gen_hypercube(3)
