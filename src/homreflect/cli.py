@@ -448,23 +448,16 @@ def cmd_h2k(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="homreflect",
-        description="Reflection certificates, homomorphism inequalities and "
-                    "weighted cycle counts on concrete graphs.")
-    top.add_argument("--version", action="version", version=f"homreflect {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
+def _common(p, seed=False, budget=False):
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out", help="write the report here instead of stdout")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if budget:
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    def common(p, seed=False, budget=False):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    g = sub.add_parser("gen", help="write generated graph (and colouring) files")
+def _gen_arguments(g):
     g.add_argument("kind", choices=("hypercube", "setgraph", "random",
                                     "direction-coloured-cube"))
     g.add_argument("--d", type=int, default=3)
@@ -473,42 +466,46 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int)
     g.add_argument("--p")
     g.add_argument("--colour-out")
-    common(g, seed=True)
+    _common(g, seed=True)
     g.set_defaults(func=cmd_gen)
 
-    c = sub.add_parser("certify", help="search reflection certificates")
+
+def _certify_arguments(c):
     c.add_argument("--graph", required=True)
     c.add_argument("--r0", help="comma-separated starting pair, e.g. 0,3")
     c.add_argument("--all-pairs", action="store_true")
     c.add_argument("--cert-out", help="certificate file (single start)")
     c.add_argument("--cert-dir", help="certificate directory (all pairs)")
-    common(c, budget=True)
+    _common(c, budget=True)
     c.set_defaults(func=cmd_certify)
 
-    cc = sub.add_parser("check-cert", help="verify a certificate file against a graph")
+
+def _check_cert_arguments(cc):
     cc.add_argument("--graph", required=True)
     cc.add_argument("--cert", required=True, help="certificate file (JSON)")
-    common(cc)
+    _common(cc)
     cc.set_defaults(func=cmd_check_cert)
 
-    v = sub.add_parser("verify", help="run an inequality suite")
+
+def _verify_arguments(v):
     vs = v.add_subparsers(dest="suite", required=True)
     v2 = vs.add_parser("section2", help="reflection/homomorphism inequalities")
     v2.add_argument("--pattern", default="q3")
     v2.add_argument("--host", required=True)
     v2.add_argument("--max-sets", type=int, default=200,
                     help="cap on (triple, set) combinations swept (0 = all)")
-    common(v2, budget=True)
+    _common(v2, budget=True)
     v2.set_defaults(func=cmd_verify)
     v3 = vs.add_parser("section3", help="weighted cycle inequalities")
     v3.add_argument("--host", required=True)
     v3.add_argument("--colouring")
     v3.add_argument("--k", type=int, default=2)
     v3.add_argument("--epsilon")
-    common(v3, seed=True)
+    _common(v3, seed=True)
     v3.set_defaults(func=cmd_verify)
 
-    e = sub.add_parser("experiment", help="seeded batch experiments")
+
+def _experiment_arguments(e):
     e.add_argument("name", choices=("supersaturation", "rainbow-bounds",
                                     "almost-rainbow-bounds"))
     e.add_argument("--d", type=int, default=3)
@@ -521,29 +518,69 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--epsilon")
     e.add_argument("--spectral", action="store_true",
                    help="float bounds via the eigenvalue path (large hosts)")
-    common(e, seed=True)
+    _common(e, seed=True)
     e.set_defaults(func=cmd_experiment)
 
-    hc = sub.add_parser("homcount", help="count homomorphisms")
+
+def _homcount_arguments(hc):
     hc.add_argument("--pattern", required=True)
     hc.add_argument("--host", required=True)
     hc.add_argument("--constraint", help="vertices forced to one image, e.g. 0,3")
     hc.add_argument("--injective", action="store_true")
-    common(hc)
+    _common(hc)
     hc.set_defaults(func=cmd_homcount)
 
-    h = sub.add_parser("h2k", help="weighted closed-walk sums")
+
+def _h2k_arguments(h):
     h.add_argument("--host", required=True)
     h.add_argument("--k", type=int, required=True)
     h.add_argument("--colouring")
     h.add_argument("--patterns", action="store_true")
-    common(h, seed=True)
+    _common(h, seed=True)
     h.set_defaults(func=cmd_h2k)
+
+
+# name, help line, arguments
+_COMMANDS = (
+    ("gen", "write generated graph (and colouring) files", _gen_arguments),
+    ("certify", "search reflection certificates", _certify_arguments),
+    ("check-cert", "verify a certificate file against a graph", _check_cert_arguments),
+    ("verify", "run an inequality suite", _verify_arguments),
+    ("experiment", "seeded batch experiments", _experiment_arguments),
+    ("homcount", "count homomorphisms", _homcount_arguments),
+    ("h2k", "weighted closed-walk sums", _h2k_arguments),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is registered, so the
+    top-level help and errors never change; given `command`, only that
+    subcommand gets its arguments, which is all a run that names it reads."""
+    top = argparse.ArgumentParser(
+        prog="homreflect",
+        description="Reflection certificates, homomorphism inequalities and "
+                    "weighted cycle counts on concrete graphs.")
+    top.add_argument("--version", action="version", version=f"homreflect {__version__}")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, help_line, add_arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_arguments(p)
     return top
 
 
+def _command_named(argv: list[str]) -> str | None:
+    """The subcommand argv names, or None.  The top-level options take no
+    values, so argparse reads the first argument not starting with "-" as
+    the subcommand; an argument before it that argparse reads so too is no
+    subcommand name, and its error lists every name."""
+    first = next((a for a in argv if not a.startswith("-")), None)
+    return first if first in {name for name, _, _ in _COMMANDS} else None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(_command_named(argv))
     args = parser.parse_args(argv)
     if args.command == "experiment" and args.name != "supersaturation" and not args.host:
         parser.error(f"experiment {args.name} needs --host")

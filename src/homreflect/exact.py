@@ -34,6 +34,7 @@ lcm L >= 2.  That path needed n^2 L^2k (L/delta)^2 < 2^62, so 2k < 62 -
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import isqrt, prod
 
 import numpy as np
@@ -62,9 +63,11 @@ def _primes() -> np.ndarray:
 
 def adjacency(g: Graph) -> np.ndarray:
     """The 0/1 adjacency matrix of g as float64."""
+    degrees = np.fromiter(map(len, g.adj), dtype=np.intp, count=g.n)
+    rows = np.repeat(np.arange(g.n), degrees)
+    cols = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=len(rows))
     adj = np.zeros((g.n, g.n))
-    edges = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
-    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = 1
+    adj[rows, cols] = 1
     return adj
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -35,17 +37,31 @@ def _require_vertex_cap(n: int) -> None:
         raise CapabilityError(f"graphs are capped at {VERTEX_CAP} vertices, got {n}")
 
 
+def _require_vertex_count(n: int) -> None:
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
+    _require_vertex_cap(n)
+
+
 class Graph:
     """Immutable simple undirected graph with neighbour sets and bitmasks."""
 
-    __slots__ = ("n", "adj", "nbr_mask", "labels", "_parts")
+    __slots__ = ("n", "adj", "labels", "_masks", "_parts")
 
     def __init__(self, n: int, adj: tuple[frozenset[int], ...], labels=None):
         self.n = n
         self.adj = adj
-        self.nbr_mask = tuple(_mask(s) for s in adj)
         self.labels = labels
+        self._masks = None
         self._parts = None
+
+    @property
+    def nbr_mask(self) -> tuple[int, ...]:
+        """Each neighbour set as a bitmask (bit w for neighbour w), built on
+        first use: the pattern searches read them, host kernels never do."""
+        if self._masks is None:
+            self._masks = tuple(_mask(s) for s in self.adj)
+        return self._masks
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -138,9 +154,7 @@ def _mask(vertices) -> int:
 def make_graph(n: int, edges, labels=None) -> Graph:
     """Build a Graph from an iterable of edges, deduplicating and
     symmetrising; the vertex cap is checked before the first edge is read."""
-    if n < 0:
-        raise GraphError(f"vertex count must be non-negative, got {n}")
-    _require_vertex_cap(n)
+    _require_vertex_count(n)
     adj = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -150,6 +164,14 @@ def make_graph(n: int, edges, labels=None) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, tuple(frozenset(s) for s in adj), labels)
+
+
+def _graph_from_neighbours(n: int, neighbours) -> Graph:
+    """A Graph from each vertex's neighbours in ascending order.  Each set
+    is filled in that order and then frozen, as make_graph fills it from
+    edges in lexicographic order, so the frozensets iterate, and edges()
+    lists, exactly as make_graph's do."""
+    return Graph(n, tuple(frozenset(set(nbrs)) for nbrs in neighbours))
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +227,68 @@ def gen_random(n: int, p: Fraction, seed: int) -> Graph:
     """Binomial random graph with exact edge probability p = num/den.
 
     One randrange(den) draw from random.Random(seed) per unordered pair,
-    scanned in lexicographic order; the same (n, p, seed) always rebuilds
-    the identical graph.
+    scanned in lexicographic order, with an edge when the draw is below
+    num; the same (n, p, seed) always rebuilds the identical graph.  The
+    draws are taken from the generator in bulk (_draws_below), which
+    leaves the stream, and so every graph, as one randrange call per pair
+    gives it.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise GraphError(f"edge probability must be in [0,1], got {p}")
-    rng = random.Random(seed)
-    num, den = p.numerator, p.denominator
-    edges = ((u, v)
-             for u in range(n) for v in range(u + 1, n)
-             if rng.randrange(den) < num)
-    return make_graph(n, edges)
+    _require_vertex_count(n)
+    edge = _draws_below(random.Random(seed), p.denominator, p.numerator, n * (n - 1) // 2)
+    upper = np.zeros((n, n), dtype=bool)
+    start = 0
+    for u in range(n - 1):
+        upper[u, u + 1:] = edge[start:start + n - 1 - u]
+        start += n - 1 - u
+    upper |= upper.T
+    return _graph_from_neighbours(n, (np.flatnonzero(row).tolist() for row in upper))
+
+
+_DRAW_WORDS = 1 << 16  # generator outputs taken per bulk draw
+
+
+def _draws_below(rng: random.Random, den: int, num: int, count: int) -> np.ndarray:
+    """Whether each of the next `count` values of rng.randrange(den) is
+    below num, drawn in bulk.
+
+    randrange(den) tries getrandbits(k), k = den.bit_length(), until the
+    value is below den.  One try takes ceil(k/32) 32-bit outputs of the
+    generator, least significant first, and cuts the last one to its top
+    bits.  getrandbits(32 c) takes c outputs in the same order, as the
+    little-endian words of one integer, so each chunk of tries is one
+    call, read as rows of 32-bit digits, most significant first.
+    """
+    k = den.bit_length()
+    width = -(-k // 32)
+    out = np.empty(count, dtype=bool)
+    done = 0
+    while done < count:
+        # a try succeeds with probability den / 2^k: ask for enough tries,
+        # on average, to complete the draws, with a little to spare
+        tries = max(1, min(_DRAW_WORDS // width, ((count - done) << k) // den + 64))
+        raw = rng.getrandbits(32 * width * tries).to_bytes(4 * width * tries, "little")
+        digits = np.frombuffer(raw, dtype="<u4").reshape(tries, width)[:, ::-1].copy()
+        digits[:, 0] >>= 32 * width - k
+        kept = digits[_below(digits, den)][:count - done]
+        out[done:done + len(kept)] = _below(kept, num)
+        done += len(kept)
+    return out
+
+
+def _below(digits: np.ndarray, bound: int) -> np.ndarray:
+    """Which rows of 32-bit digits, most significant first, hold a value
+    below bound (itself below 2^(32 x digits per row))."""
+    width = digits.shape[1]
+    less = np.zeros(len(digits), dtype=bool)
+    equal = np.ones(len(digits), dtype=bool)
+    for j in range(width):
+        digit = bound >> 32 * (width - 1 - j) & 0xFFFFFFFF
+        less |= equal & (digits[:, j] < digit)
+        equal &= digits[:, j] == digit
+    return less
 
 
 def gen_cycle(n: int) -> Graph:
@@ -226,7 +298,8 @@ def gen_cycle(n: int) -> Graph:
 
 
 def gen_complete(n: int) -> Graph:
-    return make_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    _require_vertex_count(n)
+    return _graph_from_neighbours(n, (chain(range(v), range(v + 1, n)) for v in range(n)))
 
 
 def gen_clique_union(size: int, count: int) -> Graph:

@@ -267,6 +267,7 @@ def _independent_partitions(h: Graph):
     weight, the product over blocks B of (-1)^(|B|-1) (|B|-1)!."""
     block_of = [0] * h.n
     blocks: list[int] = []  # vertex masks
+    nbr_mask = h.nbr_mask
 
     def extend(v: int, weight: int):
         if v == h.n:
@@ -275,7 +276,7 @@ def _independent_partitions(h: Graph):
         for b in range(len(blocks) + 1):
             if b == len(blocks):
                 blocks.append(0)
-            elif blocks[b] & h.nbr_mask[v]:
+            elif blocks[b] & nbr_mask[v]:
                 continue
             block_of[v] = b
             size = blocks[b].bit_count()

@@ -39,7 +39,14 @@ class ReflectionTriple:
         return self.swap.fixed_set()
 
     def flipped(self) -> "ReflectionTriple":
-        return ReflectionTriple(self.side_b, self.side_a, self.swap)
+        """The triple with A and B exchanged, built once per triple object:
+        it shares this triple's fixed set and flips back to this triple."""
+        flip = self.__dict__.get("_flipped")
+        if flip is None:
+            flip = ReflectionTriple(self.side_b, self.side_a, self.swap)
+            flip.__dict__.update(fixed=self.fixed, _flipped=self)
+            self.__dict__["_flipped"] = flip
+        return flip
 
     def sort_key(self):
         return (self.swap.perm, tuple(sorted(self.side_a)))
@@ -161,15 +168,17 @@ def is_admissible(h: Graph, triple: ReflectionTriple, r) -> bool:
 
 
 def reflect_set(h: Graph, triple: ReflectionTriple, r) -> frozenset[int]:
-    """Keep R's members in A or F and mirror its A-part across the swap."""
+    """Keep R's members in A or F and mirror its A-part across the swap.
+
+    On a connected pattern the swap map fixes a vertex, so it keeps each
+    bipartition side and the result lies on R's side.  On a disconnected
+    one it may exchange the sides, and the result then meets both.
+    """
     r = frozenset(r)
     if not is_admissible(h, triple, r):
         raise GraphError("constraint set is not admissible for the triple")
     out = _reflect(triple, r)
     assert out, "reflection of an admissible set is never empty"
-    parts = h.bipartition()
-    side = parts[0] if r <= parts[0] else parts[1]
-    assert out <= side, "reflection left the bipartition side"
     return out
 
 

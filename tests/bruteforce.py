@@ -11,19 +11,25 @@ search must match its states_visited, budget_exhausted and chain exactly.
 Likewise the isomorphism and involution searches keep their former loops,
 which try every candidate image rather than only the neighbours of a
 placed neighbour's image: the anchored searches must find the same maps in
-the same order and refuse at the same point.
+the same order and refuse at the same point.  The random graph generator
+and the adjacency matrix keep their former builds too, one randrange call
+per vertex pair and a matrix filled from the edge list, which the bulk
+builds must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, lcm, perm as falling_factorial
 from operator import mul
 
+import numpy as np
+
 from homreflect.automorphisms import (_INVOLUTION_CAP, Automorphism, _candidates,
                                       _placement_order)
-from homreflect.graphs import CapabilityError, Graph, GraphError, _mask
+from homreflect.graphs import CapabilityError, Graph, GraphError, _mask, make_graph
 from homreflect.reflectivity import (DEFAULT_BUDGET, CertificateStep, ReflectionCertificate,
                                      ReflectionTriple, ReflectivitySearch,
                                      enumerate_reflection_triples, verify_certificate)
@@ -441,3 +447,29 @@ def passes_carrying_test(h: Graph, phi: Automorphism) -> bool:
     return all(phi(x) not in h.adj[x] and
                not any(phi(y) in h.adj[x] for y in h.adj[x] if phi(y) != y)
                for x in moved)
+
+
+def gen_random_per_pair(n: int, p: Fraction, seed: int) -> Graph:
+    """Binomial random graph with exact edge probability p = num/den.
+
+    One randrange(den) draw from random.Random(seed) per unordered pair,
+    scanned in lexicographic order; the same (n, p, seed) always rebuilds
+    the identical graph.
+    """
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise GraphError(f"edge probability must be in [0,1], got {p}")
+    rng = random.Random(seed)
+    num, den = p.numerator, p.denominator
+    edges = ((u, v)
+             for u in range(n) for v in range(u + 1, n)
+             if rng.randrange(den) < num)
+    return make_graph(n, edges)
+
+
+def adjacency_from_edges(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix of g as float64."""
+    adj = np.zeros((g.n, g.n))
+    edges = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
+    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = 1
+    return adj

@@ -46,6 +46,14 @@ class TestGen:
                          "--seed", "1", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n, p, seed", [(10, "1/2", 1), (57, "3/10", 4), (300, "1/2", 2)])
+    def test_random_file_matches_per_pair_draws(self, tmp_path, n, p, seed):
+        got, want = tmp_path / "got.edges", tmp_path / "want.edges"
+        assert main(["gen", "random", "--n", str(n), "--p", p,
+                     "--seed", str(seed), "--out", str(got)]) == 0
+        write_edge_list(bf.gen_random_per_pair(n, Fraction(p), seed), want)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_direction_cube_writes_colouring(self, tmp_path):
         path = tmp_path / "cube.edges"
         cpath = tmp_path / "cube.colours"
@@ -642,3 +650,51 @@ class TestDeterminism:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParserBuiltForOneCommand:
+    """main builds only the named subcommand's arguments; its help, errors
+    and parsed values equal those of the parser with every subcommand."""
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("argv", [
+        (), ("--help",), ("-h",), ("--version",), ("frobnicate",), ("-1", "certify"),
+        ("--bogus", "certify", "--graph", "q3"),
+        ("gen", "--help"), ("certify", "--help"), ("check-cert", "--help"),
+        ("verify", "--help"), ("verify", "section2", "--help"),
+        ("verify", "section3", "--help"), ("experiment", "--help"),
+        ("homcount", "--help"), ("h2k", "--help"),
+        ("gen",), ("gen", "torus"), ("certify",), ("check-cert", "--graph", "q3"),
+        ("verify",), ("verify", "section4"), ("verify", "section2"),
+        ("homcount", "--pattern", "q3"), ("h2k", "--host", "q3", "--k", "two"),
+        ("experiment", "rainbow-bounds"), ("certify", "--graph", "q3", "--bogus"),
+    ])
+    def test_help_and_errors_match_full_parser(self, monkeypatch, capsys, argv):
+        lazy = self.outcome(argv, capsys)
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert self.outcome(argv, capsys) == lazy
+        assert lazy[0][0] == "SystemExit"
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "random", "--n", "10", "--p", "1/2", "--out", "g.edges"),
+        ("certify", "--graph", "q4", "--all-pairs", "--budget", "9"),
+        ("check-cert", "--graph", "q3", "--cert", "c.json", "--format", "json"),
+        ("verify", "section2", "--host", "clique(4)", "--max-sets", "3"),
+        ("verify", "section3", "--host", "q3", "--epsilon", "1/4"),
+        ("experiment", "supersaturation", "--trials", "2"),
+        ("homcount", "--pattern", "q3", "--host", "q3", "--injective"),
+        ("h2k", "--host", "q3", "--k", "2", "--patterns", "--seed", "4"),
+    ])
+    def test_parsed_values_match_full_parser(self, argv):
+        got = cli.build_parser(cli._command_named(list(argv))).parse_args(argv)
+        assert cli._command_named(list(argv)) == argv[0]
+        assert got == cli.build_parser().parse_args(argv)

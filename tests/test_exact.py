@@ -2,12 +2,14 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bruteforce as bf
 from homreflect import (CapabilityError, EdgeColouring, coincidence_table, cycle_weight_sum,
-                        exact, gen_complete, gen_cycle, gen_random, greedy_proper_colouring,
-                        hom_count, homcount, rainbow)
+                        direction_colouring, exact, gen_clique_union, gen_complete, gen_cycle,
+                        gen_cycle_blowup, gen_hypercube, gen_random, gen_set_graph,
+                        greedy_proper_colouring, hom_count, homcount, make_graph, rainbow)
 from homreflect.exact import Exact
 
 # what the kernels below hold besides their matrices: edge lists, vectors,
@@ -23,6 +25,33 @@ def as_array(ex, rows):
 
 def random_matrix(rng, n, top):
     return [[rng.randrange(top) for _ in range(n)] for _ in range(n)]
+
+
+class TestAdjacency:
+    """The matrix filled from the neighbour sets equals the one filled from
+    the edge list, on every generator and on a graph read from edges."""
+
+    @pytest.mark.parametrize("g", [
+        gen_random(0, Fraction(1, 2), 1),
+        gen_random(1, Fraction(1, 2), 1),
+        gen_random(60, Fraction(3, 7), 2),
+        gen_random(200, Fraction(1, 2), 3),
+        gen_complete(1),
+        gen_complete(50),
+        gen_cycle(9),
+        gen_hypercube(5),
+        gen_set_graph(2, 6),
+        gen_clique_union(4, 3),
+        gen_cycle_blowup(5),
+        direction_colouring(4)[0],
+        make_graph(7, [(5, 1), (0, 6), (3, 2), (6, 5)]),
+    ], ids=["random-0", "random-1", "random-60", "random-200", "clique-1", "clique-50",
+            "cycle", "hypercube", "setgraph", "clique-union", "cycle-blowup",
+            "direction-cube", "edge-list"])
+    def test_matches_edge_list_build(self, g):
+        got = exact.adjacency(g)
+        assert got.dtype == np.float64 and got.shape == (g.n, g.n)
+        assert np.array_equal(got, bf.adjacency_from_edges(g))
 
 
 class TestAgainstPythonIntegers:

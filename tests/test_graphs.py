@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,56 @@ class TestRandom:
     def test_probability_range(self):
         with pytest.raises(GraphError):
             gen_random(5, Fraction(3, 2), 1)
+
+
+def assert_same_graph(got, want):
+    """Equal edge lists in the same order, and every neighbour set iterating
+    in the same order: edges(), edge-list files and greedy colourings all
+    follow that order."""
+    assert got.n == want.n
+    assert got.edges() == want.edges()
+    assert [list(s) for s in got.adj] == [list(s) for s in want.adj]
+
+
+class TestRandomMatchesPerPairDraws:
+    """The bulk draws rebuild the graphs of one randrange(den) call per pair."""
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1)], ids=["p=0", "p=1"])
+    def test_extreme_probabilities(self, p):
+        assert_same_graph(gen_random(60, p, 7), bf.gen_random_per_pair(60, p, 7))
+
+    @pytest.mark.parametrize("den", [
+        3, 10, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 15, 10 ** 12, 2 ** 64 + 13,
+    ], ids=["3", "10", "2^32-1", "2^32", "2^32+15", "10^12", "2^64+13"])
+    def test_denominators(self, den):
+        # num near den/2 makes about half the pairs edges, so that the
+        # comparison with num reads every digit of a draw
+        for num in (1, den // 2 + 1, den - 1):
+            p = Fraction(num, den)
+            for seed in (1, 2):
+                assert_same_graph(gen_random(45, p, seed), bf.gen_random_per_pair(45, p, seed))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 400, VERTEX_CAP])
+    def test_vertex_counts(self, n):
+        p = Fraction(1, 2)
+        assert_same_graph(gen_random(n, p, 3), bf.gen_random_per_pair(n, p, 3))
+
+    def test_cap_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapabilityError, match=f"capped at {VERTEX_CAP} vertices"):
+                gen_random(VERTEX_CAP + 1, Fraction(1, 2), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one row of pair draws or of the n-by-n matrix would take 1025 bytes,
+        # all of them over half a megabyte
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 200, VERTEX_CAP])
+    def test_complete_matches_make_graph(self, n):
+        want = make_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+        assert_same_graph(gen_complete(n), want)
 
 
 class TestDensityAndPeel:

@@ -41,6 +41,8 @@ from homreflect import (
 )
 from homreflect import enumerate_automorphisms
 from homreflect import reflectivity
+from homreflect.cli import main
+from homreflect.homcount import check_reflection_inequality
 from homreflect.reflectivity import (
     _even_prefix_set,
     _even_prefix_trimmed,
@@ -141,6 +143,41 @@ class TestChecksOnce:
         assert len(set(swaps)) == len(swaps) == len({t.swap for t in steps})
 
 
+    def test_flipped_triple_built_once(self, monkeypatch):
+        t = enumerate_reflection_triples(gen_hypercube(3))[0]
+        want = t.swap.fixed_set()
+        calls = count_fixed_sets(monkeypatch)
+        flip = t.flipped()
+        assert (flip.side_a, flip.side_b, flip.swap) == (t.side_b, t.side_a, t.swap)
+        assert t.flipped() is flip and flip.flipped() is t
+        assert flip.fixed is t.fixed == want
+        assert calls == [1]
+
+    def test_section2_sweep_computes_fixed_sets_once_per_triple(self, monkeypatch, tmp_path):
+        # each of the 200 swept sets used to build a new flipped triple and
+        # compute its fixed set again: 231 calls in all
+        reflectivity._swap_fixed_set.cache_clear()
+        reflectivity._triple_failure.cache_clear()
+        calls = count_fixed_sets(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["verify", "section2", "--pattern", "q3", "--host", "random(10,1/2,3)",
+                     "--out", str(out)]) == 0
+        assert calls == [31]
+
+
+def count_fixed_sets(monkeypatch) -> list[int]:
+    """Count Automorphism.fixed_set calls in the one-element list returned."""
+    calls = [0]
+    real = Automorphism.fixed_set
+
+    def wrapper(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(Automorphism, "fixed_set", wrapper)
+    return calls
+
+
 def record_calls(monkeypatch, name, key):
     """Wrap reflectivity.<name> to record key(*args) per call, with the
     memos of the triple checks emptied first."""
@@ -193,6 +230,18 @@ class TestAdmissibilityAndReflection:
     def test_inadmissible_raises(self):
         with pytest.raises(GraphError):
             reflect_set(self.q3, self.worked, cube_set("100"))
+
+    def test_side_exchanging_triple_on_disconnected_pattern(self):
+        # two disjoint edges: the swap map fixes no vertex and carries side
+        # 0 = {0, 2} onto side 1 = {1, 3}, so a reflection leaves R's side
+        h = make_graph(4, [(0, 1), (2, 3)])
+        t = ReflectionTriple(frozenset({0, 1}), frozenset({2, 3}), Automorphism((3, 2, 1, 0)))
+        assert verify_reflection_triple(h, t.side_a, t.side_b, t.swap) == (True, None)
+        assert h.bipartition() == (frozenset({0, 2}), frozenset({1, 3}))
+        assert reflect_set(h, t, {0, 2}) == frozenset({0, 3})
+        assert reflect_set(h, t.flipped(), {0, 2}) == frozenset({1, 2})
+        res = check_reflection_inequality(h, gen_cycle_blowup(3), t, {0, 2})
+        assert res.holds
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
