@@ -32,12 +32,6 @@ class Automorphism:
         """self after other: v -> self(other(v))."""
         return Automorphism(tuple(self.perm[other.perm[v]] for v in range(len(self.perm))))
 
-    def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.perm)
-        for v, w in enumerate(self.perm):
-            inv[w] = v
-        return Automorphism(tuple(inv))
-
     @property
     def is_identity(self) -> bool:
         return all(w == v for v, w in enumerate(self.perm))

@@ -160,29 +160,27 @@ def _parse_vertices(text: str) -> list[int]:
 
 def cmd_gen(args) -> int:
     kind = args.kind
+    if not args.out:
+        raise GraphError("gen needs --out for the edge-list file")
+    if args.colour_out and kind != "direction-coloured-cube":
+        raise GraphError(f"{kind} has no built-in colouring; use the h2k/verify colouring options")
+    colouring = None
     if kind == "hypercube":
         g = gen_hypercube(args.d)
-        colouring = None
     elif kind == "setgraph":
         g = gen_set_graph(args.l, args.k)
-        colouring = None
     elif kind == "random":
         if args.n is None or args.p is None:
             raise GraphError("random needs --n and --p")
         g = gen_random(args.n, parse_fraction(args.p), args.seed)
-        colouring = None
     else:  # direction-coloured-cube
         g, colouring = direction_colouring(args.d)
-    if not args.out:
-        raise GraphError("gen needs --out for the edge-list file")
     write_edge_list(g, args.out)
     sys.stderr.write(f"wrote {g.n} vertices, {g.edge_count()} edges to {args.out}\n")
     if colouring is not None:
         colour_out = args.colour_out or args.out + ".colours"
         write_colouring(g, colouring, colour_out)
         sys.stderr.write(f"wrote colouring to {colour_out}\n")
-    elif args.colour_out:
-        raise GraphError(f"{kind} has no built-in colouring; use the h2k/verify colouring options")
     return EXIT_OK
 
 

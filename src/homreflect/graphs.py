@@ -178,11 +178,6 @@ def _graph_from_neighbours(n: int, neighbours) -> Graph:
 # Generators
 # ---------------------------------------------------------------------------
 
-def cube_vertex(bits: str) -> int:
-    """Vertex id of a cube coordinate string; character i is coordinate i+1."""
-    return sum(1 << i for i, ch in enumerate(bits) if ch == "1")
-
-
 def cube_label(v: int, d: int) -> str:
     return "".join("1" if (v >> i) & 1 else "0" for i in range(d))
 
@@ -212,15 +207,6 @@ def gen_set_graph(ell: int, k: int) -> Graph:
              for j, t in enumerate(large)
              if s <= t)
     return make_graph(off + len(large), edges, labels=tuple(small + large))
-
-
-def set_graph_vertex(g: Graph, subset) -> int:
-    """Vertex id carrying the given ground-set subset label."""
-    want = frozenset(subset)
-    for v, lab in enumerate(g.labels):
-        if lab == want:
-            return v
-    raise GraphError(f"no vertex labelled {sorted(want)}")
 
 
 def gen_random(n: int, p: Fraction, seed: int) -> Graph:
@@ -346,12 +332,6 @@ class EdgeColouring:
     def of(self, u: int, v: int) -> int:
         return self.colours[(u, v) if u < v else (v, u)]
 
-    def colour_set(self) -> set[int]:
-        return set(self.colours.values())
-
-    def colour_count(self) -> int:
-        return len(self.colour_set())
-
 
 def validate_colouring(g: Graph, colouring: EdgeColouring) -> None:
     """Every edge coloured exactly once; properness flag backed by a check."""
@@ -377,7 +357,9 @@ def _is_proper(g: Graph, colouring: EdgeColouring) -> bool:
 def greedy_proper_colouring(g: Graph, seed: int) -> EdgeColouring:
     """Smallest-free-colour greedy over a seeded random edge order.
 
-    Uses at most 2*maxdeg - 1 colours; the result is verified proper.
+    Uses at most 2*maxdeg - 1 colours.  Each edge takes a colour free at
+    both ends, so the result is proper and covers every edge by
+    construction; callers validate colourings where they use them.
     """
     rng = random.Random(seed)
     edges = g.edges()
@@ -392,9 +374,7 @@ def greedy_proper_colouring(g: Graph, seed: int) -> EdgeColouring:
         colours[(u, v)] = c
         at_vertex[u].add(c)
         at_vertex[v].add(c)
-    colouring = EdgeColouring(colours, proper=True)
-    validate_colouring(g, colouring)
-    return colouring
+    return EdgeColouring(colours, proper=True)
 
 
 def rainbow_colouring(g: Graph) -> EdgeColouring:
@@ -410,9 +390,7 @@ def direction_colouring(d: int) -> tuple[Graph, EdgeColouring]:
     colours = {}
     for u, v in g.edges():
         colours[(u, v)] = (u ^ v).bit_length() - 1
-    colouring = EdgeColouring(colours, proper=True)
-    validate_colouring(g, colouring)
-    return g, colouring
+    return g, EdgeColouring(colours, proper=True)
 
 
 # ---------------------------------------------------------------------------

@@ -382,15 +382,19 @@ def turan_exponent(v: int, e: int, t: int) -> Fraction:
 # Supersaturation experiment
 # ---------------------------------------------------------------------------
 
-def supersaturation_experiment(d: int, n: int, p, seed: int, trials: int,
-                               threshold: Fraction = Fraction(1, 10)) -> dict:
+# A harness constant chosen with generous slack below the expected injective
+# count, not a derived value.
+_THRESHOLD = Fraction(1, 10)
+
+
+def supersaturation_experiment(d: int, n: int, p, seed: int, trials: int) -> dict:
     """Seeded random hosts at density p: count 3-cube homomorphisms,
     injective copies, and compare with the n^8 p^12 benchmark.
 
-    The 0.1 acceptance threshold is a harness constant chosen with generous
-    slack below the expected injective count, not a derived value.  Host
-    size is bounded by hom_count's work cap alone: the 3-cube's plan
-    conditions on two vertices, so n^4 <= 3*10^8, n <= 131.
+    A trial meets the threshold when its injective count is at least
+    _THRESHOLD times the benchmark.  Host size is bounded by hom_count's
+    work cap alone: the 3-cube's plan conditions on two vertices, so
+    n^4 <= 3*10^8, n <= 131.
     """
     if d != 3:
         raise CapabilityError("supersaturation experiment runs at d=3 only")
@@ -411,7 +415,7 @@ def supersaturation_experiment(d: int, n: int, p, seed: int, trials: int,
             "noninjective_fraction": (float(noninj) / hom) if hom else 0.0,
             "ratio_to_benchmark": (float(Fraction(inj) / benchmark)
                                    if benchmark else float("inf")),
-            "meets_threshold": Fraction(inj) >= threshold * benchmark,
+            "meets_threshold": Fraction(inj) >= _THRESHOLD * benchmark,
             "degree_ratio": (g.max_degree() / mind) if mind else None,
         })
     ratios = [r["ratio_to_benchmark"] for r in rows]
@@ -420,23 +424,9 @@ def supersaturation_experiment(d: int, n: int, p, seed: int, trials: int,
         "n": n,
         "p": p,
         "benchmark": benchmark,
-        "threshold": threshold,
+        "threshold": _THRESHOLD,
         "trials": rows,
         "all_meet_threshold": all(r["meets_threshold"] for r in rows),
         "min_ratio": min(ratios) if ratios else None,
         "median_ratio": median(ratios) if ratios else None,
     }
-
-
-def cube_parameters(d: int) -> tuple[int, int, int]:
-    """(v, e, t) of the d-cube: 2^d vertices, d 2^(d-1) edges, half on a side."""
-    return (1 << d, d * (1 << (d - 1)), 1 << (d - 1))
-
-
-def cube_exponent_identity(d: int) -> tuple[Fraction, Fraction]:
-    """The general exponent at the cube's parameters and its simplified
-    closed form; the two must agree for every d."""
-    v, e, t = cube_parameters(d)
-    general = turan_exponent(v, e, t)
-    closed = Fraction(2) - Fraction(1, d - 1) + Fraction(1, (d - 1) * (1 << (d - 1)))
-    return general, closed

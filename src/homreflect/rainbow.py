@@ -190,15 +190,6 @@ def canonical_pattern_offset(i: int, j: int, two_k: int) -> int:
     return two_k - off if off > two_k // 2 else off
 
 
-def coincidence_weight(g: Graph, colouring: EdgeColouring, k: int,
-                       i: int, j: int) -> Fraction:
-    """Total weight of the 2k-cycles whose steps i and j share a colour."""
-    if k < 1:
-        raise GraphError(f"half-length must be positive, got {k}")
-    ell = canonical_pattern_offset(i, j, 2 * k)
-    return walk_engine(g, k).matched_trace(colouring, ell - 1, 2 * k - ell - 1)
-
-
 def coincidence_table(g: Graph, colouring: EdgeColouring,
                       k: int) -> dict[tuple[int, int], Fraction]:
     """All C(2k,2) coincidence weights, evaluated once per canonical offset."""
@@ -400,43 +391,8 @@ def _cycle_search(g: Graph, colouring: EdgeColouring, eps, max_len: int | None,
 
 
 # ---------------------------------------------------------------------------
-# Homomorphic-cycle utilities
+# Cycle utilities
 # ---------------------------------------------------------------------------
-
-def decompose_hom_cycle(seq) -> list[tuple[int, ...]]:
-    """Split a closed walk at repeated vertices until every piece is a
-    simple cycle or a 2-cycle; the pieces partition the walk's steps."""
-    seq = tuple(seq)
-    if len(seq) < 2:
-        raise GraphError("homomorphic cycles have length at least 2")
-    if len(seq) == 2 or len(set(seq)) == len(seq):
-        return [seq]
-    first_at: dict[int, int] = {}
-    for pos, v in enumerate(seq):
-        if v in first_at:
-            i, j = first_at[v], pos
-            piece = seq[i:j]
-            rest = seq[:i] + seq[j:]
-            return decompose_hom_cycle(piece) + decompose_hom_cycle(rest)
-        first_at[v] = pos
-    raise AssertionError("unreachable: non-injective walk without a repeat")
-
-
-def hom_cycle_weight(g: Graph, seq) -> Fraction:
-    """Weight of a closed walk: the reciprocal of the product of the
-    degrees along it."""
-    seq = tuple(seq)
-    if len(seq) < 2:
-        raise GraphError("homomorphic cycles have length at least 2")
-    for t, u in enumerate(seq):
-        v = seq[(t + 1) % len(seq)]
-        if v not in g.adj[u]:
-            raise GraphError(f"({u},{v}) is not an edge")
-    out = Fraction(1)
-    for u in seq:
-        out /= g.degree(u)
-    return out
-
 
 def cycle_step_colours(g: Graph, colouring: EdgeColouring, seq) -> list[int]:
     seq = tuple(seq)

@@ -212,9 +212,6 @@ class ReflectionCertificate:
         """s = 2^m for the final homomorphism inequality."""
         return 1 << len(self.steps)
 
-    def sets(self) -> list[frozenset[int]]:
-        return [self.start] + [st.r_next for st in self.steps]
-
 
 def verify_certificate(h: Graph, cert: ReflectionCertificate) -> tuple[bool, list[str]]:
     """Validate every certificate invariant, independent of any search.

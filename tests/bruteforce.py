@@ -15,6 +15,10 @@ the same order and refuse at the same point.  The random graph generator
 and the adjacency matrix keep their former builds too, one randrange call
 per vertex pair and a matrix filled from the edge list, which the bulk
 builds must reproduce exactly.
+
+The last three functions are not oracles but label helpers: vertex ids of
+cube coordinate strings and of set-graph subsets, and the inverse of an
+automorphism.
 """
 
 from __future__ import annotations
@@ -473,3 +477,24 @@ def adjacency_from_edges(g: Graph) -> np.ndarray:
     edges = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
     adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = 1
     return adj
+
+
+def cube_vertex(bits: str) -> int:
+    """Vertex id of a cube coordinate string; character i is coordinate i+1."""
+    return sum(1 << i for i, ch in enumerate(bits) if ch == "1")
+
+
+def set_graph_vertex(g: Graph, subset) -> int:
+    """Vertex id carrying the given ground-set subset label."""
+    want = frozenset(subset)
+    for v, lab in enumerate(g.labels):
+        if lab == want:
+            return v
+    raise GraphError(f"no vertex labelled {sorted(want)}")
+
+
+def inverse(sigma: Automorphism) -> Automorphism:
+    inv = [0] * len(sigma.perm)
+    for v, w in enumerate(sigma.perm):
+        inv[w] = v
+    return Automorphism(tuple(inv))

@@ -16,16 +16,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import bruteforce as bf
+from bruteforce import set_graph_vertex
 from homreflect import (
     Automorphism,
     certify_reflective,
     check_final_inequality,
     check_pattern_chain,
     check_variant_chain,
-    coincidence_weight,
+    coincidence_table,
     conjugate_certificate,
     count_cube_homomorphisms,
-    cube_exponent_identity,
     cycle_weight_sum,
     cycle_weight_sum_spectral,
     direction_colouring,
@@ -47,7 +47,6 @@ from homreflect import (
     reflect_set,
     reflectivity_report,
     set_graph_reflection_chain,
-    set_graph_vertex,
     sidorenko_check,
     supersaturation_experiment,
     turan_exponent,
@@ -77,8 +76,9 @@ def test_criterion_1_exponent_arithmetic():
     started = time.monotonic()
     ok = turan_exponent(8, 12, 4) == Fraction(13, 8)
     for d in range(3, 11):
-        general, closed = cube_exponent_identity(d)
-        ok &= general == closed
+        half = 1 << (d - 1)   # the d-cube: 2^d vertices, d 2^(d-1) edges, 2^(d-1) a side
+        closed = 2 - Fraction(1, d - 1) + Fraction(1, (d - 1) * half)
+        ok &= turan_exponent(2 * half, d * half, half) == closed
     elapsed = time.monotonic() - started
     ok &= elapsed < 1.0
     report(1, "exponent arithmetic", ok, f"{elapsed:.3f}s")
@@ -264,8 +264,9 @@ def test_criterion_7_cycle_inequality_suite():
     started = time.monotonic()
     c4 = gen_cycle(4)
     col4 = rainbow_colouring(c4)
-    ok = coincidence_weight(c4, col4, 2, 1, 4) == 1
-    ok &= coincidence_weight(c4, col4, 2, 2, 4) == Fraction(1, 2)
+    table = coincidence_table(c4, col4, 2)
+    ok = table[(1, 4)] == 1
+    ok &= table[(2, 4)] == Fraction(1, 2)
 
     instances = 0
     violations = 0

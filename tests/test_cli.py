@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from test_reflectivity import comb_graph
 import homreflect
-from homreflect import cli, rainbow, read_colouring, read_edge_list, write_edge_list
+from homreflect import cli, graphs, rainbow, read_colouring, read_edge_list, write_edge_list
 from homreflect.cli import main, parse_graph_spec
 from homreflect.graphs import VERTEX_CAP, gen_random
 from homreflect.reflectivity import certify_pairs, certify_reflective, reflectivity_report
@@ -61,11 +61,23 @@ class TestGen:
                      "--out", str(path), "--colour-out", str(cpath)]) == 0
         g = read_edge_list(path)
         col = read_colouring(g, cpath)
-        assert col.proper and col.colour_count() == 3
+        assert col.proper and len(set(col.colours.values())) == 3
 
     def test_bad_parameters_exit_one(self, tmp_path):
         assert main(["gen", "hypercube", "--d", "0",
                      "--out", str(tmp_path / "x.edges")]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["hypercube", "--d", "3"],
+        ["setgraph", "--l", "1", "--k", "3"],
+        ["random", "--n", "6", "--p", "1/2"],
+    ], ids=["hypercube", "setgraph", "random"])
+    def test_colour_out_refused_before_writing(self, tmp_path, argv):
+        """Only the direction-coloured cube has a colouring to write; any
+        other kind exits 1 before it writes its edge list."""
+        assert main(["gen", *argv, "--out", str(tmp_path / "x.edges"),
+                     "--colour-out", str(tmp_path / "y.col")]) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCertify:
@@ -365,6 +377,21 @@ class TestVerify:
 
     def test_malformed_host_error(self, tmp_path):
         assert main(["verify", "section3", "--host", "nonsense(1)", "--k", "2"]) == 1
+
+    def test_colouring_checked_where_used(self, tmp_path, monkeypatch):
+        """The greedy colouring is proper by construction; the chain and
+        the rainbow-cycle search each check it once."""
+        checked = []
+        is_proper = graphs._is_proper
+
+        def counted(g, colouring):
+            checked.append(g.n)
+            return is_proper(g, colouring)
+
+        monkeypatch.setattr(graphs, "_is_proper", counted)
+        code, _ = run(tmp_path, "verify", "section3", "--host", "clique(66)", "--k", "2")
+        assert code == 0
+        assert checked == [66, 66]
 
 
 class TestExperiment:

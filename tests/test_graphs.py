@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from bruteforce import cube_vertex
 from homreflect import (
     CapabilityError,
     GraphError,
-    cube_vertex,
     direction_colouring,
     edge_density,
     gen_clique_union,
@@ -233,12 +233,12 @@ class TestDensityAndPeel:
 class TestColourings:
     def test_triangle_needs_three(self):
         col = greedy_proper_colouring(gen_complete(3), 1)
-        assert col.colour_count() == 3
+        assert len(set(col.colours.values())) == 3
 
     def test_star_needs_degree(self):
         star = make_graph(5, [(0, i) for i in range(1, 5)])
         col = greedy_proper_colouring(star, 3)
-        assert col.colour_count() == 4
+        assert len(set(col.colours.values())) == 4
 
     @given(random_graph_strategy(), st.integers(min_value=0, max_value=2 ** 30))
     @settings(max_examples=40, deadline=None)
@@ -246,7 +246,7 @@ class TestColourings:
         col = greedy_proper_colouring(g, seed)
         validate_colouring(g, col)
         if g.edge_count():
-            assert col.colour_count() <= 2 * g.max_degree() - 1
+            assert len(set(col.colours.values())) <= 2 * g.max_degree() - 1
 
     def test_direction_colour_classes(self):
         g, col = direction_colouring(3)
@@ -258,7 +258,13 @@ class TestColourings:
 
     def test_direction_single_edge(self):
         g, col = direction_colouring(1)
-        assert col.colour_count() == 1
+        assert len(set(col.colours.values())) == 1
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_direction_valid(self, d):
+        g, col = direction_colouring(d)
+        validate_colouring(g, col)
+        assert len(set(col.colours.values())) == d
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_direction_every_cycle_colour_doubled(self, d):

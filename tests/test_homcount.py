@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from bruteforce import cube_vertex
 from homreflect import (
     CapabilityError,
     GraphError,
     check_final_inequality,
     check_reflection_inequality,
     count_cube_homomorphisms,
-    cube_exponent_identity,
-    cube_vertex,
     certify_reflective,
     enumerate_reflection_triples,
     gen_complete,
@@ -573,8 +572,11 @@ class TestExponent:
 
     @pytest.mark.parametrize("d", range(3, 11))
     def test_cube_identity(self, d):
-        general, closed = cube_exponent_identity(d)
-        assert general == closed
+        """At the d-cube's 2^d vertices, d 2^(d-1) edges and 2^(d-1) on a
+        side the exponent is 2 - 1/(d-1) + 1/((d-1) 2^(d-1))."""
+        half = 1 << (d - 1)
+        closed = 2 - Fraction(1, d - 1) + Fraction(1, (d - 1) * half)
+        assert turan_exponent(2 * half, d * half, half) == closed
 
     def test_tree_like_undefined(self):
         with pytest.raises(GraphError):
@@ -597,6 +599,9 @@ class TestSupersaturation:
         for row in rep["trials"]:
             assert row["noninjective"] == row["hom"] - row["injective"]
         assert rep["benchmark"] == Fraction(16) ** 8 * Fraction(7, 10) ** 12
+        assert rep["threshold"] == Fraction(1, 10)
+        for row in rep["trials"]:
+            assert row["meets_threshold"] == (row["injective"] >= rep["benchmark"] / 10)
 
     def test_dimension_cap(self):
         with pytest.raises(CapabilityError):

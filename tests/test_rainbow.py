@@ -3,8 +3,6 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import bruteforce as bf
 from homreflect import (
@@ -13,10 +11,8 @@ from homreflect import (
     check_pattern_chain,
     check_variant_chain,
     coincidence_table,
-    coincidence_weight,
     cycle_weight_sum,
     cycle_weight_sum_spectral,
-    decompose_hom_cycle,
     direction_colouring,
     distinct_colour_count,
     find_almost_rainbow,
@@ -26,9 +22,7 @@ from homreflect import (
     gen_hypercube,
     gen_random,
     greedy_proper_colouring,
-    hom_cycle_weight,
     is_rainbow_cycle,
-    is_simple_cycle,
     make_graph,
     rainbow_colouring,
 )
@@ -113,7 +107,6 @@ class TestWalkEngineDtype:
         for i, j in pairs:
             want = bf.closed_walk_weight_sum(g, 2 * k, colour_match=(i, j), colouring=col)
             assert table[(i, j)] == want, (i, j)
-            assert coincidence_weight(g, col, k, i, j) == want, (i, j)
 
     @pytest.mark.parametrize("seed", [2, 5])
     def test_residues_on_every_small_host(self, monkeypatch, seed):
@@ -198,24 +191,26 @@ class TestCoincidenceWeights:
     def test_four_cycle_pinned_values(self):
         c4 = gen_cycle(4)
         col = rainbow_colouring(c4)
-        assert coincidence_weight(c4, col, 2, 1, 4) == 1
-        assert coincidence_weight(c4, col, 2, 2, 4) == Fraction(1, 2)
+        table = coincidence_table(c4, col, 2)
+        assert table[(1, 4)] == 1
+        assert table[(2, 4)] == Fraction(1, 2)
 
     def test_length_two_always_coincides(self):
         g = random_host_with_degrees(6, 1, 2, 2)
         col = greedy_proper_colouring(g, 1)
-        assert coincidence_weight(g, col, 1, 1, 2) == cycle_weight_sum(g, 1)
+        assert coincidence_table(g, col, 1)[(1, 2)] == cycle_weight_sum(g, 1)
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_all_patterns_match_walk_enumeration(self, seed):
         g = random_host_with_degrees(5, 3, 5, seed)
         col = greedy_proper_colouring(g, seed)
         k = 2
+        table = coincidence_table(g, col, k)
         for i in range(1, 2 * k + 1):
             for j in range(i + 1, 2 * k + 1):
                 want = bf.closed_walk_weight_sum(g, 2 * k, colour_match=(i, j),
                                                  colouring=col)
-                assert coincidence_weight(g, col, k, i, j) == want, (i, j)
+                assert table[(i, j)] == want, (i, j)
 
     def test_rotation_invariance_through_oracle(self):
         g, col = direction_colouring(3)
@@ -449,45 +444,3 @@ class TestCoincidenceTableKept:
         assert same == col
         assert check_pattern_chain(g, same, 2)["patterns"] == pattern["patterns"]
         assert calls == [(0, 2), (1, 1)] * 2
-
-
-class TestDecomposition:
-    def test_simple_cycle_unchanged(self):
-        assert decompose_hom_cycle((0, 1, 2, 3)) == [(0, 1, 2, 3)]
-
-    def test_doubled_edge(self):
-        assert decompose_hom_cycle((7, 8, 7, 8)) == [(7, 8), (7, 8)]
-
-    def test_spur(self):
-        assert decompose_hom_cycle((1, 2, 3, 2)) == [(2, 3), (1, 2)]
-
-    @given(st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_pieces_partition_steps(self, data):
-        g = gen_hypercube(3)
-        length = data.draw(st.integers(min_value=1, max_value=4)) * 2
-        walk = [data.draw(st.integers(min_value=0, max_value=g.n - 1))]
-        for _ in range(length - 1):
-            walk.append(data.draw(st.sampled_from(sorted(g.adj[walk[-1]]))))
-        if walk[0] not in g.adj[walk[-1]]:
-            return
-        pieces = decompose_hom_cycle(tuple(walk))
-        def steps(seq):
-            return sorted((seq[t], seq[(t + 1) % len(seq)]) for t in range(len(seq)))
-        combined = sorted(s for p in pieces for s in steps(p))
-        assert combined == steps(tuple(walk))
-        for p in pieces:
-            assert len(p) == 2 or is_simple_cycle(g, p)
-
-    def test_colour_superadditive(self):
-        g, col = direction_colouring(3)
-        walk = (0, 1, 3, 1, 5, 1)   # closed 6-walk with repeats
-        pieces = decompose_hom_cycle(walk)
-        total = distinct_colour_count(g, col, walk)
-        assert total <= sum(distinct_colour_count(g, col, p) for p in pieces)
-
-    def test_weight_multiplicative_over_degrees(self):
-        g = gen_hypercube(3)
-        assert hom_cycle_weight(g, (0, 1)) == Fraction(1, 9)
-        with pytest.raises(GraphError):
-            hom_cycle_weight(g, (0, 3))

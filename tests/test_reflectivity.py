@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from bruteforce import cube_vertex, set_graph_vertex
 from test_automorphisms import decorated_c12
 from homreflect import (
     Automorphism,
@@ -23,7 +24,6 @@ from homreflect import (
     certify_pairs,
     certify_reflective,
     conjugate_certificate,
-    cube_vertex,
     enumerate_reflection_triples,
     gen_cycle,
     gen_cycle_blowup,
@@ -35,7 +35,6 @@ from homreflect import (
     reflect_set,
     reflectivity_report,
     set_graph_reflection_chain,
-    set_graph_vertex,
     verify_certificate,
     verify_reflection_triple,
 )
@@ -279,7 +278,8 @@ class TestCertificateSearch:
         res = certify_reflective(gen_cycle(6), {0, 2})
         cert = res.certificate
         assert cert.num_steps == 1
-        assert cert.sets() == [frozenset({0, 2}), frozenset({0, 2, 4})]
+        assert cert.start == frozenset({0, 2})
+        assert cert.steps[0].r_next == frozenset({0, 2, 4})
 
     def test_mixed_parity_rejected(self):
         with pytest.raises(GraphError):
@@ -786,7 +786,7 @@ class TestExplicitReach:
             chains += [set_graph_reflection_chain(ell, k, pair)
                        for pair in pairs(small, small[0] if len(small) > 10 else None)]
         for cert in chains:
-            sets = cert.sets()
+            sets = [cert.start] + [step.r_next for step in cert.steps]
             assert all(a != b for a, b in zip(sets, sets[1:])), certificate_to_json(cert)
 
     @pytest.mark.parametrize("build,r0", [
