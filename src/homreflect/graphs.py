@@ -1,8 +1,10 @@
-"""Simple undirected graphs: construction, generators, colourings, peeling, file I/O.
+"""Simple undirected graphs: construction, generators, colourings, file I/O.
 
-Vertices are dense integers 0..n-1.  Optional labels (cube bitstrings,
-ground-set subsets, surviving original ids) live in a side table so the
-counting kernels never see them.  Graphs are immutable after construction.
+Vertices are dense integers 0..n-1.  Optional labels (ground-set
+subsets) live in a side table so the counting kernels never see them.
+Graphs are immutable after construction.  Edges are always listed in
+ascending (u, v) order with u < v, however the graph was built, so edge
+files and seeded colourings depend only on the graph.
 
 Every graph has at most VERTEX_CAP = 1024 vertices.  The cap is checked
 before any adjacency or edge list is built, so an oversized generator
@@ -46,13 +48,14 @@ def _require_vertex_count(n: int) -> None:
 class Graph:
     """Immutable simple undirected graph with neighbour sets and bitmasks."""
 
-    __slots__ = ("n", "adj", "labels", "_masks", "_parts")
+    __slots__ = ("n", "adj", "labels", "_masks", "_edges", "_parts")
 
     def __init__(self, n: int, adj: tuple[frozenset[int], ...], labels=None):
         self.n = n
         self.adj = adj
         self.labels = labels
         self._masks = None
+        self._edges = None
         self._parts = None
 
     @property
@@ -84,8 +87,13 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees()) if self.n else 0
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (u, v), u < v, in ascending order, built on first use:
+        the one edge order that files, colourings and kernels follow."""
+        if self._edges is None:
+            self._edges = tuple(sorted((u, v) for u, nbrs in enumerate(self.adj)
+                                       for v in nbrs if u < v))
+        return self._edges
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
@@ -166,21 +174,9 @@ def make_graph(n: int, edges, labels=None) -> Graph:
     return Graph(n, tuple(frozenset(s) for s in adj), labels)
 
 
-def _graph_from_neighbours(n: int, neighbours) -> Graph:
-    """A Graph from each vertex's neighbours in ascending order.  Each set
-    is filled in that order and then frozen, as make_graph fills it from
-    edges in lexicographic order, so the frozensets iterate, and edges()
-    lists, exactly as make_graph's do."""
-    return Graph(n, tuple(frozenset(set(nbrs)) for nbrs in neighbours))
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
-
-def cube_label(v: int, d: int) -> str:
-    return "".join("1" if (v >> i) & 1 else "0" for i in range(d))
-
 
 def gen_hypercube(d: int) -> Graph:
     """d-dimensional cube: vertices are 0/1 vectors joined when they differ
@@ -189,8 +185,7 @@ def gen_hypercube(d: int) -> Graph:
         raise GraphError(f"cube dimension must be in [1,20], got {d}")
     n = 1 << d
     _require_vertex_cap(n)
-    adj = tuple(frozenset(v ^ (1 << i) for i in range(d)) for v in range(n))
-    return Graph(n, adj, labels=tuple(cube_label(v, d) for v in range(n)))
+    return Graph(n, tuple(frozenset(v ^ (1 << i) for i in range(d)) for v in range(n)))
 
 
 def gen_set_graph(ell: int, k: int) -> Graph:
@@ -225,12 +220,9 @@ def gen_random(n: int, p: Fraction, seed: int) -> Graph:
     _require_vertex_count(n)
     edge = _draws_below(random.Random(seed), p.denominator, p.numerator, n * (n - 1) // 2)
     upper = np.zeros((n, n), dtype=bool)
-    start = 0
-    for u in range(n - 1):
-        upper[u, u + 1:] = edge[start:start + n - 1 - u]
-        start += n - 1 - u
+    upper[np.triu_indices(n, 1)] = edge
     upper |= upper.T
-    return _graph_from_neighbours(n, (np.flatnonzero(row).tolist() for row in upper))
+    return Graph(n, tuple(frozenset(np.flatnonzero(row).tolist()) for row in upper))
 
 
 _DRAW_WORDS = 1 << 16  # generator outputs taken per bulk draw
@@ -285,7 +277,7 @@ def gen_cycle(n: int) -> Graph:
 
 def gen_complete(n: int) -> Graph:
     _require_vertex_count(n)
-    return _graph_from_neighbours(n, (chain(range(v), range(v + 1, n)) for v in range(n)))
+    return Graph(n, tuple(frozenset(chain(range(v), range(v + 1, n))) for v in range(n)))
 
 
 def gen_clique_union(size: int, count: int) -> Graph:
@@ -355,15 +347,15 @@ def _is_proper(g: Graph, colouring: EdgeColouring) -> bool:
 
 
 def greedy_proper_colouring(g: Graph, seed: int) -> EdgeColouring:
-    """Smallest-free-colour greedy over a seeded random edge order.
+    """Smallest-free-colour greedy over a seeded shuffle of edges(), so the
+    colouring depends only on the graph and the seed.
 
     Uses at most 2*maxdeg - 1 colours.  Each edge takes a colour free at
     both ends, so the result is proper and covers every edge by
     construction; callers validate colourings where they use them.
     """
-    rng = random.Random(seed)
-    edges = g.edges()
-    rng.shuffle(edges)
+    edges = list(g.edges())
+    random.Random(seed).shuffle(edges)
     at_vertex = [set() for _ in range(g.n)]
     colours = {}
     for u, v in edges:
@@ -398,7 +390,8 @@ def direction_colouring(d: int) -> tuple[Graph, EdgeColouring]:
 # ---------------------------------------------------------------------------
 
 def write_edge_list(g: Graph, path) -> None:
-    """Line 1 is "n m"; then one "u v" line per edge, 0-indexed, LF ends."""
+    """Line 1 is "n m"; then one "u v" line per edge, 0-indexed, in
+    ascending (u, v) order with u < v, LF ends."""
     edges = g.edges()
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{g.n} {len(edges)}\n")
@@ -428,7 +421,8 @@ def read_edge_list(path) -> Graph:
 
 
 def write_colouring(g: Graph, colouring: EdgeColouring, path) -> None:
-    """One "u v colourId" line per edge, sorted by (u, v)."""
+    """One "u v colourId" line per edge, in ascending (u, v) order with
+    u < v."""
     with open(path, "w", newline="\n") as fh:
         for u, v in g.edges():
             fh.write(f"{u} {v} {colouring.of(u, v)}\n")

@@ -679,6 +679,30 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSpecMatchesGeneratedFile:
+    """A constructor spec and the edge-list file that `gen` wrote for it are
+    one graph, so seeded colourings, and every report built on them, agree."""
+
+    @pytest.mark.parametrize("spec, gen_argv", [
+        ("hypercube(6)", ["hypercube", "--d", "6"]),
+        ("setgraph(2,6)", ["setgraph", "--l", "2", "--k", "6"]),
+        ("random(40,1/2,1)", ["random", "--n", "40", "--p", "1/2", "--seed", "1"]),
+    ], ids=["hypercube", "setgraph", "random"])
+    @pytest.mark.parametrize("argv", [
+        ["h2k", "--k", "2", "--patterns", "--colouring", "greedy(7)"],
+        ["verify", "section3", "--k", "2"],
+    ], ids=["h2k", "section3"])
+    def test_reports_byte_identical(self, tmp_path, spec, gen_argv, argv):
+        path = tmp_path / "host.edges"
+        assert main(["gen", *gen_argv, "--out", str(path)]) == 0
+        reports = []
+        for host in (spec, str(path)):
+            code, report = run(tmp_path, *argv, "--host", host, "--format", "json")
+            assert code == 0
+            reports.append(report.replace(json.dumps(host).encode(), b'"HOST"'))
+        assert reports[0] == reports[1]
+
+
 class TestParserBuiltForOneCommand:
     """main builds only the named subcommand's arguments; its help, errors
     and parsed values equal those of the parser with every subcommand."""
