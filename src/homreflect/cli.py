@@ -30,7 +30,7 @@ from .homcount import (check_final_inequality, check_reflection_inequality,
 from .rainbow import (check_pattern_chain, check_variant_chain,
                       coincidence_table, cycle_weight_sum,
                       cycle_weight_sum_spectral, find_almost_rainbow,
-                      find_rainbow_cycle, walk_engine)
+                      find_rainbow_cycle)
 from .reflectivity import (DEFAULT_BUDGET, certificate_from_json, certificate_to_json,
                            certify_pairs, certify_reflective, enumerate_reflection_triples,
                            is_admissible, reflectivity_report, verify_certificate)
@@ -46,47 +46,51 @@ EXIT_BUDGET = 3
 # Graph / colouring specs
 # ---------------------------------------------------------------------------
 
+def _triangle_rainbow() -> tuple[Graph, EdgeColouring]:
+    g = gen_complete(3)
+    return g, rainbow_colouring(g)
+
+
+# Constructor name: its generator and the kinds of its arguments.  A
+# generator returns the graph, or the graph with its built-in colouring.
+_GRAPH_SPECS = {
+    "hypercube": (gen_hypercube, (int,)),
+    "setgraph": (gen_set_graph, (int, int)),
+    "random": (gen_random, (int, parse_fraction, int)),
+    "clique": (gen_complete, (int,)),
+    "cycle": (gen_cycle, (int,)),
+    "clique-union": (gen_clique_union, (int, int)),
+    "cycle-blowup": (gen_cycle_blowup, (int,)),
+    "direction-cube": (direction_colouring, (int,)),
+    "triangle-rainbow": (_triangle_rainbow, ()),
+}
+
+
 def parse_graph_spec(spec: str) -> tuple[Graph, EdgeColouring | None]:
-    """A file path, or name(args): hypercube(d), setgraph(l,k),
-    random(n,p,seed), clique(n), cycle(n), clique-union(size,count),
-    cycle-blowup(l), direction-cube(d), triangle-rainbow, or qD."""
+    """A file path, qD for hypercube(D), or a constructor of _GRAPH_SPECS:
+    name(args), or the bare name of one that takes no arguments."""
     spec = spec.strip()
     if os.path.exists(spec):
         return read_edge_list(spec), None
     low = spec.lower()
-    if low in ("triangle-rainbow", "rainbow-triangle"):
-        g = gen_complete(3)
-        return g, rainbow_colouring(g)
     if low.startswith("q") and low[1:].isdigit():
-        return gen_hypercube(*_spec_args(spec, [low[1:]], int)), None
-    name, args = _split_call(low)
-    if name in ("hypercube", "cube"):
-        return gen_hypercube(*_spec_args(spec, args, int)), None
-    if name == "setgraph":
-        return gen_set_graph(*_spec_args(spec, args, int, int)), None
-    if name == "random":
-        return gen_random(*_spec_args(spec, args, int, parse_fraction, int)), None
-    if name in ("clique", "complete"):
-        return gen_complete(*_spec_args(spec, args, int)), None
-    if name == "cycle":
-        return gen_cycle(*_spec_args(spec, args, int)), None
-    if name in ("clique-union", "cliqueunion"):
-        return gen_clique_union(*_spec_args(spec, args, int, int)), None
-    if name in ("cycle-blowup", "blowup"):
-        return gen_cycle_blowup(*_spec_args(spec, args, int)), None
-    if name in ("direction-cube", "direction-coloured-cube"):
-        return direction_colouring(*_spec_args(spec, args, int))
-    raise GraphError(f"unrecognised graph spec {spec!r}")
+        name, args = "hypercube", [low[1:]]
+    else:
+        name, args = _split_call(low)
+    build, kinds = _GRAPH_SPECS.get(name, (None, None))
+    if build is None or (not kinds and name != low):
+        raise GraphError(f"unrecognised graph spec {spec!r}")
+    made = build(*_spec_args(spec, args, *kinds))
+    return made if isinstance(made, tuple) else (made, None)
 
 
 def _split_call(spec: str) -> tuple[str, list[str]]:
+    """name(a, b, ...) as the name and its arguments; any other spec as
+    itself with no arguments."""
     if "(" in spec and spec.endswith(")"):
         name, inner = spec[:-1].split("(", 1)
         args = [a.strip() for a in inner.split(",")] if inner.strip() else []
         return name.strip(), args
-    if ":" in spec:
-        name, inner = spec.split(":", 1)
-        return name.strip(), [a.strip() for a in inner.split(",")]
     return spec, []
 
 
@@ -158,7 +162,7 @@ def _parse_vertices(text: str) -> list[int]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[None, int]:
     kind = args.kind
     if not args.out:
         raise GraphError("gen needs --out for the edge-list file")
@@ -181,10 +185,10 @@ def cmd_gen(args) -> int:
         colour_out = args.colour_out or args.out + ".colours"
         write_colouring(g, colouring, colour_out)
         sys.stderr.write(f"wrote colouring to {colour_out}\n")
-    return EXIT_OK
+    return None, EXIT_OK
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[dict, int]:
     if args.r0 is not None and args.all_pairs:
         raise GraphError("--r0 and --all-pairs are alternatives; give one of them")
     if args.r0 is not None and args.cert_dir:
@@ -211,8 +215,7 @@ def cmd_certify(args) -> int:
                 with open(args.cert_out, "w", newline="\n") as fh:
                     fh.write(certificate_to_json(res.certificate) + "\n")
         report["summary"] = "reflective: yes" if res.known_reflective else "reflective: unknown"
-        emit(report, args.format, args.out)
-        return EXIT_OK if res.known_reflective else EXIT_BUDGET
+        return report, EXIT_OK if res.known_reflective else EXIT_BUDGET
     rep = reflectivity_report(g, budget=args.budget)
     report["summary"] = f"reflective: {rep['verdict']}"
     report["sides_checked"] = rep["sides_checked"]
@@ -228,11 +231,10 @@ def cmd_certify(args) -> int:
                 name = "cert_" + "_".join(str(v) for v in p["start"]) + ".json"
                 with open(os.path.join(args.cert_dir, name), "w", newline="\n") as fh:
                     fh.write(certificate_to_json(p["certificate"]) + "\n")
-    emit(report, args.format, args.out)
-    return EXIT_OK if rep["verdict"] == "yes" else EXIT_BUDGET
+    return report, EXIT_OK if rep["verdict"] == "yes" else EXIT_BUDGET
 
 
-def cmd_check_cert(args) -> int:
+def cmd_check_cert(args) -> tuple[dict, int]:
     g, _ = parse_graph_spec(args.graph)
     with open(args.cert) as fh:
         cert = certificate_from_json(g, fh.read())
@@ -245,17 +247,10 @@ def cmd_check_cert(args) -> int:
     report["steps"] = cert.num_steps
     report["log"] = log
     report["summary"] = "certificate: valid" if ok else "certificate: invalid"
-    emit(report, args.format, args.out)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return report, EXIT_OK if ok else EXIT_VIOLATION
 
 
-def cmd_verify(args) -> int:
-    if args.suite == "section2":
-        return _verify_reflection_suite(args)
-    return _verify_cycle_suite(args)
-
-
-def _verify_reflection_suite(args) -> int:
+def cmd_verify_section2(args) -> tuple[dict, int]:
     if args.max_sets < 0:
         raise GraphError(f"--max-sets must be 0 (all) or positive, got {args.max_sets}")
     pattern, _ = parse_graph_spec(args.pattern)
@@ -310,11 +305,10 @@ def _verify_reflection_suite(args) -> int:
     report["all_hold"] = ok
     if exhausted:
         report["budget_exhausted_pairs"] = exhausted
-    emit(report, args.format, args.out)
-    return EXIT_VIOLATION if not ok else EXIT_BUDGET if exhausted else EXIT_OK
+    return report, EXIT_VIOLATION if not ok else EXIT_BUDGET if exhausted else EXIT_OK
 
 
-def _verify_cycle_suite(args) -> int:
+def cmd_verify_section3(args) -> tuple[dict, int]:
     host, builtin = parse_graph_spec(args.host)
     colouring = resolve_colouring(host, args.colouring, builtin, args.seed)
     report = base_report("verify section3", {
@@ -335,8 +329,7 @@ def _verify_cycle_suite(args) -> int:
         report["variant_conditional_ok"] = variant["conditional_ok"]
         _search_if_violated(variant, host, colouring, eps, cycles, kind="almost-rainbow")
     report["cycles_found"] = cycles
-    emit(report, args.format, args.out)
-    return EXIT_OK if chain["unconditional_ok"] else EXIT_VIOLATION
+    return report, EXIT_OK if chain["unconditional_ok"] else EXIT_VIOLATION
 
 
 def _search_if_violated(chain: dict, host: Graph, colouring: EdgeColouring,
@@ -352,7 +345,7 @@ def _search_if_violated(chain: dict, host: Graph, colouring: EdgeColouring,
                    "exhaustive": found.exhaustive})
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> tuple[dict, int]:
     if args.name == "supersaturation":
         rep = supersaturation_experiment(args.d, args.n, parse_fraction(args.p),
                                          args.seed, args.trials)
@@ -362,8 +355,7 @@ def cmd_experiment(args) -> int:
         })
         report.update({k: v for k, v in rep.items() if k != "trials"})
         report["trials"] = rep["trials"]
-        emit(report, args.format, args.out)
-        return EXIT_OK
+        return report, EXIT_OK
     host, builtin = parse_graph_spec(args.host)
     colouring = None if args.spectral else \
         resolve_colouring(host, args.colouring, builtin, args.seed)
@@ -375,8 +367,6 @@ def cmd_experiment(args) -> int:
     rows = []
     ok_unconditional = True
     cycles = []
-    if not args.spectral and args.k_max >= 2:
-        walk_engine(host, args.k_max)  # every round below reads its sums from this engine
     for k in range(2, args.k_max + 1):
         if args.spectral:
             sp = cycle_weight_sum_spectral(host, k)
@@ -399,11 +389,10 @@ def cmd_experiment(args) -> int:
     report["rounds"] = rows
     report["cycles_found"] = cycles
     report["unconditional_ok"] = ok_unconditional
-    emit(report, args.format, args.out)
-    return EXIT_OK if ok_unconditional else EXIT_VIOLATION
+    return report, EXIT_OK if ok_unconditional else EXIT_VIOLATION
 
 
-def cmd_homcount(args) -> int:
+def cmd_homcount(args) -> tuple[dict, int]:
     pattern, _ = parse_graph_spec(args.pattern)
     host, _ = parse_graph_spec(args.host)
     report = base_report("homcount", {
@@ -414,11 +403,10 @@ def cmd_homcount(args) -> int:
     report["count"] = hom_count(pattern, host, constraint)
     if args.injective:
         report["injective_count"] = injective_hom_count(pattern, host)
-    emit(report, args.format, args.out)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_h2k(args) -> int:
+def cmd_h2k(args) -> tuple[dict, int]:
     host, builtin = parse_graph_spec(args.host)
     report = base_report("h2k", {
         "host": args.host, "k": args.k, "patterns": args.patterns,
@@ -438,8 +426,7 @@ def cmd_h2k(args) -> int:
             {"i": i, "j": j, "value": table[(i, j)]}
             for (i, j) in sorted(table)
         ]
-    emit(report, args.format, args.out)
-    return EXIT_OK if exact >= 1 else EXIT_VIOLATION
+    return report, EXIT_OK if exact >= 1 else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +480,14 @@ def _verify_arguments(v):
     v2.add_argument("--max-sets", type=int, default=200,
                     help="cap on (triple, set) combinations swept (0 = all)")
     _common(v2, budget=True)
-    v2.set_defaults(func=cmd_verify)
+    v2.set_defaults(func=cmd_verify_section2)
     v3 = vs.add_parser("section3", help="weighted cycle inequalities")
     v3.add_argument("--host", required=True)
     v3.add_argument("--colouring")
     v3.add_argument("--k", type=int, default=2)
     v3.add_argument("--epsilon")
     _common(v3, seed=True)
-    v3.set_defaults(func=cmd_verify)
+    v3.set_defaults(func=cmd_verify_section3)
 
 
 def _experiment_arguments(e):
@@ -584,7 +571,9 @@ def main(argv=None) -> int:
         parser.error(f"experiment {args.name} needs --host")
     started = time.monotonic()
     try:
-        code = args.func(args)
+        report, code = args.func(args)
+        if report is not None:
+            emit(report, args.format, args.out)
     except (GraphError, CapabilityError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

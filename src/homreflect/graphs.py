@@ -220,7 +220,7 @@ def gen_random(n: int, p: Fraction, seed: int) -> Graph:
     _require_vertex_count(n)
     edge = _draws_below(random.Random(seed), p.denominator, p.numerator, n * (n - 1) // 2)
     upper = np.zeros((n, n), dtype=bool)
-    upper[np.triu_indices(n, 1)] = edge
+    upper[~np.tri(n, dtype=bool)] = edge  # the strict upper triangle, row by row
     upper |= upper.T
     return Graph(n, tuple(frozenset(np.flatnonzero(row).tolist()) for row in upper))
 

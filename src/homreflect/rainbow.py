@@ -133,12 +133,12 @@ class _WalkEngine:
 _last_engine: list[_WalkEngine] = []
 
 
-def walk_engine(g: Graph, k: int) -> _WalkEngine:
+def _walk_engine(g: Graph, k: int) -> _WalkEngine:
     """An engine for g serving every half-length up to k.  The last engine
     is kept and serves every later call for the same host at a half-length
-    it covers, as in `h2k --patterns`, `verify section3 --epsilon` and the
-    rounds of `experiment rainbow-bounds`; it is dropped before another is
-    built, so two engines are never alive at once."""
+    it covers, as in `h2k --patterns` and `verify section3 --epsilon`; it
+    is dropped before another is built, so two engines are never alive at
+    once."""
     if not (_last_engine and _last_engine[0].k >= k and _last_engine[0].g == g):
         _last_engine.clear()
         _last_engine.append(_WalkEngine(g, k))
@@ -149,7 +149,7 @@ def cycle_weight_sum(g: Graph, k: int) -> Fraction:
     """Total weight of the homomorphic cycles of length 2k, exactly."""
     if k < 1:
         raise GraphError(f"half-length must be positive, got {k}")
-    return walk_engine(g, k).step_trace(2 * k)
+    return _walk_engine(g, k).step_trace(2 * k)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def canonical_pattern_offset(i: int, j: int, two_k: int) -> int:
 def coincidence_table(g: Graph, colouring: EdgeColouring,
                       k: int) -> dict[tuple[int, int], Fraction]:
     """All C(2k,2) coincidence weights, evaluated once per canonical offset."""
-    canon = walk_engine(g, k).offset_weights(colouring, k)
+    canon = _walk_engine(g, k).offset_weights(colouring, k)
     return {(i, j): canon[canonical_pattern_offset(i, j, 2 * k)]
             for i in range(1, 2 * k + 1) for j in range(i + 1, 2 * k + 1)}
 
@@ -210,7 +210,7 @@ def _chain_inputs(g: Graph, colouring: EdgeColouring, k: int, chain: str):
         raise GraphError(f"{chain} chain needs a proper colouring")
     if k < 1:
         raise GraphError(f"half-length must be positive, got {k}")
-    engine = walk_engine(g, k)
+    engine = _walk_engine(g, k)
     h = {2 * j: engine.step_trace(2 * j) for j in range(1, k + 1)}
     return g.min_degree(), h, coincidence_table(g, colouring, k)
 

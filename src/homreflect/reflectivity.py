@@ -315,10 +315,11 @@ def certificate_from_json(h: Graph, text: str) -> ReflectionCertificate:
 # Certificate search
 # ---------------------------------------------------------------------------
 
-# Words (64 bits) in any one array of a search's expansion and in each of
-# its digit tables.  Chunks of 2^16 words raised the peak RSS of
-# `certify --graph q5 --r0 16,31` from 33 to 37 MB, above the 35 MB of the
-# former per-state loop, and were no faster.
+# Words (64 bits) in any one array of a search's expansion, unless one
+# state's row of triples is longer, and in each of its digit tables.
+# Chunks of 2^16 words raised the peak RSS of `certify --graph q5 --r0
+# 16,31` from 33 to 37 MB, above the 35 MB of the former per-state loop,
+# and were no faster.
 _CELL_CAP = 1 << 14
 
 
@@ -380,18 +381,14 @@ class _SideMoves:
             out = out | table[swaps << self.width | digit.astype(np.intp)]
         return out
 
-    def expand(self, states: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The successors of every state under every triple lo .. hi-1, as a
-        (state, triple) array, and which of them count: admissible for the
-        triple and different from the state."""
-        cells = len(states) * (hi - lo)
-        if cells > _CELL_CAP:
-            raise CapabilityError(f"certificate search array of {cells} words exceeds the cap "
-                                  f"{_CELL_CAP}")
+    def expand(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The successors of every state under every triple, as a (state,
+        triple) array, and which of them count: admissible for the triple
+        and different from the state."""
         here = states[:, None]
-        kept = here & self.keep[lo:hi]
-        ok = (kept != 0) & (here & self.need[lo:hi] != 0)
-        succ = kept | (self.image(here, self.swap_of[lo:hi]) & self.b[lo:hi])
+        kept = here & self.keep
+        ok = (kept != 0) & (here & self.need != 0)
+        succ = kept | (self.image(here, self.swap_of) & self.b)
         ok &= succ != here
         return succ, ok
 
@@ -468,15 +465,14 @@ def _layered_search(moves: _SideMoves, start: int, budget: int):
 
     Returns the chain as (triple index, state) pairs, or None, and the
     number of states taken off the queue: budget + 1 when the budget ran
-    out.  Chunks take at most `budget` states, and a chunk of one state
-    takes the triples in slices when a row of them exceeds _CELL_CAP; either
-    way the cells are met in row-major order."""
+    out.  Chunks take at most `budget` states, and as many as keep a chunk's
+    rows of triples within _CELL_CAP words; a chunk of one state takes its
+    whole row, however long.  The cells are met in row-major order."""
     target = np.uint64(moves.mask(moves.order))
     if start == target:
         return [], 0
     count = len(moves.swap_of)
     rows = max(1, _CELL_CAP // max(1, count))
-    span = max(1, min(count, _CELL_CAP))
     # Layer l: its states, each one's parent as an index into layer l-1, and
     # the triple that reached it.
     layers = [(np.array([start], dtype=np.uint64), None, None)]
@@ -491,26 +487,24 @@ def _layered_search(moves: _SideMoves, start: int, budget: int):
             if visited == budget:
                 return None, budget + 1
             lo, hi = hi, min(hi + rows, len(frontier), hi + budget - visited)
-            for t_lo in range(0, count, span):
-                width = min(span, count - t_lo)
-                succ, ok = moves.expand(frontier[lo:hi], t_lo, t_lo + width)
-                succ = succ.ravel()
-                cells = np.flatnonzero(ok)
-                hit = cells[succ[cells] == target]
-                if hit.size:
-                    row, col = divmod(int(hit[0]), width)
-                    chain, at = [(t_lo + col, target)], lo + row
-                    for states, parents, via in reversed(layers[1:]):
-                        chain.append((via[at], states[at]))
-                        at = parents[at]
-                    return chain[::-1], visited + row + 1
-                if cells.size:
-                    fresh, first = _first_new(succ[cells], cells, seen)
-                    order = np.argsort(first)
-                    first = first[order]
-                    states_out.append(fresh[order])
-                    parents_out.append(lo + first // width)
-                    via_out.append(t_lo + first % width)
+            succ, ok = moves.expand(frontier[lo:hi])
+            succ = succ.ravel()
+            cells = np.flatnonzero(ok)
+            hit = cells[succ[cells] == target]
+            if hit.size:
+                row, col = divmod(int(hit[0]), count)
+                chain, at = [(col, target)], lo + row
+                for states, parents, via in reversed(layers[1:]):
+                    chain.append((via[at], states[at]))
+                    at = parents[at]
+                return chain[::-1], visited + row + 1
+            if cells.size:
+                fresh, first = _first_new(succ[cells], cells, seen)
+                order = np.argsort(first)
+                first = first[order]
+                states_out.append(fresh[order])
+                parents_out.append(lo + first // count)
+                via_out.append(first % count)
             visited += hi - lo
         layers.append((np.concatenate(states_out), np.concatenate(parents_out),
                        np.concatenate(via_out)))

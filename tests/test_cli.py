@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -507,6 +508,50 @@ class TestSpecErrors:
         assert out.stderr.startswith("error: spec ") and "Traceback" not in out.stderr
 
 
+def readme_constructors() -> list[str]:
+    """The constructors the README's "Graph specs are ..." paragraph names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Graph specs are", 1)[1].split("Every graph", 1)[0]
+    return [name for item in re.findall(r"`([^`]+)`", paragraph) for name in item.split(" / ")]
+
+
+class TestSpecTable:
+    """The README names every graph constructor there is, and the spellings
+    it does not name are refused."""
+
+    # a small value for each argument name the README uses
+    VALUES = {"d": "3", "l": "1", "k": "3", "n": "6", "p": "1/2", "seed": "1", "size": "3",
+              "count": "2", "len": "4"}
+
+    def test_readme_names_the_table(self):
+        names = {spec.split("(")[0] for spec in readme_constructors()}
+        assert names == set(cli._GRAPH_SPECS) | {"qD"}
+
+    @pytest.mark.parametrize("spec", readme_constructors())
+    def test_readme_constructor_parses(self, spec):
+        concrete = re.sub(r"\w+", lambda m: self.VALUES.get(m.group(), m.group()),
+                          spec.replace("qD", "q3"))
+        g, _ = parse_graph_spec(concrete)
+        assert g.n > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--host", "cube(3)"],
+        ["--host", "complete(4)"],
+        ["--host", "cliqueunion(2,3)"],
+        ["--host", "blowup(4)"],
+        ["--host", "direction-coloured-cube(3)"],
+        ["--host", "rainbow-triangle"],
+        ["--host", "cycle:6"],
+        ["--host", "hypercube(3)", "--patterns", "--colouring", "greedy:7"],
+    ], ids=["cube", "complete", "cliqueunion", "blowup", "direction-coloured-cube",
+            "rainbow-triangle", "colon-graph", "colon-colouring"])
+    def test_retired_spelling_exit_one(self, tmp_path, capsys, argv):
+        code, body = run(tmp_path, "h2k", "--k", "1", *argv)
+        assert (code, body) == (1, b"")
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognised ") and "Traceback" not in err
+
+
 class TestVertexLists:
     @pytest.mark.parametrize("argv", [
         ["certify", "--graph", "q3", "--r0", "3,,5"],
@@ -580,14 +625,15 @@ class TestWorkCap:
 
 
 class TestOneWalkEngine:
-    """A command builds one walk engine per host, of the largest half-length
-    it needs, and drops any other engine before it builds one; the spectral
-    rounds share one eigendecomposition per host."""
+    """A command has one walk engine alive at a time: it drops any other
+    engine before it builds one, and builds none for a half-length the
+    engine it holds covers; the spectral rounds share one
+    eigendecomposition per host."""
 
     @pytest.mark.parametrize("argv, lengths", [
         (["h2k", "--host", "direction-cube(4)", "--k", "2", "--patterns"], [2]),
         (["verify", "section3", "--host", "clique(6)", "--k", "2", "--epsilon", "2/5"], [2]),
-        (["experiment", "rainbow-bounds", "--host", "direction-cube(4)", "--k-max", "3"], [3]),
+        (["experiment", "rainbow-bounds", "--host", "direction-cube(4)", "--k-max", "3"], [2, 3]),
     ], ids=["h2k-patterns", "section3-epsilon", "rainbow-bounds"])
     def test_engines_built(self, tmp_path, monkeypatch, argv, lengths):
         built = []

@@ -909,7 +909,7 @@ class TestLayeredSearch:
         assert_cap_changes_nothing(monkeypatch, cells, cases)
 
     def test_triple_slices_change_nothing(self, monkeypatch):
-        # a row of triples over the cap is taken in slices, as on K_{1,9}
+        # a row of triples over the cap is taken whole, as on K_{1,9}
         q4 = gen_hypercube(4)
         cases = [(q4, pair) for side in q4.bipartition() for pair in combinations(sorted(side), 2)
                  if min(side) in pair]
