@@ -24,7 +24,8 @@ is the one number with its residues.
 
 One cap, _CELL_CAP, bounds the float64 cells held at once: layers x
 matrices x n^2, one layer on the plain path and one per prime otherwise.
-It is checked before any array is allocated.  At 2^26 cells (512 MB) it
+It is checked before any array is allocated, and `admits` tells a kernel
+beforehand whether optional tables still fit under it.  At 2^26 cells (512 MB) it
 admits every walk engine the former int64 path ran on a host with degree
 lcm L >= 2.  That path needed n^2 L^2k (L/delta)^2 < 2^62, so 2k < 62 -
 2 log2 n: from n = 512 up the engine is plain with max(4, 2k + 1) < 63 -
@@ -71,6 +72,18 @@ def adjacency(g: Graph) -> np.ndarray:
     return adj
 
 
+def _layers(bound: int) -> int:
+    """The residue layers a bound needs: none on the plain path."""
+    return 0 if bound < _PLAIN_LIMIT else -(-bound.bit_length() // 21)
+
+
+def admits(bound: int, n: int, matrices: int) -> bool:
+    """Whether Exact(bound, n, matrices) stays within the cell cap."""
+    count = _layers(bound)
+    return (max(count, 1) * matrices * n * n <= _CELL_CAP
+            and (not count or count <= len(_primes())))
+
+
 class Exact:
     """Arithmetic for one kernel run whose values never exceed `bound`,
     holding at most `matrices` n-by-n matrices at once; a CapabilityError
@@ -83,9 +96,9 @@ class Exact:
     """
 
     def __init__(self, bound: int, n: int, matrices: int):
-        count = 0 if bound < _PLAIN_LIMIT else -(-bound.bit_length() // 21)
-        cells = max(count, 1) * matrices * n * n
-        if cells > _CELL_CAP or count and count > len(_primes()):
+        count = _layers(bound)
+        if not admits(bound, n, matrices):
+            cells = max(count, 1) * matrices * n * n
             raise CapabilityError(
                 f"exact products would hold {cells} float64 cells "
                 f"({max(count, 1)} residue layers), over the cap of {_CELL_CAP}")

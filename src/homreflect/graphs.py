@@ -316,23 +316,32 @@ def edge_density(g: Graph) -> Fraction:
 
 @dataclass(frozen=True)
 class EdgeColouring:
-    """Colour ids per unordered edge, with a properness flag."""
+    """Colour ids per unordered edge, with a properness flag.  Like a Graph
+    it is not changed after construction, so it keeps the last graph
+    validate_colouring passed it for."""
 
     colours: dict = field(compare=False)
     proper: bool
+    _valid_for: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def of(self, u: int, v: int) -> int:
         return self.colours[(u, v) if u < v else (v, u)]
 
 
 def validate_colouring(g: Graph, colouring: EdgeColouring) -> None:
-    """Every edge coloured exactly once; properness flag backed by a check."""
+    """Every edge coloured exactly once; properness flag backed by a check.
+    A colouring that passed for this graph object is not checked again, so
+    a command that hands one colouring to a chain check and then to a cycle
+    search checks it once."""
+    if colouring._valid_for and colouring._valid_for[0] is g:
+        return
     edges = set(g.edges())
     coloured = set(colouring.colours)
     if coloured != edges:
         raise GraphError("colouring does not cover exactly the edge set")
     if colouring.proper and not _is_proper(g, colouring):
         raise GraphError("colouring flagged proper but two adjacent edges share a colour")
+    colouring._valid_for[:] = [g]
 
 
 def _is_proper(g: Graph, colouring: EdgeColouring) -> bool:

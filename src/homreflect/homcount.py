@@ -10,6 +10,17 @@ k-trees", TCS 2002).  A vertex with at most two neighbours left is summed
 out; when every vertex left has three or more, the kernel conditions on one
 of them and loops over its host images.  The plan, and with it the one work
 cap, depends on the pattern alone and is checked before any array exists.
+The plan also records each summing step's dependency set, the conditioned
+vertices whose images its result depends on.  A matrix product whose set
+leaves out a vertex being looped over is the same in every branch that
+agrees on the set's images, so it is formed once per such image tuple and
+kept: the 3-cube conditions on two vertices, and the product of its last
+triangle depends on the second alone, so a count into G(n) takes 4n matrix
+products, about n^4 multiply-adds, instead of n^2 + 3n and n^5.  A kept
+product is the value a branch would form, so the bound n^(v(H) - |C|) on
+every value holds for it too, and the kept products' cells are declared to
+Exact with the rest, before any array exists; a step whose products would
+pass the cell cap forms them in every branch instead.
 The arithmetic runs through homreflect.exact: plain float64 while every
 partial count stays below 2^53, float64 residues modulo enough primes past
 it.
@@ -37,7 +48,7 @@ from statistics import median
 import numpy as np
 
 from .automorphisms import _signatures, find_isomorphism
-from .exact import Exact, adjacency
+from .exact import Exact, adjacency, admits
 from .graphs import (CapabilityError, Graph, GraphError, edge_density, gen_hypercube, gen_random,
                      make_graph)
 from .reflectivity import ReflectionCertificate, ReflectionTriple, reflect_set, verify_certificate
@@ -96,61 +107,170 @@ def _memoised_count(key: tuple[int, frozenset], g: Graph) -> int:
     conditioned = [sum(step[2] for step in steps) for _, steps in plans]
     if g.n ** (max(conditioned, default=0) + 2) > _WORK_CAP:
         raise CapabilityError("assignment enumeration exceeds the budget cap")
-    matrices = max((_matrices_held(steps) for _, steps in plans), default=1)
-    exact = Exact(g.n ** (h.n - sum(conditioned)), g.n, matrices)
+    bound = g.n ** (h.n - sum(conditioned))
+    reuse = [_reused_steps(steps, bound, g.n) for _, steps in plans]
+    exact = Exact(bound, g.n, max((held for _, held in reuse), default=1))
     adj = exact.lift(adjacency(g))
     ones = exact.lift(np.ones(g.n))
+    images = [0] * h.n
     total = 1
-    for comp, steps in plans:
+    for (comp, steps), (tables, _) in zip(plans, reuse):
         binary = {(u, v): adj for u, v in h.edges() if u in comp}
-        total *= _eliminate(exact, steps, 0, {}, binary, ones)
+        total *= _eliminate(exact, steps, 0, {}, binary, ones, tables, images)
     return total
 
 
-def _plan(h: Graph, comp) -> list[tuple[int, tuple[int, ...], bool]]:
+def _plan(h: Graph, comp) -> list[tuple[int, tuple[int, ...], bool, tuple[int, ...]]]:
     """The elimination of one connected component, from the pattern alone.
 
-    Each step (v, around, conditioned) removes v from the interaction
+    Each step (v, around, conditioned, deps) removes v from the interaction
     graph: the pattern's edges plus the pairs that earlier steps joined,
     `around` being v's neighbours there.  A vertex with at most two
-    neighbours is summed out, fewest neighbours first and the smaller label
-    on ties; summing out a vertex with two neighbours joins them.  When
-    every vertex left has three or more, the step conditions on a vertex of
-    the most neighbours, taken from the smaller side X of a bipartite
-    pattern while one is left (smaller label on ties).  A plan that
-    conditions on X alone conditions on at most |X| - 2 vertices, the
+    neighbours is summed out, and summing out a vertex with two neighbours
+    joins them; when every vertex left has three or more, the step
+    conditions on one.  A bipartite pattern takes a vertex of the most
+    neighbours from its smaller side X while one is left, the smaller label
+    on ties.  Such a plan conditions on at most |X| - 2 vertices, the
     exponent of the part-enumeration cap this kernel replaced: H without
     |X| - 2 vertices of X lies inside K_{2,m}, and every interaction graph
     made from it by these steps has a vertex with at most two neighbours.
+    Any other pattern conditions on the vertices of _conditioning_order.
+
+    `deps` is a summing step's dependency set: the conditioned vertices
+    whose images the factors it consumes depend on.  Conditioning on c puts
+    c into each neighbour's set, and summing out v puts v's set into each of
+    its neighbours', since its result becomes their factor.  Among the
+    vertices with fewest neighbours the one with the smallest set is summed
+    out first, then the smaller label: in the 3-cube's last triangle that
+    is the vertex whose product depends on the second conditioned vertex
+    only.  Which vertices are summed out between two conditioning steps
+    does not depend on the order they are taken in, so this order changes
+    no count and no |C|.
     """
     parts = h.bipartition()
-    side = min(parts[0] & comp, parts[1] & comp, key=len) if parts else frozenset()
-    nbrs = {v: set(h.adj[v]) for v in comp}
+    side = min(parts[0] & comp, parts[1] & comp, key=len) if parts else None
+    nbrs = {v: h.nbr_mask[v] for v in comp}
+    order = None
+    deps = dict.fromkeys(comp, 0)  # vertex -> mask of the conditioned vertices its factors carry
     steps = []
     while nbrs:
-        v = min(nbrs, key=lambda u: (len(nbrs[u]), u))
-        conditioned = len(nbrs[v]) > 2
-        if conditioned:
-            v = max(nbrs, key=lambda u: (u in side, len(nbrs[u]), -u))
-        around = tuple(sorted(nbrs.pop(v)))
-        for u in around:
-            nbrs[u].discard(v)
-            if not conditioned:
-                nbrs[u].update(w for w in around if w != u)
-        steps.append((v, around, conditioned))
+        low = [u for u in nbrs if nbrs[u].bit_count() <= 2]
+        if low:
+            v = min(low, key=lambda u: (nbrs[u].bit_count(), deps[u].bit_count(), u))
+            around = _remove(nbrs, v, join=True)
+            for u in around:
+                deps[u] |= deps[v]
+            steps.append((v, around, False, _bits(deps[v])))
+        else:
+            if side is not None:
+                v = max(nbrs, key=lambda u: (u in side, nbrs[u].bit_count(), -u))
+            else:
+                order = order or iter(_conditioning_order(nbrs))
+                v = next(order)
+            around = _remove(nbrs, v, join=False)
+            for u in around:
+                deps[u] |= 1 << v
+            steps.append((v, around, True, ()))
     return steps
 
 
+def _conditioning_order(nbrs: dict[int, int]) -> tuple[int, ...]:
+    """The vertices a plan of a pattern that is not bipartite conditions
+    on, in order, from an interaction graph in which every vertex has three
+    or more neighbours (`nbrs` maps each vertex to its neighbour mask).
+
+    Each time no vertex has at most two neighbours left, the plan takes a
+    vertex of the most neighbours.  The order is the shortest over every
+    choice among such vertices; ties are tried in label order and the first
+    shortest order is kept, so its length does not depend on the labels.
+    The vertices summed out are the same whatever order they are taken in,
+    so a state is fixed by the set conditioned on, and `known` keeps, per
+    set, the shortest order found from it or the largest length shown not
+    to suffice.  A state whose interaction graph has a subgraph of minimum
+    degree d needs at least d - 2 more vertices: until one of the
+    subgraph's vertices is summed out, summing out other vertices takes
+    none of their neighbours in it, and each vertex conditioned on takes at
+    most one from each.
+    """
+    known: dict[int, tuple[int, ...] | int] = {}
+
+    def search(nbrs: dict[int, int], done: int, budget: int) -> tuple[int, ...] | None:
+        """The first shortest order from this state when one has at most
+        `budget` vertices, else None."""
+        low = [u for u in nbrs if nbrs[u].bit_count() <= 2]
+        while low:
+            v = low.pop()
+            if v in nbrs:
+                low.extend(u for u in _remove(nbrs, v, join=True) if nbrs[u].bit_count() <= 2)
+        if not nbrs:
+            return ()
+        seen = known.get(done)
+        if isinstance(seen, tuple):
+            return seen if len(seen) <= budget else None
+        if seen is not None and seen >= budget:
+            return None
+        most = max(m.bit_count() for m in nbrs.values())
+        candidates = sorted(v for v in nbrs if nbrs[v].bit_count() == most)
+        floor = _degeneracy(nbrs) - 2 if len(candidates) > 1 else 1
+        if floor > budget:
+            return None
+        best = None
+        for v in candidates:
+            rest = dict(nbrs)
+            _remove(rest, v, join=False)
+            order = search(rest, done | 1 << v, budget - 1)
+            if order is not None:
+                best, budget = (v,) + order, len(order)
+                if len(best) == floor:
+                    break
+        known[done] = best if best is not None else budget
+        return best
+
+    return search(dict(nbrs), 0, len(nbrs))
+
+
+def _degeneracy(nbrs: dict[int, int]) -> int:
+    """The largest minimum degree of a subgraph: the most neighbours a
+    vertex has when taken as one of fewest left, one vertex at a time."""
+    nbrs = dict(nbrs)
+    most = 0
+    while nbrs:
+        v = min(nbrs, key=lambda u: nbrs[u].bit_count())
+        most = max(most, nbrs[v].bit_count())
+        _remove(nbrs, v, join=False)
+    return most
+
+
+def _remove(nbrs: dict[int, int], v: int, join: bool) -> tuple[int, ...]:
+    """Take v out of the interaction graph `nbrs` (vertex -> neighbour
+    mask) and return its neighbours, ascending; `join` links two of them,
+    as summing v out does."""
+    around = _bits(nbrs.pop(v))
+    for u in around:
+        nbrs[u] &= ~(1 << v)
+    if join and len(around) == 2:
+        a, b = around
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    return around
+
+
+@lru_cache(maxsize=1 << _PATTERN_CAP)
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a pattern's vertex mask, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def _matrices_held(steps) -> int:
-    """The most n-by-n matrices _eliminate holds at once for a plan: the
-    adjacency matrix, the matrices made by two-neighbour steps that are
-    still in use, and two more while such a step forms its product and
-    multiplies it into a factor.  A made matrix is freed when its scope is
-    summed out, except that conditioning keeps every matrix made so far
-    for the branches that follow."""
+    """The most n-by-n matrices _eliminate holds at once for a plan, apart
+    from kept products: the adjacency matrix, the matrices made by
+    two-neighbour steps that are still in use, and two more while such a
+    step forms its product and multiplies it into a factor.  A made matrix
+    is freed when its scope is summed out, except that conditioning keeps
+    every matrix made so far for the branches that follow."""
     made: set = set()  # scopes whose matrix was made since the last conditioning
     kept = peak = 0
-    for v, around, conditioned in steps:
+    for v, around, conditioned, _ in steps:
         if conditioned:
             kept += len(made)
             made = set()
@@ -163,7 +283,29 @@ def _matrices_held(steps) -> int:
     return 1 + max(peak, kept + len(made))
 
 
-def _eliminate(exact: Exact, steps, start: int, unary: dict, binary: dict, ones) -> int:
+def _reused_steps(steps, bound: int, n: int) -> tuple[dict[int, dict], int]:
+    """The two-neighbour steps whose products _eliminate keeps, each with an
+    empty table, and the n-by-n matrices the plan then holds at most.
+
+    A step's product is kept when its dependency set leaves out a vertex
+    conditioned on before it: the product is then equal in every branch
+    that agrees on the images of the set, and is formed once per image
+    tuple, n^|deps| matrices.  Steps are taken in plan order while their
+    tables keep the run within the cell cap; a step past it forms its
+    product in every branch."""
+    held = _matrices_held(steps)
+    tables = {}
+    looped = 0
+    for i, (_, around, conditioned, deps) in enumerate(steps):
+        looped += conditioned
+        if len(around) == 2 and len(deps) < looped and admits(bound, n, held + n ** len(deps)):
+            held += n ** len(deps)
+            tables[i] = {}
+    return tables, held
+
+
+def _eliminate(exact: Exact, steps, start: int, unary: dict, binary: dict, ones,
+               tables: dict, images: list) -> int:
     """Run steps[start:] of a plan: the number of assignments of their
     vertices to host vertices that satisfy every factor left.
 
@@ -173,21 +315,28 @@ def _eliminate(exact: Exact, steps, start: int, unary: dict, binary: dict, ones)
     no factor is changed in place, so branches share them.  Summing out v
     takes a sum, a matrix-vector product or one matrix product, and the
     result is multiplied into the factor of the same scope.  Conditioning
-    on v loops over its images x: row x of each of v's matrices becomes a
-    factor of the neighbour, and the branch counts add up with weight v's
-    unary factor at x.
+    on v loops over its images x, noted in `images`: row x of each of v's
+    matrices becomes a factor of the neighbour, and the branch counts add
+    up with weight v's unary factor at x.
+
+    A two-neighbour step with a table in `tables` (_reused_steps) looks its
+    product up under the images of its dependency set and forms it only on
+    a miss.  For the 3-cube, conditioned on two vertices, the product of the
+    last triangle depends on the second alone: n products of it instead of
+    n^2, so the count costs about n^4 multiply-adds instead of n^5.
 
     The caller hands Exact the bound n^(v(H) - |C|), |C| the number of
     conditioned vertices, on every value formed: within a branch every
     entry of every factor, every product formed and every partial sum of a
     matrix product is a non-negative integer that counts assignments of a
-    set of summed-out vertices, at most n^(v(H) - |C|) of them.  Branch
-    counts and weights leave the arrays as Python integers before they are
-    multiplied or added up.
+    set of summed-out vertices, at most n^(v(H) - |C|) of them.  A kept
+    product is the value the branch would form, so the bound holds for it
+    too.  Branch counts and weights leave the arrays as Python integers
+    before they are multiplied or added up.
     """
     scalar = 1
     for i in range(start, len(steps)):
-        v, around, conditioned = steps[i]
+        v, around, conditioned, deps = steps[i]
         vec = unary.pop(v, ones)
         mats = [binary.pop((v, u)) if v < u else binary.pop((u, v)).mT for u in around]
         if conditioned:
@@ -195,18 +344,26 @@ def _eliminate(exact: Exact, steps, start: int, unary: dict, binary: dict, ones)
             for x, weight in enumerate(exact.to_ints(vec)):
                 if not weight:
                     continue
+                images[v] = x
                 branch = dict(unary)
                 for u, m in zip(around, mats):
                     _multiply(exact, branch, u, m[..., x, :])
-                total += weight * _eliminate(exact, steps, i + 1, branch, dict(binary), ones)
+                total += weight * _eliminate(exact, steps, i + 1, branch, dict(binary), ones,
+                                             tables, images)
             return scalar * total
         if not around:
             scalar *= exact.to_int(exact.total(vec, -1))
         elif len(around) == 1:
             _multiply(exact, unary, around[0], exact.matvec(vec, mats[0]))
         else:
-            _multiply(exact, binary, around,
-                      exact.matmul(exact.mul(mats[0], vec[..., :, None]).mT, mats[1]))
+            table = tables.get(i)
+            key = table is not None and tuple([images[u] for u in deps])
+            product = table.get(key) if table is not None else None
+            if product is None:
+                product = exact.matmul(exact.mul(mats[0], vec[..., :, None]).mT, mats[1])
+                if table is not None:
+                    table[key] = product
+            _multiply(exact, binary, around, product)
     return scalar
 
 

@@ -380,8 +380,8 @@ class TestVerify:
         assert main(["verify", "section3", "--host", "nonsense(1)", "--k", "2"]) == 1
 
     def test_colouring_checked_where_used(self, tmp_path, monkeypatch):
-        """The greedy colouring is proper by construction; the chain and
-        the rainbow-cycle search each check it once."""
+        """The greedy colouring is proper by construction; the chain checks
+        it, and the rainbow-cycle search uses it without a second check."""
         checked = []
         is_proper = graphs._is_proper
 
@@ -392,7 +392,7 @@ class TestVerify:
         monkeypatch.setattr(graphs, "_is_proper", counted)
         code, _ = run(tmp_path, "verify", "section3", "--host", "clique(66)", "--k", "2")
         assert code == 0
-        assert checked == [66, 66]
+        assert checked == [66]
 
 
 class TestExperiment:

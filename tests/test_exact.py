@@ -117,8 +117,11 @@ class TestCellCap:
             tracemalloc.stop()
         return max(declared), peak
 
-    @pytest.mark.parametrize("pattern, n", [(gen_cycle(16), 120), (gen_complete(4), 300)],
-                             ids=["cycle-16-residues", "clique-4-conditioned"])
+    # the 3-cube keeps n products of n^2 cells, which outweigh the rest at n = 100
+    @pytest.mark.parametrize("pattern, n", [(gen_cycle(16), 120), (gen_complete(4), 300),
+                                            (gen_hypercube(3), 100)],
+                             ids=["cycle-16-residues", "clique-4-conditioned",
+                                  "cube-kept-products"])
     def test_elimination_holds_what_it_declares(self, monkeypatch, pattern, n):
         g = gen_random(n, Fraction(1, 2), 1)
         homcount._memoised_count.cache_clear()

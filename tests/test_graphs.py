@@ -26,6 +26,7 @@ from homreflect import (
     write_colouring,
     write_edge_list,
 )
+from homreflect import graphs
 from homreflect.graphs import VERTEX_CAP
 
 # Frozen by the naive generators/oracles before the build.
@@ -269,6 +270,26 @@ class TestColourings:
         validate_colouring(g, col)
         if g.edge_count():
             assert len(set(col.colours.values())) <= 2 * g.max_degree() - 1
+
+    def test_validated_once_per_graph_object(self, monkeypatch):
+        checked = []
+        is_proper = graphs._is_proper
+
+        def counted(g, colouring):
+            checked.append(g.n)
+            return is_proper(g, colouring)
+
+        monkeypatch.setattr(graphs, "_is_proper", counted)
+        g = gen_complete(5)
+        col = greedy_proper_colouring(g, 1)
+        validate_colouring(g, col)
+        validate_colouring(g, col)
+        assert checked == [5]
+        # an equal graph object is checked again; another edge set fails
+        validate_colouring(make_graph(5, g.edges()), col)
+        assert checked == [5, 5]
+        with pytest.raises(GraphError, match="cover exactly"):
+            validate_colouring(make_graph(5, g.edges()[1:]), col)
 
     def test_direction_colour_classes(self):
         g, col = direction_colouring(3)

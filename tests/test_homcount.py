@@ -1,7 +1,7 @@
 import math
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,7 @@ from homreflect import (
     turan_exponent,
 )
 from homreflect import exact, homcount
+from homreflect.exact import Exact
 from homreflect.homcount import _memoised_count
 
 # Frozen from the naive product-space oracle.
@@ -155,8 +156,9 @@ class TestHomCount:
         # |C| + 2, so these patterns are refused on the same hosts as before
         steps = homcount._plan(pattern, frozenset(range(pattern.n)))
         smaller = min(pattern.bipartition(), key=len)
-        assert [v for v, _, c in steps if c] == [v for v, _, c in steps if c and v in smaller]
-        assert sum(c for _, _, c in steps) == conditioned == len(smaller) - 2
+        assert [v for v, _, c, _ in steps if c] == \
+            [v for v, _, c, _ in steps if c and v in smaller]
+        assert sum(c for _, _, c, _ in steps) == conditioned == len(smaller) - 2
 
 
 def _sweep_sets(h):
@@ -270,9 +272,9 @@ class TestEliminationDtype:
         seen = set()
         kernel = homcount._eliminate
 
-        def spy(exact, steps, start, unary, binary, ones):
+        def spy(exact, *args):
             seen.add("residues" if exact.primes else "float64")
-            return kernel(exact, steps, start, unary, binary, ones)
+            return kernel(exact, *args)
 
         monkeypatch.setattr(homcount, "_eliminate", spy)
         _memoised_count.cache_clear()
@@ -294,7 +296,7 @@ class TestEliminationDtype:
     def test_conditioned_clique(self, monkeypatch, isolated, path):
         g = gen_random(12, Fraction(1, 2), 5)
         k4 = gen_complete(4)
-        assert [conditioned for _, _, conditioned in homcount._plan(k4, frozenset(range(4)))] \
+        assert [conditioned for _, _, conditioned, _ in homcount._plan(k4, frozenset(range(4)))] \
             == [True, False, False, False]
         pattern = make_graph(4 + isolated, k4.edges())
         seen = self._paths_seen(monkeypatch)
@@ -327,6 +329,131 @@ class TestEliminationDtype:
         count = hom_count(gen_cycle(16), g)
         assert time.perf_counter() - start < 2
         assert count == sum(power[v][v] for v in range(g.n))
+
+
+def _with_pendants(h, k):
+    """H with k pendant vertices, the i-th hung on vertex i mod v(H)."""
+    return make_graph(h.n + k, list(h.edges()) + [(i % h.n, h.n + i) for i in range(k)])
+
+
+def _q4_quotient(block_of):
+    return make_graph(*homcount._quotient_key(gen_hypercube(4).edges(), block_of))
+
+
+class TestKeptProducts:
+    """A matrix product whose dependency set leaves out a vertex the kernel
+    loops over is formed once per image tuple of the set and kept for the
+    other branches (_reused_steps)."""
+
+    @pytest.mark.parametrize("pattern, n", [
+        (gen_hypercube(3), 5),
+        # 8-vertex quotients of Q4 that condition on two and on three vertices
+        (_q4_quotient([0, 1, 2, 3, 4, 5, 6, 2, 7, 2, 5, 6, 5, 1, 2, 0]), 5),
+        (_q4_quotient([0, 1, 2, 3, 4, 3, 5, 0, 5, 4, 6, 5, 6, 1, 4, 7]), 5),
+        (_with_pendants(gen_hypercube(3), 1), 4),
+        (_with_pendants(gen_hypercube(3), 2), 4),
+    ], ids=["q3", "q4-quotient-c2", "q4-quotient-c3", "q3-pendant", "q3-two-pendants"])
+    def test_matches_naive_oracle_on_both_paths(self, monkeypatch, pattern, n):
+        steps = homcount._plan(pattern, frozenset(range(pattern.n)))
+        assert sum(c for _, _, c, _ in steps) >= 2
+        assert homcount._reused_steps(steps, n ** pattern.n, n)[0]
+        g = gen_random(n, Fraction(4, 5), n)
+        expected = bf.hom_count_naive(pattern, g)
+        assert expected > 0
+        _memoised_count.cache_clear()
+        assert hom_count(pattern, g) == expected
+        monkeypatch.setattr(exact, "_PLAIN_LIMIT", 2)
+        _memoised_count.cache_clear()
+        assert hom_count(pattern, g) == expected
+        _memoised_count.cache_clear()
+
+    # recorded from the kernel that formed every product in every branch;
+    # 60^(v(H) - 2) >= 2^53, so both counts run on residues
+    @pytest.mark.parametrize("pendants, count", [
+        (5, 2555920640630699042),
+        (8, 81301457149531408297192),
+    ])
+    def test_cube_with_pendants_on_residues(self, pendants, count):
+        _memoised_count.cache_clear()
+        assert hom_count(_with_pendants(gen_hypercube(3), pendants),
+                         gen_random(60, Fraction(1, 2), 2)) == count
+
+    @staticmethod
+    def _products(monkeypatch):
+        products = []
+
+        def spy(bound, n, matrices):
+            ex = Exact(bound, n, matrices)
+            matmul = ex.matmul
+
+            def counted(a, b):
+                products.append(a.shape)
+                return matmul(a, b)
+
+            ex.matmul = counted
+            return ex
+
+        monkeypatch.setattr(homcount, "Exact", spy)
+        _memoised_count.cache_clear()
+        return products
+
+    @pytest.mark.parametrize("n", [9, 40])
+    def test_cube_takes_4n_products(self, monkeypatch, n):
+        g = gen_random(n, Fraction(1, 2), 3)
+        assert min(g.degrees()) > 0
+        products = self._products(monkeypatch)
+        count = hom_count(gen_hypercube(3), g)
+        assert len(products) <= 4 * n
+        # forming every product in every branch takes n^2 + 3n, same count
+        products.clear()
+        monkeypatch.setattr(homcount, "_reused_steps",
+                            lambda steps, bound, n: ({}, homcount._matrices_held(steps)))
+        _memoised_count.cache_clear()
+        assert hom_count(gen_hypercube(3), g) == count
+        assert len(products) == n * n + 3 * n
+        _memoised_count.cache_clear()
+
+    def test_table_past_the_cell_cap_is_not_kept(self, monkeypatch):
+        # with the cap at the plan's own matrices the cube keeps no product
+        # and counts as before
+        g = gen_random(20, Fraction(1, 2), 4)
+        _memoised_count.cache_clear()
+        count = hom_count(gen_hypercube(3), g)
+        steps = homcount._plan(gen_hypercube(3), frozenset(range(8)))
+        monkeypatch.setattr(exact, "_CELL_CAP", homcount._matrices_held(steps) * 20 * 20)
+        assert homcount._reused_steps(steps, 20 ** 6, 20) == ({}, homcount._matrices_held(steps))
+        products = self._products(monkeypatch)
+        assert hom_count(gen_hypercube(3), g) == count
+        assert len(products) == 20 * 20 + 3 * 20
+        _memoised_count.cache_clear()
+
+
+# Two labellings of one quotient of the Petersen graph
+PETERSEN_QUOTIENT = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 3), (3, 4),
+                     (3, 5), (4, 5)]
+PETERSEN_QUOTIENT_RELABELLED = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 5),
+                                (3, 4), (3, 5), (4, 5)]
+
+
+class TestLabelFreePlans:
+    """A pattern that is not bipartite conditions on the fewest vertices over
+    every tie-break, so relabelling it changes neither |C| nor whether the
+    work cap refuses it."""
+
+    def test_every_relabelling_conditions_on_one_vertex(self):
+        h = make_graph(6, PETERSEN_QUOTIENT)
+        assert h.bipartition() is None
+        for perm in permutations(range(6)):
+            q = make_graph(6, [(perm[u], perm[v]) for u, v in h.edges()])
+            assert sum(c for _, _, c, _ in homcount._plan(q, frozenset(range(6)))) == 1
+
+    def test_relabellings_count_alike_where_one_was_refused(self):
+        # with two conditioned vertices 132^4 > 3*10^8 refused the first
+        g = gen_random(132, Fraction(1, 2), 1)
+        _memoised_count.cache_clear()
+        assert hom_count(make_graph(6, PETERSEN_QUOTIENT), g) == \
+            hom_count(make_graph(6, PETERSEN_QUOTIENT_RELABELLED), g) == 3002812616
+        _memoised_count.cache_clear()
 
 
 class TestInjective:
