@@ -8,8 +8,8 @@ over the pattern's vertices in which every factor is a host-indexed vector
 or matrix (Diaz, Serna and Thilikos, "Counting H-colorings of partial
 k-trees", TCS 2002).  A vertex with at most two neighbours left is summed
 out; when every vertex left has three or more, the kernel conditions on one
-of them and loops over its host images.  The plan, and with it the one work
-cap, depends on the pattern alone and is checked before any array exists.
+of them, by one rule for every pattern, and loops over its host images.  The
+plan, and so the one work cap, is fixed by the pattern before any array exists.
 The plan also records each summing step's dependency set, the conditioned
 vertices whose images its result depends on.  A matrix product whose set
 leaves out a vertex being looped over is the same in every branch that
@@ -105,8 +105,11 @@ def _memoised_count(key: tuple[int, frozenset], g: Graph) -> int:
     h = make_graph(*key)
     plans = [(comp, _plan(h, comp)) for comp in h.components()]
     conditioned = [sum(step[2] for step in steps) for _, steps in plans]
-    if g.n ** (max(conditioned, default=0) + 2) > _WORK_CAP:
-        raise CapabilityError("assignment enumeration exceeds the budget cap")
+    most = max(conditioned, default=0)
+    if g.n ** (most + 2) > _WORK_CAP:
+        admitted = max(n for n in range(g.n) if n ** (most + 2) <= _WORK_CAP)
+        raise CapabilityError("assignment enumeration exceeds the budget cap: the plan conditions "
+                              f"on {most} vertices; hosts of at most {admitted} vertices are admitted")
     bound = g.n ** (h.n - sum(conditioned))
     reuse = [_reused_steps(steps, bound, g.n) for _, steps in plans]
     exact = Exact(bound, g.n, max((held for _, held in reuse), default=1))
@@ -128,13 +131,7 @@ def _plan(h: Graph, comp) -> list[tuple[int, tuple[int, ...], bool, tuple[int, .
     `around` being v's neighbours there.  A vertex with at most two
     neighbours is summed out, and summing out a vertex with two neighbours
     joins them; when every vertex left has three or more, the step
-    conditions on one.  A bipartite pattern takes a vertex of the most
-    neighbours from its smaller side X while one is left, the smaller label
-    on ties.  Such a plan conditions on at most |X| - 2 vertices, the
-    exponent of the part-enumeration cap this kernel replaced: H without
-    |X| - 2 vertices of X lies inside K_{2,m}, and every interaction graph
-    made from it by these steps has a vertex with at most two neighbours.
-    Any other pattern conditions on the vertices of _conditioning_order.
+    conditions on the next vertex of _conditioning_order, for any pattern.
 
     `deps` is a summing step's dependency set: the conditioned vertices
     whose images the factors it consumes depend on.  Conditioning on c puts
@@ -147,8 +144,8 @@ def _plan(h: Graph, comp) -> list[tuple[int, tuple[int, ...], bool, tuple[int, .
     does not depend on the order they are taken in, so this order changes
     no count and no |C|.
     """
-    parts = h.bipartition()
-    side = min(parts[0] & comp, parts[1] & comp, key=len) if parts else None
+    sides = [part & comp for part in h.bipartition() or ()]
+    smaller = [side for side in sides if len(side) == min(map(len, sides))]
     nbrs = {v: h.nbr_mask[v] for v in comp}
     order = None
     deps = dict.fromkeys(comp, 0)  # vertex -> mask of the conditioned vertices its factors carry
@@ -162,11 +159,8 @@ def _plan(h: Graph, comp) -> list[tuple[int, tuple[int, ...], bool, tuple[int, .
                 deps[u] |= deps[v]
             steps.append((v, around, False, _bits(deps[v])))
         else:
-            if side is not None:
-                v = max(nbrs, key=lambda u: (u in side, nbrs[u].bit_count(), -u))
-            else:
-                order = order or iter(_conditioning_order(nbrs))
-                v = next(order)
+            order = order or iter(_conditioning_order(nbrs, smaller))
+            v = next(order)
             around = _remove(nbrs, v, join=False)
             for u in around:
                 deps[u] |= 1 << v
@@ -174,23 +168,28 @@ def _plan(h: Graph, comp) -> list[tuple[int, tuple[int, ...], bool, tuple[int, .
     return steps
 
 
-def _conditioning_order(nbrs: dict[int, int]) -> tuple[int, ...]:
-    """The vertices a plan of a pattern that is not bipartite conditions
-    on, in order, from an interaction graph in which every vertex has three
-    or more neighbours (`nbrs` maps each vertex to its neighbour mask).
+def _conditioning_order(nbrs: dict[int, int], smaller) -> tuple[int, ...]:
+    """The vertices a plan conditions on, in order, from an interaction
+    graph in which every vertex has three or more neighbours (`nbrs` maps
+    each vertex to its neighbour mask).
 
-    Each time no vertex has at most two neighbours left, the plan takes a
-    vertex of the most neighbours.  The order is the shortest over every
-    choice among such vertices; ties are tried in label order and the first
-    shortest order is kept, so its length does not depend on the labels.
-    The vertices summed out are the same whatever order they are taken in,
+    Each time no vertex has at most two neighbours left, the plan takes one
+    of the most neighbours, or of the most on a side in `smaller`, the
+    sides of least size of a bipartite component.  The order is the
+    shortest over every such choice, the first found in label order, so
+    its length does not depend on the labels.  It is no longer than the
+    order that takes one of the most neighbours from the smaller side X
+    while one is left, which conditions on at most |X| - 2 vertices, the
+    exponent of the part-enumeration cap this kernel replaced: H without
+    |X| - 2 vertices of X lies inside K_{2,m}, where every interaction
+    graph made by these steps has a vertex with at most two neighbours.
+    The vertices summed out do not depend on the order they are taken in,
     so a state is fixed by the set conditioned on, and `known` keeps, per
-    set, the shortest order found from it or the largest length shown not
-    to suffice.  A state whose interaction graph has a subgraph of minimum
-    degree d needs at least d - 2 more vertices: until one of the
-    subgraph's vertices is summed out, summing out other vertices takes
-    none of their neighbours in it, and each vertex conditioned on takes at
-    most one from each.
+    set, the shortest order found or the largest length shown not to do.
+    A state whose interaction graph has a subgraph of minimum degree d
+    needs at least d - 2 more vertices: until one of the subgraph's
+    vertices is summed out, summing out others takes none of their
+    neighbours in it, and each vertex conditioned on takes one at most.
     """
     known: dict[int, tuple[int, ...] | int] = {}
 
@@ -207,15 +206,17 @@ def _conditioning_order(nbrs: dict[int, int]) -> tuple[int, ...]:
         seen = known.get(done)
         if isinstance(seen, tuple):
             return seen if len(seen) <= budget else None
-        if seen is not None and seen >= budget:
+        if not budget or seen is not None and seen >= budget:
             return None
-        most = max(m.bit_count() for m in nbrs.values())
-        candidates = sorted(v for v in nbrs if nbrs[v].bit_count() == most)
+        candidates = set()
+        for group in (nbrs.keys(), *(side & nbrs.keys() for side in smaller)):
+            most = max((nbrs[v].bit_count() for v in group), default=0)
+            candidates.update(v for v in group if nbrs[v].bit_count() == most)
         floor = _degeneracy(nbrs) - 2 if len(candidates) > 1 else 1
         if floor > budget:
             return None
         best = None
-        for v in candidates:
+        for v in sorted(candidates):
             rest = dict(nbrs)
             _remove(rest, v, join=False)
             order = search(rest, done | 1 << v, budget - 1)
@@ -230,15 +231,14 @@ def _conditioning_order(nbrs: dict[int, int]) -> tuple[int, ...]:
 
 
 def _degeneracy(nbrs: dict[int, int]) -> int:
-    """The largest minimum degree of a subgraph: the most neighbours a
-    vertex has when taken as one of fewest left, one vertex at a time."""
-    nbrs = dict(nbrs)
-    most = 0
-    while nbrs:
-        v = min(nbrs, key=lambda u: nbrs[u].bit_count())
-        most = max(most, nbrs[v].bit_count())
-        _remove(nbrs, v, join=False)
-    return most
+    """The largest minimum degree of a subgraph, found by peeling off low-degree vertices."""
+    left = sum(1 << v for v in nbrs)
+    d = 0
+    while left:
+        low = sum(1 << v for v in _bits(left) if (nbrs[v] & left).bit_count() <= d)
+        left &= ~low
+        d += not low
+    return d
 
 
 def _remove(nbrs: dict[int, int], v: int, join: bool) -> tuple[int, ...]:

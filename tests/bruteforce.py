@@ -14,11 +14,13 @@ placed neighbour's image: the anchored searches must find the same maps in
 the same order and refuse at the same point.  The random graph generator
 and the adjacency matrix keep their former builds too, one randrange call
 per vertex pair and a matrix filled from the edge list, which the bulk
-builds must reproduce exactly.
+builds must reproduce exactly.  hom_count's former conditioning rule for
+bipartite patterns, a greedy pick from the smaller side, is kept as the
+reference that the label-free plan may never exceed.
 
-The last three functions are not oracles but label helpers: vertex ids of
-cube coordinate strings and of set-graph subsets, and the inverse of an
-automorphism.
+The last four functions are not oracles but label helpers: Q4 with one
+side labelled first, vertex ids of cube coordinate strings and of
+set-graph subsets, and the inverse of an automorphism.
 """
 
 from __future__ import annotations
@@ -477,6 +479,42 @@ def adjacency_from_edges(g: Graph) -> np.ndarray:
     edges = np.array(g.edges(), dtype=np.intp).reshape(-1, 2)
     adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = 1
     return adj
+
+
+def smaller_side_greedy_conditioned(h: Graph) -> int:
+    """The number of vertices the former plan of a connected bipartite
+    pattern conditioned on.  A vertex with at most two neighbours left is
+    summed out, joining its two neighbours if it has two; when every vertex
+    left has three or more, the plan conditioned on one of the most
+    neighbours on the smaller side X (either side when they are equal in
+    size, the first the bipartition gives) while one was left, then on one
+    of the most overall, the smaller label on ties."""
+    side = min(h.bipartition(), key=len)
+    nbrs = {v: set(h.adj[v]) for v in range(h.n)}
+    conditioned = 0
+    while nbrs:
+        v = next((u for u in nbrs if len(nbrs[u]) <= 2), None)
+        summed = v is not None
+        if not summed:
+            v = max(nbrs, key=lambda u: (u in side, len(nbrs[u]), -u))
+            conditioned += 1
+        around = nbrs.pop(v)
+        for u in around:
+            nbrs[u].discard(v)
+        if summed and len(around) == 2:
+            a, b = around
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return conditioned
+
+
+def side_first_q4() -> Graph:
+    """Q4 relabelled so that one bipartition side takes labels 0..7, as in
+    the benchmark's certify workload."""
+    order = sorted(range(16), key=lambda v: (bin(v).count("1") % 2, v))
+    label = {v: i for i, v in enumerate(order)}
+    return make_graph(16, [(label[u], label[u ^ (1 << b)])
+                           for u in range(16) for b in range(4) if u < u ^ (1 << b)])
 
 
 def cube_vertex(bits: str) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from bruteforce import cube_vertex
+from bruteforce import cube_vertex, side_first_q4
 from homreflect import (
     Automorphism,
     CapabilityError,
@@ -30,15 +30,6 @@ from homreflect.automorphisms import _backtrack, _candidates, _involutions, find
 Q3_AUTOMORPHISM_COUNT = 48
 Q3_INVOLUTION_COUNT = 19
 Q3_CARRYING_COUNT = 7
-
-
-def side_first_q4():
-    """Q4 relabelled so that one bipartition side takes labels 0..7, as in
-    the benchmark's certify workload."""
-    order = sorted(range(16), key=lambda v: (bin(v).count("1") % 2, v))
-    label = {v: i for i, v in enumerate(order)}
-    return make_graph(16, [(label[u], label[u ^ (1 << b)])
-                           for u in range(16) for b in range(4) if u < u ^ (1 << b)])
 
 
 def decorated_c12():

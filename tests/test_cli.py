@@ -605,15 +605,19 @@ class TestWorkCap:
     vertices the plan conditions on; the supersaturation experiment has no
     cap of its own."""
 
-    @pytest.mark.parametrize("argv", [
-        ("homcount", "--pattern", "q4", "--host", "random(40,1/2,1)", "--constraint", "0,7"),
-        ("homcount", "--pattern", "q4", "--host", "random(12,1/2,1)"),
-        ("experiment", "supersaturation", "--n", "132", "--trials", "1"),
+    @pytest.mark.parametrize("argv, conditioned, admitted", [
+        (("homcount", "--pattern", "q4", "--host", "random(40,1/2,1)", "--constraint", "0,7"),
+         5, 16),
+        (("homcount", "--pattern", "q4", "--host", "random(26,1/2,1)"), 4, 25),
+        (("experiment", "supersaturation", "--n", "132", "--trials", "1"), 2, 131),
     ], ids=["cross-side-quotient", "q4", "supersaturation-132"])
-    def test_refused_exit_one(self, tmp_path, capsys, argv):
+    def test_refused_exit_one(self, tmp_path, capsys, argv, conditioned, admitted):
         code, body = run(tmp_path, *argv)
         assert (code, body) == (1, b"")
-        assert "assignment enumeration exceeds the budget cap" in capsys.readouterr().err
+        assert admitted ** (conditioned + 2) <= 3 * 10 ** 8 < (admitted + 1) ** (conditioned + 2)
+        assert capsys.readouterr().err == (
+            "error: assignment enumeration exceeds the budget cap: the plan conditions on "
+            f"{conditioned} vertices; hosts of at most {admitted} vertices are admitted\n")
 
     def test_supersaturation_at_64(self, tmp_path):
         code, body = run(tmp_path, "experiment", "supersaturation", "--n", "64", "--trials", "1",

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -19,6 +20,7 @@ from homreflect import (
     enumerate_reflection_triples,
     gen_complete,
     gen_cycle,
+    gen_cycle_blowup,
     gen_hypercube,
     gen_random,
     gen_set_graph,
@@ -67,6 +69,13 @@ class TestQuotient:
     def test_rejects_dependent_set(self):
         with pytest.raises(GraphError):
             quotient_graph(make_graph(2, [(0, 1)]), {0, 1})
+
+
+# A greedy pick of the most neighbours regardless of side conditions on 4
+# vertices here instead of 3
+ELEVEN = [(0, 4), (0, 7), (0, 8), (0, 9), (1, 3), (1, 4), (1, 8), (1, 9), (2, 5), (2, 6),
+          (2, 10), (3, 5), (3, 6), (3, 10), (4, 5), (4, 6), (4, 10), (5, 7), (5, 9), (6, 7),
+          (6, 8), (8, 10), (9, 10)]
 
 
 class TestHomCount:
@@ -144,21 +153,18 @@ class TestHomCount:
     @pytest.mark.parametrize("pattern, conditioned", [
         (gen_hypercube(3), 2),
         (make_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)]), 1),
-        (gen_hypercube(4), 6),
+        (gen_hypercube(4), 4),
         (gen_set_graph(1, 4), 2),
-        # conditioning on the most neighbours regardless of side takes 4 here
-        (make_graph(11, [(0, 4), (0, 7), (0, 8), (0, 9), (1, 3), (1, 4), (1, 8), (1, 9),
-                         (2, 5), (2, 6), (2, 10), (3, 5), (3, 6), (3, 10), (4, 5), (4, 6),
-                         (4, 10), (5, 7), (5, 9), (6, 7), (6, 8), (8, 10), (9, 10)]), 3),
+        (make_graph(11, ELEVEN), 3),
     ], ids=["q3", "k33", "q4", "setgraph-1-4", "eleven"])
     def test_bipartite_plan_conditions_on_smaller_side_minus_two(self, pattern, conditioned):
         # the former part-enumeration cap had exponent |X|, the work cap has
-        # |C| + 2, so these patterns are refused on the same hosts as before
+        # |C| + 2, so no host it admitted is refused
         steps = homcount._plan(pattern, frozenset(range(pattern.n)))
         smaller = min(pattern.bipartition(), key=len)
         assert [v for v, _, c, _ in steps if c] == \
             [v for v, _, c, _ in steps if c and v in smaller]
-        assert sum(c for _, _, c, _ in steps) == conditioned == len(smaller) - 2
+        assert sum(c for _, _, c, _ in steps) == conditioned <= len(smaller) - 2
 
 
 def _sweep_sets(h):
@@ -247,7 +253,8 @@ class TestMemo:
 
     @pytest.mark.parametrize("pattern, host, constraint, message", [
         (make_graph(17, []), gen_complete(2), None, "pattern size"),
-        (gen_hypercube(4), gen_random(12, Fraction(1, 2), 1), None, "assignment enumeration"),
+        # Q4 conditions on 4 vertices: 25^6 <= 3*10^8 < 26^6
+        (gen_hypercube(4), gen_random(26, Fraction(1, 2), 1), None, "assignment enumeration"),
         # a cross-side quotient: its plan conditions on 5 vertices, 40^7 > 3*10^8
         (gen_hypercube(4), gen_random(40, Fraction(1, 2), 1), {0, 7}, "assignment enumeration"),
     ], ids=["pattern-cap", "assignment-cap", "cross-side-quotient"])
@@ -435,10 +442,55 @@ PETERSEN_QUOTIENT_RELABELLED = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), 
                                 (3, 4), (3, 5), (4, 5)]
 
 
+# A sparse bipartite pattern on which the least |C| over the vertices of the
+# most neighbours alone is 3, one more than the former smaller-side greedy
+SPARSE_15 = [(0, 2), (0, 11), (0, 12), (1, 13), (2, 3), (2, 6), (2, 14), (3, 5), (3, 12), (4, 6),
+             (4, 7), (4, 10), (5, 6), (5, 8), (5, 9), (5, 14), (6, 11), (6, 12), (6, 13),
+             (7, 11), (7, 12), (9, 11), (9, 13), (11, 14), (12, 14)]
+
+
+def _conditioned(h):
+    """|C| of the plan of a connected pattern."""
+    return sum(c for _, _, c, _ in homcount._plan(h, frozenset(range(h.n))))
+
+
+def _relabelled(h, rng):
+    perm = list(range(h.n))
+    rng.shuffle(perm)
+    return make_graph(h.n, [(perm[u], perm[v]) for u, v in h.edges()])
+
+
+def _small_connected_bipartite(rng):
+    """Every connected bipartite graph on at most 7 vertices, as an edge
+    set of K_{a,n-a} with a <= n - a, each under a seeded relabelling."""
+    for n in range(2, 8):
+        for a in range(1, n // 2 + 1):
+            pairs = [(u, v) for u in range(a) for v in range(a, n)]
+            for mask in range(1, 1 << len(pairs)):
+                h = make_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                if h.is_connected():
+                    yield _relabelled(h, rng)
+
+
+def _sparse_bipartite(rng, count):
+    """Seeded connected bipartite patterns on 10-16 vertices at edge
+    probability 2/5 between the sides."""
+    while count:
+        n = rng.randint(10, 16)
+        side = set(rng.sample(range(n), rng.randint(n // 3, n // 2)))
+        h = make_graph(n, [(min(u, v), max(u, v)) for u in side for v in range(n)
+                           if v not in side and rng.random() < 0.4])
+        if h.is_connected():
+            count -= 1
+            yield h
+
+
 class TestLabelFreePlans:
-    """A pattern that is not bipartite conditions on the fewest vertices over
-    every tie-break, so relabelling it changes neither |C| nor whether the
-    work cap refuses it."""
+    """Every pattern conditions on the fewest vertices over every choice
+    among the vertices of most neighbours, and for a bipartite pattern also
+    among those of most neighbours on its smaller side, so relabelling it
+    changes neither |C| nor whether the work cap refuses it, and a
+    bipartite plan is never longer than the former smaller-side greedy."""
 
     def test_every_relabelling_conditions_on_one_vertex(self):
         h = make_graph(6, PETERSEN_QUOTIENT)
@@ -453,6 +505,46 @@ class TestLabelFreePlans:
         _memoised_count.cache_clear()
         assert hom_count(make_graph(6, PETERSEN_QUOTIENT), g) == \
             hom_count(make_graph(6, PETERSEN_QUOTIENT_RELABELLED), g) == 3002812616
+        _memoised_count.cache_clear()
+
+    def test_q4_conditions_on_four_under_every_labelling(self):
+        rng = random.Random(4)
+        q4 = gen_hypercube(4)
+        patterns = [q4, bf.side_first_q4()] + [_relabelled(q4, rng) for _ in range(50)]
+        assert [_conditioned(h) for h in patterns] == [4] * 52
+
+    def test_cycle_blowup_conditions_on_three(self):
+        h = gen_cycle_blowup(6)
+        assert _conditioned(h) == 3 < bf.smaller_side_greedy_conditioned(h) == 4
+
+    def test_never_more_than_the_smaller_side_greedy(self):
+        rng = random.Random(7)
+        patterns = list(_small_connected_bipartite(rng))
+        assert len(patterns) == 2306
+        for h in patterns:
+            assert _conditioned(h) <= bf.smaller_side_greedy_conditioned(h)
+
+    def test_sparse_patterns_where_the_rules_differ(self):
+        patterns = list(_sparse_bipartite(random.Random(2), 150))
+        ours = [_conditioned(h) for h in patterns]
+        greedy = [bf.smaller_side_greedy_conditioned(h) for h in patterns]
+        assert all(c <= g for c, g in zip(ours, greedy))
+        assert sum(c < g for c, g in zip(ours, greedy)) >= 5
+
+    def test_smaller_side_candidates_keep_the_greedy_bound(self, monkeypatch):
+        h = make_graph(15, SPARSE_15)
+        assert _conditioned(h) == bf.smaller_side_greedy_conditioned(h) == 2
+        search = homcount._conditioning_order
+        monkeypatch.setattr(homcount, "_conditioning_order", lambda nbrs, _: search(nbrs, []))
+        assert _conditioned(h) == 3
+
+    # counts at n <= 11 recorded when Q4 conditioned on 6; 12 from a relabelling
+    # that conditioned on 4, when the cube's labelling was refused
+    @pytest.mark.parametrize("n, count", [(8, 54056410), (10, 1509906630), (11, 148873152),
+                                          (12, 2215119002)])
+    def test_q4_counts(self, n, count):
+        _memoised_count.cache_clear()
+        assert hom_count(gen_hypercube(4), gen_random(n, Fraction(1, 2), 1)) == count
         _memoised_count.cache_clear()
 
 
