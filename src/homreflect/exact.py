@@ -4,7 +4,9 @@ The walk engine and the elimination kernel form sums and products of
 non-negative integer vectors and matrices.  Each proves an upper bound on
 every value it forms, hands it to `Exact` together with its matrix side n
 and the number of n-by-n matrices it holds at once, and does all of its
-array arithmetic through the `Exact` object.
+array arithmetic through the `Exact` object.  A stack of matrices along
+leading axes counts as the number of matrices it stacks; the bound holds
+for every entry of the stack, so stacking changes no arithmetic.
 
 Below 2^53 the arrays are plain float64 and no reduction is applied:
 every integer up to 2^53 is a float64, and a sum or product of two of them
@@ -104,14 +106,13 @@ class Exact:
                 f"({max(count, 1)} residue layers), over the cap of {_CELL_CAP}")
         self.primes = tuple(_primes()[:count].tolist()) if count else ()
         if not self.primes:
-            self.mul, self.matmul, self.matvec = np.multiply, np.matmul, np.matmul
+            self.mul, self.matmul = np.multiply, np.matmul
             self.total, self.to_int = np.ndarray.sum, int
             return
         modulus = prod(self.primes)
         self._modulus = modulus
         self._crt = [modulus // p * pow(modulus // p, -1, p) for p in self.primes]
-        column = np.array(self.primes, dtype=np.float64)
-        self._moduli = {d: column.reshape((-1,) + (1,) * (d - 1)) for d in (1, 2, 3)}
+        self._column = np.array(self.primes, dtype=np.float64)
 
     def from_ints(self, values) -> np.ndarray:
         """A vector of non-negative Python integers, each at most the bound."""
@@ -127,7 +128,7 @@ class Exact:
         return np.broadcast_to(small, (len(self.primes),) + small.shape)
 
     def _reduce(self, x: np.ndarray) -> np.ndarray:
-        return np.remainder(x, self._moduli[x.ndim], out=x)
+        return np.remainder(x, self._column.reshape((-1,) + (1,) * (x.ndim - 1)), out=x)
 
     def mul(self, a, b) -> np.ndarray:
         return self._reduce(np.multiply(a, b, dtype=np.float64))
@@ -136,8 +137,11 @@ class Exact:
         return self._reduce(a @ b)
 
     def matvec(self, vec, m) -> np.ndarray:
-        """The vector-matrix product vec @ m."""
-        return self._reduce((vec[..., None, :] @ m)[..., 0, :])
+        """The vector-matrix product vec @ m, over every leading axis the
+        two share, so a stack of vectors meets the stack of matrices it is
+        aligned with, not every one of them."""
+        product = (vec[..., None, :] @ m)[..., 0, :]
+        return self._reduce(product) if self.primes else product
 
     def total(self, a, axis) -> np.ndarray:
         return self._reduce(np.sum(a, axis=axis))

@@ -10,17 +10,28 @@ k-trees", TCS 2002).  A vertex with at most two neighbours left is summed
 out; when every vertex left has three or more, the kernel conditions on one
 of them, by one rule for every pattern, and loops over its host images.  The
 plan, and so the one work cap, is fixed by the pattern before any array exists.
+The last conditioned vertex of a plan is not looped over image by image:
+its images are taken in chunks of consecutive host vertices, and every
+factor carries a batch axis, one entry per image of the chunk, so the steps
+after it run once per chunk (tensor-network slicing run the other way:
+Gray and Kourtis, "Hyper-optimized tensor network contraction", Quantum
+2021).  The chunk width is the most images whose stacked n-by-n matrices,
+residue layers included, fit in _CHUNK_CELLS cells: every image at once up
+to n = 64 on the plain path, two at n = 300.  Each entry of the batch axis
+is one branch, so the bound n^(v(H) - |C|) on every value holds entrywise,
+and a stacked matrix is declared to Exact as the matrices it stacks.
 The plan also records each summing step's dependency set, the conditioned
 vertices whose images its result depends on.  A matrix product whose set
 leaves out a vertex being looped over is the same in every branch that
 agrees on the set's images, so it is formed once per such image tuple and
 kept: the 3-cube conditions on two vertices, and the product of its last
 triangle depends on the second alone, so a count into G(n) takes 4n matrix
-products, about n^4 multiply-adds, instead of n^2 + 3n and n^5.  A kept
-product is the value a branch would form, so the bound n^(v(H) - |C|) on
-every value holds for it too, and the kept products' cells are declared to
-Exact with the rest, before any array exists; a step whose products would
-pass the cell cap forms them in every branch instead.
+products, about n^4 multiply-adds, instead of n^2 + 3n and n^5; n of them
+form one stacked product per chunk.  A kept product is the value a branch
+would form, so the bound on every value holds for it too, and the kept
+products' cells are declared to Exact with the rest, before any array
+exists; a step whose products would pass the cell cap forms them in every
+branch instead.
 The arithmetic runs through homreflect.exact: plain float64 while every
 partial count stays below 2^53, float64 residues modulo enough primes past
 it.
@@ -48,7 +59,7 @@ from statistics import median
 import numpy as np
 
 from .automorphisms import _signatures, find_isomorphism
-from .exact import Exact, adjacency, admits
+from .exact import Exact, _layers, adjacency, admits
 from .graphs import (CapabilityError, Graph, GraphError, edge_density, gen_hypercube, gen_random,
                      make_graph)
 from .reflectivity import ReflectionCertificate, ReflectionTriple, reflect_set, verify_certificate
@@ -56,6 +67,7 @@ from .reflectivity import ReflectionCertificate, ReflectionTriple, reflect_set, 
 _PATTERN_CAP = 16
 _WORK_CAP = 3 * 10 ** 8
 _MEMO_SIZE = 4096
+_CHUNK_CELLS = 1 << 18
 
 
 def quotient_graph(h: Graph, group) -> Graph:
@@ -111,16 +123,25 @@ def _memoised_count(key: tuple[int, frozenset], g: Graph) -> int:
         raise CapabilityError("assignment enumeration exceeds the budget cap: the plan conditions "
                               f"on {most} vertices; hosts of at most {admitted} vertices are admitted")
     bound = g.n ** (h.n - sum(conditioned))
-    reuse = [_reused_steps(steps, bound, g.n) for _, steps in plans]
+    width = _chunk_width(bound, g.n)
+    reuse = [_reused_steps(steps, bound, g.n, width) for _, steps in plans]
     exact = Exact(bound, g.n, max((held for _, held in reuse), default=1))
-    adj = exact.lift(adjacency(g))
-    ones = exact.lift(np.ones(g.n))
+    adj = exact.lift(adjacency(g)[None])
+    ones = exact.lift(np.ones((1, g.n)))
     images = [0] * h.n
     total = 1
     for (comp, steps), (tables, _) in zip(plans, reuse):
         binary = {(u, v): adj for u, v in h.edges() if u in comp}
-        total *= _eliminate(exact, steps, 0, {}, binary, ones, tables, images)
+        last = max((i for i, step in enumerate(steps) if step[2]), default=None)
+        total *= _eliminate(exact, steps, 0, {}, binary, ones, tables, images, {last: width})[0]
     return total
+
+
+def _chunk_width(bound: int, n: int) -> int:
+    """The images of a plan's last conditioned vertex that _eliminate takes
+    at once: as many as a stack of n-by-n matrices, residue layers
+    included, holds within _CHUNK_CELLS cells, and at least one."""
+    return max(1, min(n, _CHUNK_CELLS // (max(_layers(bound), 1) * n * n or 1)))
 
 
 def _plan(h: Graph, comp) -> list[tuple[int, tuple[int, ...], bool, tuple[int, ...]]]:
@@ -261,39 +282,51 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _matrices_held(steps) -> int:
+def _matrices_held(steps, width: int) -> int:
     """The most n-by-n matrices _eliminate holds at once for a plan, apart
     from kept products: the adjacency matrix, the matrices made by
     two-neighbour steps that are still in use, and two more while such a
     step forms its product and multiplies it into a factor.  A made matrix
     is freed when its scope is summed out, except that conditioning keeps
-    every matrix made so far for the branches that follow."""
+    every matrix made so far for the branches that follow.  After the last
+    conditioning a made matrix is a stack of one per image in a chunk, so it
+    counts as `width` matrices.  Vectors are not counted: a stack of them
+    has n times fewer cells than a stacked matrix, and a plan holds about
+    one per pattern vertex."""
     made: set = set()  # scopes whose matrix was made since the last conditioning
     kept = peak = 0
+    size = 1  # matrices per made matrix
+    left = sum(step[2] for step in steps)  # conditioning steps still to come
     for v, around, conditioned, _ in steps:
         if conditioned:
             kept += len(made)
             made = set()
+            left -= 1
+            size = 1 if left else width
             continue
         if len(around) == 2:
-            peak = max(peak, kept + len(made) + 2)
+            peak = max(peak, kept + size * (len(made) + 2))
         made = {scope for scope in made if v not in scope}
         if len(around) == 2:
             made.add(around)
-    return 1 + max(peak, kept + len(made))
+    return 1 + max(peak, kept + size * len(made))
 
 
-def _reused_steps(steps, bound: int, n: int) -> tuple[dict[int, dict], int]:
+def _reused_steps(steps, bound: int, n: int, width: int) -> tuple[dict[int, dict], int]:
     """The two-neighbour steps whose products _eliminate keeps, each with an
-    empty table, and the n-by-n matrices the plan then holds at most.
+    empty table, and the n-by-n matrices the plan then holds at most, when
+    the last conditioned vertex takes its images `width` at a time.
 
     A step's product is kept when its dependency set leaves out a vertex
     conditioned on before it: the product is then equal in every branch
     that agrees on the images of the set, and is formed once per image
-    tuple, n^|deps| matrices.  Steps are taken in plan order while their
+    tuple, n^|deps| matrices.  When the set holds the last conditioned
+    vertex, the product is a stack over one chunk of its images, kept under
+    the other images and the chunk's first; the chunks of one tuple still
+    hold n matrices in all.  Steps are taken in plan order while their
     tables keep the run within the cell cap; a step past it forms its
     product in every branch."""
-    held = _matrices_held(steps)
+    held = _matrices_held(steps, width)
     tables = {}
     looped = 0
     for i, (_, around, conditioned, deps) in enumerate(steps):
@@ -305,54 +338,70 @@ def _reused_steps(steps, bound: int, n: int) -> tuple[dict[int, dict], int]:
 
 
 def _eliminate(exact: Exact, steps, start: int, unary: dict, binary: dict, ones,
-               tables: dict, images: list) -> int:
-    """Run steps[start:] of a plan: the number of assignments of their
-    vertices to host vertices that satisfy every factor left.
+               tables: dict, images: list, widths: dict) -> list[int]:
+    """Run steps[start:] of a plan: for each entry of the batch axis, the
+    number of assignments of their vertices to host vertices that satisfy
+    every factor left, as Python integers.
 
-    `unary` maps a vertex to an n-vector and `binary` a pair u < w to an
-    n-by-n matrix indexed [image of u, image of w]; the pattern's edges
-    start as the adjacency matrix, a missing unary factor is all ones, and
-    no factor is changed in place, so branches share them.  Summing out v
+    Every factor carries a batch axis before its host axes: `unary` maps a
+    vertex to a stack of n-vectors and `binary` a pair u < w to a stack of
+    n-by-n matrices indexed [entry, image of u, image of w].  The pattern's
+    edges start as the adjacency matrix and a missing unary factor is all
+    ones, each a stack of one, which broadcasts against any other; no
+    factor is changed in place, so branches share them.  Summing out v
     takes a sum, a matrix-vector product or one matrix product, and the
-    result is multiplied into the factor of the same scope.  Conditioning
-    on v loops over its images x, noted in `images`: row x of each of v's
-    matrices becomes a factor of the neighbour, and the branch counts add
-    up with weight v's unary factor at x.
+    result is multiplied into the factor of the same scope.
+
+    Conditioning on v takes its images in chunks of `widths[i]` consecutive
+    host vertices, 1 unless v is the plan's last conditioned vertex, and
+    notes each chunk's first image in `images`.  Rows lo..hi of each of v's
+    matrices become a factor of the neighbour, a stack of one vector per
+    image, so the steps after the last conditioning run once per chunk and
+    the batch axis stands for its images; before it every stack is a stack
+    of one.  A step with no neighbours gives one integer per entry, and
+    these multiply entrywise; the chunk's branch counts add up with weight
+    v's unary factor at each image.
 
     A two-neighbour step with a table in `tables` (_reused_steps) looks its
     product up under the images of its dependency set and forms it only on
     a miss.  For the 3-cube, conditioned on two vertices, the product of the
-    last triangle depends on the second alone: n products of it instead of
-    n^2, so the count costs about n^4 multiply-adds instead of n^5.
+    last triangle depends on the second alone: n products, one stack per
+    chunk of its images, instead of n^2, so the count costs about n^4
+    multiply-adds instead of n^5.
 
     The caller hands Exact the bound n^(v(H) - |C|), |C| the number of
-    conditioned vertices, on every value formed: within a branch every
-    entry of every factor, every product formed and every partial sum of a
-    matrix product is a non-negative integer that counts assignments of a
-    set of summed-out vertices, at most n^(v(H) - |C|) of them.  A kept
-    product is the value the branch would form, so the bound holds for it
-    too.  Branch counts and weights leave the arrays as Python integers
-    before they are multiplied or added up.
+    conditioned vertices, on every value formed: every entry of the batch
+    axis is one branch, and within a branch every entry of every factor,
+    every product formed and every partial sum of a matrix product is a
+    non-negative integer that counts assignments of a set of summed-out
+    vertices, at most n^(v(H) - |C|) of them.  A kept product is the value
+    the branch would form, so the bound holds for it too.  Branch counts
+    and weights leave the arrays as Python integers before they are
+    multiplied or added up.
     """
-    scalar = 1
+    scalar = [1]
     for i in range(start, len(steps)):
         v, around, conditioned, deps = steps[i]
         vec = unary.pop(v, ones)
         mats = [binary.pop((v, u)) if v < u else binary.pop((u, v)).mT for u in around]
         if conditioned:
+            weights = exact.to_ints(vec[..., 0, :])
+            width = widths.get(i, 1)
             total = 0
-            for x, weight in enumerate(exact.to_ints(vec)):
-                if not weight:
+            for lo in range(0, len(weights), width):
+                chunk = weights[lo:lo + width]
+                if not any(chunk):
                     continue
-                images[v] = x
+                images[v] = lo
                 branch = dict(unary)
                 for u, m in zip(around, mats):
-                    _multiply(exact, branch, u, m[..., x, :])
-                total += weight * _eliminate(exact, steps, i + 1, branch, dict(binary), ones,
-                                             tables, images)
-            return scalar * total
+                    _multiply(exact, branch, u, m[..., 0, lo:lo + width, :])
+                counts = _eliminate(exact, steps, i + 1, branch, dict(binary), ones, tables,
+                                    images, widths)
+                total += sum(_times(chunk, counts))
+            return _times(scalar, [total])
         if not around:
-            scalar *= exact.to_int(exact.total(vec, -1))
+            scalar = _times(scalar, exact.to_ints(exact.total(vec, -1)))
         elif len(around) == 1:
             _multiply(exact, unary, around[0], exact.matvec(vec, mats[0]))
         else:
@@ -365,6 +414,14 @@ def _eliminate(exact: Exact, steps, start: int, unary: dict, binary: dict, ones,
                     table[key] = product
             _multiply(exact, binary, around, product)
     return scalar
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The entrywise product of two lists of Python integers over a batch
+    axis; a list of one entry stands for that entry at every position."""
+    if len(a) == 1:
+        a, b = b, a
+    return [x * y for x, y in zip(a, b)] if len(a) == len(b) else [x * b[0] for x in a]
 
 
 def _multiply(exact: Exact, factors: dict, scope, value) -> None:

@@ -85,6 +85,30 @@ class TestAgainstPythonIntegers:
         assert [ex.to_int(row[..., j]) for j in range(n)] == want[0]
         assert ex.to_ints(ex.from_ints([0, top - 1, 0, 1])) == [0, top - 1, 0, 1]
 
+    # a stack of vectors against a stack of matrices, either of them a stack of one
+    @pytest.mark.parametrize("vectors, matrices", [(4, 4), (1, 4), (4, 1)])
+    def test_matvec_on_stacks_alike_on_both_paths(self, monkeypatch, vectors, matrices):
+        rng = random.Random(vectors * 10 + matrices)
+        n, top = 6, 2 ** 12
+        vecs = [[rng.randrange(top) for _ in range(n)] for _ in range(vectors)]
+        mats = [random_matrix(rng, n, top) for _ in range(matrices)]
+        want = [[sum(vecs[k % vectors][i] * mats[k % matrices][i][j] for i in range(n))
+                 for j in range(n)] for k in range(max(vectors, matrices))]
+        shapes = []
+        for plain_limit in (2 ** 53, 2):
+            monkeypatch.setattr(exact, "_PLAIN_LIMIT", plain_limit)
+            ex = Exact(n * top ** 2, n, max(vectors, matrices))
+            assert bool(ex.primes) == (plain_limit == 2)
+            vec = ex.from_ints([x for row in vecs for x in row])
+            vec = vec.reshape(vec.shape[:-1] + (vectors, n))
+            flat = ex.from_ints([x for m in mats for row in m for x in row])
+            got = ex.matvec(vec, flat.reshape(flat.shape[:-1] + (matrices, n, n)))
+            shapes.append(got.shape[-2:])
+            assert got.ndim == 2 + bool(ex.primes)
+            assert [[ex.to_int(got[..., k, j]) for j in range(n)]
+                    for k in range(len(want))] == want
+        assert shapes == [(len(want), n)] * 2
+
 
 class TestCellCap:
     def test_refused_before_allocation(self):
@@ -118,10 +142,13 @@ class TestCellCap:
         return max(declared), peak
 
     # the 3-cube keeps n products of n^2 cells, which outweigh the rest at n = 100
+    # at n = 64 the cube's last conditioned vertex takes all 64 images at
+    # once; K4 into 300 takes 2, the cube into 100 and 131 take 26 and 15
     @pytest.mark.parametrize("pattern, n", [(gen_cycle(16), 120), (gen_complete(4), 300),
-                                            (gen_hypercube(3), 100)],
+                                            (gen_hypercube(3), 100), (gen_hypercube(3), 64),
+                                            (gen_hypercube(3), 131)],
                              ids=["cycle-16-residues", "clique-4-conditioned",
-                                  "cube-kept-products"])
+                                  "cube-kept-products", "cube-full-chunk", "cube-chunked"])
     def test_elimination_holds_what_it_declares(self, monkeypatch, pattern, n):
         g = gen_random(n, Fraction(1, 2), 1)
         homcount._memoised_count.cache_clear()

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -363,7 +364,7 @@ class TestKeptProducts:
     def test_matches_naive_oracle_on_both_paths(self, monkeypatch, pattern, n):
         steps = homcount._plan(pattern, frozenset(range(pattern.n)))
         assert sum(c for _, _, c, _ in steps) >= 2
-        assert homcount._reused_steps(steps, n ** pattern.n, n)[0]
+        assert homcount._reused_steps(steps, n ** pattern.n, n, n)[0]
         g = gen_random(n, Fraction(4, 5), n)
         expected = bf.hom_count_naive(pattern, g)
         assert expected > 0
@@ -387,6 +388,7 @@ class TestKeptProducts:
 
     @staticmethod
     def _products(monkeypatch):
+        """The n-by-n products of each matmul call: the size of its stack."""
         products = []
 
         def spy(bound, n, matrices):
@@ -394,7 +396,7 @@ class TestKeptProducts:
             matmul = ex.matmul
 
             def counted(a, b):
-                products.append(a.shape)
+                products.append(math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])))
                 return matmul(a, b)
 
             ex.matmul = counted
@@ -404,20 +406,42 @@ class TestKeptProducts:
         _memoised_count.cache_clear()
         return products
 
+    @staticmethod
+    def _branches(monkeypatch):
+        """The number of _eliminate calls per start step."""
+        calls = {}
+        kernel = homcount._eliminate
+
+        def spy(exact, steps, start, *args):
+            calls[start] = calls.get(start, 0) + 1
+            return kernel(exact, steps, start, *args)
+
+        monkeypatch.setattr(homcount, "_eliminate", spy)
+        return calls
+
+    # the cube conditions on step 0 and step 4 of its plan; up to n = 64 the
+    # second takes all n images in one chunk
     @pytest.mark.parametrize("n", [9, 40])
     def test_cube_takes_4n_products(self, monkeypatch, n):
         g = gen_random(n, Fraction(1, 2), 3)
         assert min(g.degrees()) > 0
+        assert homcount._chunk_width(n ** 6, n) == n
         products = self._products(monkeypatch)
+        branches = self._branches(monkeypatch)
         count = hom_count(gen_hypercube(3), g)
-        assert len(products) <= 4 * n
+        # n outer branches of one chunk each; three products per outer
+        # branch and the last triangle's, kept, as one stack of n
+        assert branches == {0: 1, 1: n, 5: n}
+        assert sorted(products) == [1] * (3 * n) + [n]
+        assert sum(products) == 4 * n
         # forming every product in every branch takes n^2 + 3n, same count
         products.clear()
-        monkeypatch.setattr(homcount, "_reused_steps",
-                            lambda steps, bound, n: ({}, homcount._matrices_held(steps)))
+        monkeypatch.setattr(homcount, "_reused_steps", lambda steps, bound, n, width:
+                            ({}, homcount._matrices_held(steps, width)))
         _memoised_count.cache_clear()
         assert hom_count(gen_hypercube(3), g) == count
-        assert len(products) == n * n + 3 * n
+        assert sorted(products) == [1] * (3 * n) + [n] * n
+        assert sum(products) == n * n + 3 * n
         _memoised_count.cache_clear()
 
     def test_table_past_the_cell_cap_is_not_kept(self, monkeypatch):
@@ -427,12 +451,75 @@ class TestKeptProducts:
         _memoised_count.cache_clear()
         count = hom_count(gen_hypercube(3), g)
         steps = homcount._plan(gen_hypercube(3), frozenset(range(8)))
-        monkeypatch.setattr(exact, "_CELL_CAP", homcount._matrices_held(steps) * 20 * 20)
-        assert homcount._reused_steps(steps, 20 ** 6, 20) == ({}, homcount._matrices_held(steps))
+        assert homcount._chunk_width(20 ** 6, 20) == 20
+        held = homcount._matrices_held(steps, 20)
+        monkeypatch.setattr(exact, "_CELL_CAP", held * 20 * 20)
+        assert homcount._reused_steps(steps, 20 ** 6, 20, 20) == ({}, held)
         products = self._products(monkeypatch)
         assert hom_count(gen_hypercube(3), g) == count
-        assert len(products) == 20 * 20 + 3 * 20
+        assert sorted(products) == [1] * (3 * 20) + [20] * 20
+        assert sum(products) == 20 * 20 + 3 * 20
         _memoised_count.cache_clear()
+
+
+# Two K4 that share vertex 0: the plan conditions on it, and what is left
+# falls apart into two triangles, each summed down to one integer per image
+K4_BOWTIE = make_graph(7, [(a, b) for side in ([0, 1, 2, 3], [0, 4, 5, 6])
+                           for a, b in combinations(side, 2)])
+
+
+class TestChunkedConditioning:
+    """The plan's last conditioned vertex takes its images in chunks of
+    consecutive host vertices, one stack of factors per chunk; every chunk
+    width gives the naive count on both paths."""
+
+    @pytest.mark.parametrize("pattern, constraint, conditioned", [
+        (gen_complete(4), None, 1),
+        (K4_BOWTIE, None, 1),
+        (gen_hypercube(3), [0, 7], 1),
+        (gen_hypercube(3), None, 2),
+        (_q4_quotient([0, 1, 2, 3, 4, 5, 6, 2, 7, 2, 5, 6, 5, 1, 2, 0]), None, 2),
+        (_q4_quotient([0, 1, 2, 3, 4, 3, 5, 0, 5, 4, 6, 5, 6, 1, 4, 7]), None, 3),
+    ], ids=["k4", "k4-bowtie", "q3-constraint", "q3", "q4-quotient-c2", "q4-quotient-c3"])
+    def test_every_width_matches_naive_oracle_on_both_paths(self, monkeypatch, pattern,
+                                                            constraint, conditioned):
+        n = 5
+        g = gen_random(n, Fraction(4, 5), 5)
+        quotient = quotient_graph(pattern, constraint) if constraint else pattern
+        assert _conditioned(quotient) == conditioned
+        expected = bf.hom_count_naive(pattern, g, constraint)
+        assert expected > 0
+        # one image per chunk, a width that does not divide n, every image at once
+        for width in (1, n - 1, n):
+            monkeypatch.setattr(homcount, "_chunk_width", lambda bound, n, width=width: width)
+            for plain_limit in (2 ** 53, 2):
+                monkeypatch.setattr(exact, "_PLAIN_LIMIT", plain_limit)
+                _memoised_count.cache_clear()
+                assert hom_count(pattern, g, constraint) == expected
+        _memoised_count.cache_clear()
+
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    def test_one_branch_per_chunk(self, monkeypatch, width):
+        # K4 conditions on its first step, with weight 1 at every image
+        g = gen_random(7, Fraction(1, 2), 2)
+        monkeypatch.setattr(homcount, "_chunk_width", lambda bound, n: width)
+        branches = TestKeptProducts._branches(monkeypatch)
+        _memoised_count.cache_clear()
+        assert hom_count(gen_complete(4), g) == bf.hom_count_naive(gen_complete(4), g)
+        assert branches == {0: 1, 1: -(-7 // width)}
+        _memoised_count.cache_clear()
+
+    @pytest.mark.parametrize("bound, n, width", [
+        (64 ** 6, 64, 64),          # 64^3 cells: every image at once
+        (131 ** 6, 131, 15),        # 15 stacked matrices of 131^2 cells
+        (300 ** 3, 300, 2),
+        (600 ** 3, 600, 1),
+        (25 ** 12, 25, 25),         # three residue layers
+        (2 ** 53, 180, 2),          # three residue layers of 180^2 cells
+        (1, 0, 1),
+    ])
+    def test_width_fills_the_chunk_budget(self, bound, n, width):
+        assert homcount._chunk_width(bound, n) == width
 
 
 # Two labellings of one quotient of the Petersen graph
