@@ -28,7 +28,7 @@ from .homcount import (check_final_inequality, check_reflection_inequality,
                        hom_count, injective_hom_count, sidorenko_check,
                        supersaturation_experiment)
 from .rainbow import (check_pattern_chain, check_variant_chain,
-                      coincidence_table, cycle_weight_sum,
+                      coincidence_table, colour_deficiency, cycle_weight_sum,
                       cycle_weight_sum_spectral, find_almost_rainbow,
                       find_rainbow_cycle)
 from .reflectivity import (DEFAULT_BUDGET, certificate_from_json, certificate_to_json,
@@ -368,18 +368,20 @@ def cmd_experiment(args) -> tuple[dict, int]:
     ok_unconditional = True
     cycles = []
     for k in range(2, args.k_max + 1):
+        eps = None if args.name == "rainbow-bounds" else parse_fraction(args.epsilon or "1/4")
         if args.spectral:
             sp = cycle_weight_sum_spectral(host, k)
-            bound = (2.0 * k * k / host.min_degree()) ** k * host.n
+            delta = host.min_degree()
+            # the bound of no_rainbow_total, or of variant_total at eps
+            bound = (2.0 * k * k / delta) ** k * host.n if eps is None else \
+                float((k / (colour_deficiency(eps) * delta)) ** k * host.n)
             rows.append({"k": k, "weight_float": sp.value, "bound_float": bound,
                          "holds": sp.value <= bound + sp.error_bound})
             continue
-        if args.name == "rainbow-bounds":
-            eps = None
+        if eps is None:
             chain = check_pattern_chain(host, colouring, k)
             ok_unconditional &= chain["unconditional_ok"]
         else:
-            eps = parse_fraction(args.epsilon or "1/4")
             chain = check_variant_chain(host, colouring, k, eps)
         rows.append({"k": k,
                      "weight": chain["weights"][2 * k],
@@ -413,15 +415,18 @@ def cmd_h2k(args) -> tuple[dict, int]:
         "colouring": args.colouring or ("auto" if args.patterns else None),
         "seed": args.seed,
     })
+    # the table first: its walk sums hold h_2k, which the next call reuses
+    table = None
+    if args.patterns:
+        colouring = resolve_colouring(host, args.colouring, builtin, args.seed)
+        table = coincidence_table(host, colouring, args.k)
     exact = cycle_weight_sum(host, args.k)
     spectral = cycle_weight_sum_spectral(host, args.k)
     report["h2k"] = exact
     report["h2k_float"] = spectral.value
     report["spectral_error_bound"] = spectral.error_bound
     report["at_least_one"] = exact >= 1
-    if args.patterns:
-        colouring = resolve_colouring(host, args.colouring, builtin, args.seed)
-        table = coincidence_table(host, colouring, args.k)
+    if table is not None:
         report["pattern_weights"] = [
             {"i": i, "j": j, "value": table[(i, j)]}
             for (i, j) in sorted(table)

@@ -15,8 +15,9 @@ exhausting memory in an O(n^2) pair loop.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 
@@ -314,45 +315,30 @@ def edge_density(g: Graph) -> Fraction:
 # Edge colourings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeColouring:
-    """Colour ids per unordered edge, with a properness flag.  Like a Graph
-    it is not changed after construction, so it keeps the last graph
-    validate_colouring passed it for."""
+    """Colour ids per unordered edge (u, v), u < v.  Like a Graph it is not
+    changed after construction.  Two colourings are equal only when they
+    are the same object, which is how kept walk sums are matched."""
 
-    colours: dict = field(compare=False)
-    proper: bool
-    _valid_for: list = field(default_factory=list, init=False, compare=False, repr=False)
+    colours: dict
 
     def of(self, u: int, v: int) -> int:
         return self.colours[(u, v) if u < v else (v, u)]
 
+    @cached_property
+    def proper(self) -> bool:
+        """No two edges that share an endpoint share a colour; worked out
+        from the colours alone, once."""
+        ends = [(x, c) for (u, v), c in self.colours.items() for x in (u, v)]
+        return len(set(ends)) == len(ends)
+
 
 def validate_colouring(g: Graph, colouring: EdgeColouring) -> None:
-    """Every edge coloured exactly once; properness flag backed by a check.
-    A colouring that passed for this graph object is not checked again, so
-    a command that hands one colouring to a chain check and then to a cycle
-    search checks it once."""
-    if colouring._valid_for and colouring._valid_for[0] is g:
-        return
-    edges = set(g.edges())
-    coloured = set(colouring.colours)
-    if coloured != edges:
+    """Every edge of g coloured exactly once.  Whether the colouring is
+    proper is its own `proper`, asked only where a proper one is needed."""
+    if colouring.colours.keys() != set(g.edges()):
         raise GraphError("colouring does not cover exactly the edge set")
-    if colouring.proper and not _is_proper(g, colouring):
-        raise GraphError("colouring flagged proper but two adjacent edges share a colour")
-    colouring._valid_for[:] = [g]
-
-
-def _is_proper(g: Graph, colouring: EdgeColouring) -> bool:
-    for u in range(g.n):
-        seen = set()
-        for v in g.adj[u]:
-            c = colouring.of(u, v)
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
 
 
 def greedy_proper_colouring(g: Graph, seed: int) -> EdgeColouring:
@@ -375,13 +361,13 @@ def greedy_proper_colouring(g: Graph, seed: int) -> EdgeColouring:
         colours[(u, v)] = c
         at_vertex[u].add(c)
         at_vertex[v].add(c)
-    return EdgeColouring(colours, proper=True)
+    return EdgeColouring(colours)
 
 
 def rainbow_colouring(g: Graph) -> EdgeColouring:
     """Every edge its own colour (proper by construction)."""
     colours = {e: i for i, e in enumerate(g.edges())}
-    return EdgeColouring(colours, proper=True)
+    return EdgeColouring(colours)
 
 
 def direction_colouring(d: int) -> tuple[Graph, EdgeColouring]:
@@ -391,7 +377,7 @@ def direction_colouring(d: int) -> tuple[Graph, EdgeColouring]:
     colours = {}
     for u, v in g.edges():
         colours[(u, v)] = (u ^ v).bit_length() - 1
-    return g, EdgeColouring(colours, proper=True)
+    return g, EdgeColouring(colours)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +438,6 @@ def read_colouring(g: Graph, path) -> EdgeColouring:
             if key in colours:
                 raise GraphError(f"{path}: edge {key} coloured twice")
             colours[key] = c
-    colouring = EdgeColouring(colours, proper=False)
-    if set(colours) != set(g.edges()):
+    if colours.keys() != set(g.edges()):
         raise GraphError(f"{path}: colouring does not cover exactly the edge set")
-    proper = _is_proper(g, colouring)
-    return EdgeColouring(colours, proper=proper)
+    return EdgeColouring(colours)

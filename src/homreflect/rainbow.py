@@ -6,9 +6,10 @@ total weight equals the trace of the 2k-th power of the degree-normalised
 step matrix M = D^-1 A.  The colour-matched variant restricts to walks
 whose steps i and j carry the same edge colour.
 
-The exact sums come from one engine: integer powers of B = L M, where L is
-the lcm of the degrees, divided by a power of L.  Every value it forms is
-at most n L^2k / delta for half-length k and minimum degree delta (see
+The exact sums come from one engine per call (_walk_sums keeps the values,
+not the engine): integer powers of B = L M, where L is the lcm of the
+degrees, divided by a power of L.  Every value it forms is at most
+n L^2k / delta for half-length k and minimum degree delta (see
 _WalkEngine), and its products run through homreflect.exact: plain float64
 below 2^53, float64 residues modulo enough primes past it.  Everything in
 this module is exact rational arithmetic except the explicitly spectral
@@ -35,7 +36,8 @@ def _require_positive_degrees(g: Graph) -> None:
 
 class _WalkEngine:
     """Exact powers of the scaled step matrix B = L * D^-1 A, L = lcm(degrees),
-    for the closed walks of length up to 2k.
+    for the closed walks of length up to 2k.  _walk_sums builds one per call
+    and drops it before it returns.
 
     B[u][v] = L/deg(u) on edges is an integer, every row of B sums to L and
     B^t = L^t M^t for the step matrix M = D^-1 A, so each weight is an
@@ -62,7 +64,6 @@ class _WalkEngine:
     def __init__(self, g: Graph, k: int):
         _require_positive_degrees(g)
         self.g = g
-        self.k = k
         degs = g.degrees()
         self.scale = lcm(*degs)
         top = max(k, 2 * k - 2)
@@ -72,7 +73,6 @@ class _WalkEngine:
         self.powers = [None, self.exact.mul(adjacency(g), self.weights[..., :, None])]
         for _ in range(top - 1):
             self.powers.append(self.exact.matmul(self.powers[-1], self.powers[1]))
-        self._offsets: tuple = (None, 0, {})
 
     def step_trace(self, t: int) -> Fraction:
         """Total weight of the closed walks of length t = 2j, j <= k: the
@@ -81,30 +81,13 @@ class _WalkEngine:
         product = self.exact.mul(half, half.mT)
         return Fraction(self.exact.to_int(self.exact.total(product, (-2, -1))), self.scale ** t)
 
-    def matched_trace(self, colouring: EdgeColouring, a: int, b: int) -> Fraction:
+    def matched_trace(self, classes: list, a: int, b: int) -> Fraction:
         """Sum over colours of tr(M^a E M^b E) with E the colour's oriented
         step matrix: closed walks of length a+b+2 whose two marked steps
-        share that colour."""
-        by_colour: dict[int, list[tuple[int, int]]] = {}
-        for u, v in self.g.edges():
-            c = colouring.of(u, v)
-            by_colour.setdefault(c, []).append((u, v))
-            by_colour[c].append((v, u))
-        total = sum(self._colour_total(a, b, np.array([e[0] for e in oriented]),
-                                       np.array([e[1] for e in oriented]))
-                    for oriented in by_colour.values())
+        share that colour.  `classes` holds each colour's oriented edges
+        (x, y) as the arrays xs and ys (_colour_classes)."""
+        total = sum(self._colour_total(a, b, xs, ys) for xs, ys in classes)
         return Fraction(total, self.scale ** (a + b + 2))
-
-    def offset_weights(self, colouring: EdgeColouring, k: int) -> dict[int, Fraction]:
-        """The coincidence weight of the 2k-cycles at each canonical offset
-        1..k, kept for the last (colouring, k) asked.  The colouring is
-        matched by identity: EdgeColouring equality ignores the colours."""
-        last, last_k, weights = self._offsets
-        if last is not colouring or last_k != k:
-            weights = {ell: self.matched_trace(colouring, ell - 1, 2 * k - ell - 1)
-                       for ell in range(1, k + 1)}
-            self._offsets = (colouring, k, weights)
-        return weights
 
     def _colour_total(self, a: int, b: int, xs, ys) -> int:
         """The sum over a colour's oriented edges (x,y), (z,p) of
@@ -130,26 +113,46 @@ class _WalkEngine:
         return self.powers[t][..., ys[:, None], xs]
 
 
-_last_engine: list[_WalkEngine] = []
+def _colour_classes(g: Graph, colouring: EdgeColouring) -> list:
+    """Each colour's oriented edges (x, y) of g, as the arrays xs and ys."""
+    by_colour: dict[int, list[tuple[int, int]]] = {}
+    for u, v in g.edges():
+        by_colour.setdefault(colouring.of(u, v), []).extend(((u, v), (v, u)))
+    # contiguous rows: the engine gathers matrix entries along them
+    return [np.array(oriented).T.copy() for oriented in by_colour.values()]
 
 
-def _walk_engine(g: Graph, k: int) -> _WalkEngine:
-    """An engine for g serving every half-length up to k.  The last engine
-    is kept and serves every later call for the same host at a half-length
-    it covers, as in `h2k --patterns` and `verify section3 --epsilon`; it
-    is dropped before another is built, so two engines are never alive at
-    once."""
-    if not (_last_engine and _last_engine[0].k >= k and _last_engine[0].g == g):
-        _last_engine.clear()
-        _last_engine.append(_WalkEngine(g, k))
-    return _last_engine[0]
+# The values of the last _walk_sums call: (host, k, colouring, weights, offsets)
+_last_sums: list[tuple] = []
+
+
+def _walk_sums(g: Graph, k: int, colouring: EdgeColouring | None = None):
+    """The weights (h_2, ..., h_2k) of g and, given a colouring, the
+    coincidence weights of the 2k-cycles at the canonical offsets 1..k
+    (else None), from one engine that is dropped before the call returns.
+    The last call's values serve a later call for the same host object, k
+    and colouring object, or for the same host and k without a colouring
+    (`h2k --patterns`, `verify section3 --epsilon`)."""
+    if k < 1:
+        raise GraphError(f"half-length must be positive, got {k}")
+    if _last_sums:
+        host, kept_k, kept_colouring, weights, offsets = _last_sums[0]
+        if host is g and kept_k == k and (colouring is None or colouring is kept_colouring):
+            return weights, offsets
+    engine = _WalkEngine(g, k)
+    weights = tuple(engine.step_trace(2 * j) for j in range(1, k + 1))
+    offsets = None
+    if colouring is not None:
+        classes = _colour_classes(g, colouring)
+        offsets = tuple(engine.matched_trace(classes, ell - 1, 2 * k - ell - 1)
+                        for ell in range(1, k + 1))
+    _last_sums[:] = [(g, k, colouring, weights, offsets)]
+    return weights, offsets
 
 
 def cycle_weight_sum(g: Graph, k: int) -> Fraction:
     """Total weight of the homomorphic cycles of length 2k, exactly."""
-    if k < 1:
-        raise GraphError(f"half-length must be positive, got {k}")
-    return _walk_engine(g, k).step_trace(2 * k)
+    return _walk_sums(g, k)[0][-1]
 
 
 @dataclass(frozen=True)
@@ -193,9 +196,15 @@ def canonical_pattern_offset(i: int, j: int, two_k: int) -> int:
 def coincidence_table(g: Graph, colouring: EdgeColouring,
                       k: int) -> dict[tuple[int, int], Fraction]:
     """All C(2k,2) coincidence weights, evaluated once per canonical offset."""
-    canon = _walk_engine(g, k).offset_weights(colouring, k)
-    return {(i, j): canon[canonical_pattern_offset(i, j, 2 * k)]
-            for i in range(1, 2 * k + 1) for j in range(i + 1, 2 * k + 1)}
+    validate_colouring(g, colouring)
+    return _coincidences(_walk_sums(g, k, colouring)[1])
+
+
+def _coincidences(offsets: tuple) -> dict[tuple[int, int], Fraction]:
+    """The weight of every pair of marked steps, from those at the k offsets."""
+    two_k = 2 * len(offsets)
+    return {(i, j): offsets[canonical_pattern_offset(i, j, two_k) - 1]
+            for i in range(1, two_k + 1) for j in range(i + 1, two_k + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +217,9 @@ def _chain_inputs(g: Graph, colouring: EdgeColouring, k: int, chain: str):
     validate_colouring(g, colouring)
     if not colouring.proper:
         raise GraphError(f"{chain} chain needs a proper colouring")
-    if k < 1:
-        raise GraphError(f"half-length must be positive, got {k}")
-    engine = _walk_engine(g, k)
-    h = {2 * j: engine.step_trace(2 * j) for j in range(1, k + 1)}
-    return g.min_degree(), h, coincidence_table(g, colouring, k)
+    weights, offsets = _walk_sums(g, k, colouring)
+    h = {2 * j: w for j, w in enumerate(weights, 1)}
+    return g.min_degree(), h, _coincidences(offsets)
 
 
 def _add_check(checks: list, name: str, lhs: Fraction, rhs: Fraction,
@@ -259,6 +266,14 @@ def check_pattern_chain(g: Graph, colouring: EdgeColouring, k: int) -> dict:
     }
 
 
+def colour_deficiency(eps) -> Fraction:
+    """eps as a Fraction, refused unless 0 < eps < 1/2."""
+    eps = Fraction(eps)
+    if not Fraction(0) < eps < Fraction(1, 2):
+        raise GraphError("colour deficiency must lie strictly between 0 and 1/2")
+    return eps
+
+
 def check_variant_chain(g: Graph, colouring: EdgeColouring, k: int, eps) -> dict:
     """The almost-rainbow variant of the chain at colour-deficiency eps.
 
@@ -266,9 +281,7 @@ def check_variant_chain(g: Graph, colouring: EdgeColouring, k: int, eps) -> dict
     colours per edge; the counting cross-check compares the coincidence
     total with 2*eps*k times the plain weight.
     """
-    eps = Fraction(eps)
-    if not Fraction(0) < eps < Fraction(1, 2):
-        raise GraphError("colour deficiency must lie strictly between 0 and 1/2")
+    eps = colour_deficiency(eps)
     delta, h, table = _chain_inputs(g, colouring, k, "variant")
     checks = []
     for j in range(2, k + 1):
@@ -321,9 +334,7 @@ def find_almost_rainbow(g: Graph, colouring: EdgeColouring, eps,
                         node_budget: int = 5 * 10 ** 6) -> CycleSearchResult:
     """Search for a simple cycle of some length L with more than (1-eps)L
     distinct colours; exhaustive as for find_rainbow_cycle."""
-    eps = Fraction(eps)
-    if not Fraction(0) < eps < Fraction(1, 2):
-        raise GraphError("colour deficiency must lie strictly between 0 and 1/2")
+    eps = colour_deficiency(eps)
     return _cycle_search(g, colouring, eps, max_len, node_budget)
 
 

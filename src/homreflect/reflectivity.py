@@ -96,23 +96,18 @@ def _sides_failure(h: Graph, t: ReflectionTriple, fixed: frozenset[int]) -> str 
     return None
 
 
-def enumerate_reflection_triples(h: Graph,
-                                 involutions: list[Automorphism] | None = None,
-                                 ) -> list[ReflectionTriple]:
+def enumerate_reflection_triples(h: Graph) -> list[ReflectionTriple]:
     """All reflection triples of H, both orientations of each component pairing.
 
-    For each involution (`involutions`; by default those that pass the
-    involution search's carrying test, as every involution carrying a
-    triple does): remove its fixed set, take connected components, and
-    demand the involution move every component; each way of assigning the
-    component pairs to the two sides yields one triple.  The swap map of
-    an involution that yields triples is checked once, the sides once per
-    triple.
+    For each involution that passes the involution search's carrying test,
+    as every involution carrying a triple does: remove its fixed set, take
+    connected components, and demand the involution move every component;
+    each way of assigning the component pairs to the two sides yields one
+    triple.  The swap map of an involution that yields triples is checked
+    once, the sides once per triple.
     """
-    if involutions is None:
-        involutions = _involutions(h)
     triples: list[ReflectionTriple] = []
-    for phi in involutions:
+    for phi in _involutions(h):
         comps = h.components(removed=phi.fixed_set())
         pairs = []
         ok = True

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, lcm, perm as falling_factorial
 from operator import mul
 
@@ -171,6 +171,14 @@ def closed_walk_weight_sum(g, length: int, colour_match=None, colouring=None) ->
             w /= degs[v]
         total += w
     return total
+
+
+def colouring_is_proper(g, colouring) -> bool:
+    """No two distinct edges of g that share an endpoint share a colour,
+    over every pair of edges."""
+    edges = g.edges()
+    return not any(set(e) & set(f) and colouring.of(*e) == colouring.of(*f)
+                   for e, f in combinations(edges, 2))
 
 
 def int_matmul(a, b) -> list[list[int]]:

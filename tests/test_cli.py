@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from test_reflectivity import comb_graph
 import homreflect
-from homreflect import cli, graphs, rainbow, read_colouring, read_edge_list, write_edge_list
+from homreflect import cli, rainbow, read_colouring, read_edge_list, write_edge_list
 from homreflect.cli import main, parse_graph_spec
 from homreflect.graphs import VERTEX_CAP, gen_random
 from homreflect.reflectivity import certify_pairs, certify_reflective, reflectivity_report
@@ -379,20 +380,13 @@ class TestVerify:
     def test_malformed_host_error(self, tmp_path):
         assert main(["verify", "section3", "--host", "nonsense(1)", "--k", "2"]) == 1
 
-    def test_colouring_checked_where_used(self, tmp_path, monkeypatch):
-        """The greedy colouring is proper by construction; the chain checks
-        it, and the rainbow-cycle search uses it without a second check."""
-        checked = []
-        is_proper = graphs._is_proper
-
-        def counted(g, colouring):
-            checked.append(g.n)
-            return is_proper(g, colouring)
-
-        monkeypatch.setattr(graphs, "_is_proper", counted)
-        code, _ = run(tmp_path, "verify", "section3", "--host", "clique(66)", "--k", "2")
+    def test_colouring_checked_where_used(self, tmp_path, proper_checks):
+        """The chain works out that the greedy colouring is proper, once;
+        the rainbow-cycle search uses it without asking again."""
+        code, body = run(tmp_path, "verify", "section3", "--host", "clique(66)", "--k", "2")
         assert code == 0
-        assert checked == [66]
+        assert b"kind: rainbow" in body
+        assert proper_checks == [66 * 65 // 2]
 
 
 class TestExperiment:
@@ -424,6 +418,31 @@ class TestExperiment:
                          "--host", "hypercube(8)", "--k-max", "4", "--spectral")
         assert code == 0
         assert body.count(b"holds: True") == 3
+
+    def test_spectral_almost_rainbow_checks_variant_total(self, tmp_path):
+        """The spectral rounds of almost-rainbow-bounds check the bound of
+        variant_total, (k / (eps delta))^k n, as the exact rounds do."""
+        argv = ("experiment", "almost-rainbow-bounds", "--host", "clique(30)",
+                "--epsilon", "2/5", "--k-max", "3", "--format", "json")
+        code, body = run(tmp_path, *argv, out_name="exact.json")
+        assert code == 0
+        exact_rounds = json.loads(body)["rounds"]
+        code, body = run(tmp_path, *argv, "--spectral", out_name="spectral.json")
+        assert code == 0
+        rounds = json.loads(body)["rounds"]
+        # reports give floats to 12 significant digits
+        assert rounds[0]["bound_float"] == pytest.approx(750 / 841, rel=1e-11)
+        assert [row["k"] for row in rounds] == [2, 3]
+        for exact_row, row in zip(exact_rounds, rounds):
+            total, = (c for c in exact_row["checks"] if c["name"] == "variant_total")
+            assert row["bound_float"] == pytest.approx(float(Fraction(total["rhs"])), rel=1e-11)
+            assert row["holds"] is total["holds"] is False
+
+    def test_spectral_almost_rainbow_refuses_deficiency_range(self, tmp_path, capsys):
+        code, body = run(tmp_path, "experiment", "almost-rainbow-bounds", "--host", "clique(30)",
+                         "--epsilon", "1/2", "--spectral")
+        assert (code, body) == (1, b"")
+        assert "strictly between 0 and 1/2" in capsys.readouterr().err
 
     def test_unknown_name_rejected(self):
         with pytest.raises(SystemExit):
@@ -629,10 +648,10 @@ class TestWorkCap:
 
 
 class TestOneWalkEngine:
-    """A command has one walk engine alive at a time: it drops any other
-    engine before it builds one, and builds none for a half-length the
-    engine it holds covers; the spectral rounds share one
-    eigendecomposition per host."""
+    """A command builds one walk engine per half-length, and no engine
+    outlives the call that built it: a later call for the same host and
+    half-length is served from the kept values.  The spectral rounds share
+    one eigendecomposition per host."""
 
     @pytest.mark.parametrize("argv, lengths", [
         (["h2k", "--host", "direction-cube(4)", "--k", "2", "--patterns"], [2]),
@@ -640,18 +659,21 @@ class TestOneWalkEngine:
         (["experiment", "rainbow-bounds", "--host", "direction-cube(4)", "--k-max", "3"], [2, 3]),
     ], ids=["h2k-patterns", "section3-epsilon", "rainbow-bounds"])
     def test_engines_built(self, tmp_path, monkeypatch, argv, lengths):
-        built = []
+        built, alive = [], []
         engine = rainbow._WalkEngine
 
         def counted(g, k):
-            built.append((k, len(rainbow._last_engine)))
-            return engine(g, k)
+            built.append((k, sum(ref() is not None for ref in alive)))
+            made = engine(g, k)
+            alive.append(weakref.ref(made))
+            return made
 
         monkeypatch.setattr(rainbow, "_WalkEngine", counted)
-        rainbow._last_engine.clear()
+        rainbow._last_sums.clear()
         code, _ = run(tmp_path, *argv)
         assert code == 0
         assert built == [(t, 0) for t in lengths]
+        assert all(ref() is None for ref in alive)
 
 
     def test_spectral_rounds_decompose_once(self, tmp_path, monkeypatch):

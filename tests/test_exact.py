@@ -162,10 +162,10 @@ class TestCellCap:
         col = greedy_proper_colouring(g, 1)
 
         def run():
-            rainbow._last_engine.clear()
+            rainbow._last_sums.clear()
             cycle_weight_sum(g, 3)
             coincidence_table(g, col, 3)
-            rainbow._last_engine.clear()
+            rainbow._last_sums.clear()
 
         cells, peak = self._declared_and_peak(monkeypatch, rainbow, run)
         assert peak <= 8 * cells + SLACK
@@ -174,12 +174,12 @@ class TestCellCap:
         # one colour class of K40 has 1560 oriented edges, more than the
         # 40 rows of the matrices the engine declares
         g = gen_complete(40)
-        col = EdgeColouring({e: 0 for e in g.edges()}, proper=False)
+        col = EdgeColouring({e: 0 for e in g.edges()})
 
         def run():
-            rainbow._last_engine.clear()
+            rainbow._last_sums.clear()
             coincidence_table(g, col, 2)
-            rainbow._last_engine.clear()
+            rainbow._last_sums.clear()
 
         cells, peak = self._declared_and_peak(monkeypatch, rainbow, run)
         assert peak <= 8 * cells + SLACK

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from homreflect import (
     CapabilityError,
+    EdgeColouring,
     GraphError,
     direction_colouring,
     edge_density,
@@ -26,7 +28,6 @@ from homreflect import (
     write_colouring,
     write_edge_list,
 )
-from homreflect import graphs
 from homreflect.graphs import VERTEX_CAP
 
 # Frozen by the naive generators/oracles before the build.
@@ -268,28 +269,52 @@ class TestColourings:
     def test_greedy_proper_and_bounded(self, g, seed):
         col = greedy_proper_colouring(g, seed)
         validate_colouring(g, col)
+        assert col.proper
         if g.edge_count():
             assert len(set(col.colours.values())) <= 2 * g.max_degree() - 1
 
-    def test_validated_once_per_graph_object(self, monkeypatch):
-        checked = []
-        is_proper = graphs._is_proper
-
-        def counted(g, colouring):
-            checked.append(g.n)
-            return is_proper(g, colouring)
-
-        monkeypatch.setattr(graphs, "_is_proper", counted)
+    def test_validated_once_per_graph_object(self, proper_checks):
+        """Coverage is checked against each graph it is asked of; whether
+        the colouring is proper is worked out once per colouring object."""
         g = gen_complete(5)
         col = greedy_proper_colouring(g, 1)
         validate_colouring(g, col)
+        assert proper_checks == []
+        assert col.proper and col.proper
         validate_colouring(g, col)
-        assert checked == [5]
-        # an equal graph object is checked again; another edge set fails
+        assert proper_checks == [10]
+        # an equal graph object passes; another edge set fails
         validate_colouring(make_graph(5, g.edges()), col)
-        assert checked == [5, 5]
         with pytest.raises(GraphError, match="cover exactly"):
             validate_colouring(make_graph(5, g.edges()[1:]), col)
+        # a colouring with the same colours is another object
+        assert EdgeColouring(dict(col.colours)).proper
+        assert proper_checks == [10, 10]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_proper_matches_adjacent_edge_oracle(self, seed):
+        """On random hosts: a greedy colouring (proper), the same with one
+        edge given the colour of an edge it meets (one conflict, at either
+        end), and a random colouring with 2 to 6 colours."""
+        rng = random.Random(seed)
+        g = gen_random(4 + seed % 7, Fraction(rng.randrange(1, 5), 5), seed)
+        greedy = greedy_proper_colouring(g, seed)
+        colourings = [greedy,
+                      EdgeColouring({e: rng.randrange(2 + seed % 5) for e in g.edges()})]
+        meeting = [(e, f) for e in g.edges() for f in g.edges() if e != f and set(e) & set(f)]
+        if meeting:
+            e, f = rng.choice(meeting)
+            colourings.append(EdgeColouring({**greedy.colours, e: greedy.colours[f]}))
+            assert not colourings[-1].proper
+        for col in colourings:
+            assert col.proper == bf.colouring_is_proper(g, col)
+        assert greedy.proper
+
+    def test_equal_only_by_identity(self):
+        g, col = direction_colouring(2)
+        same = EdgeColouring(dict(col.colours))
+        assert col == col and same != col
+        assert len({col, same, col}) == 2
 
     def test_direction_colour_classes(self):
         g, col = direction_colouring(3)

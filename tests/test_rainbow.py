@@ -114,7 +114,7 @@ class TestWalkEngineDtype:
         with one or more primes, including the k = 1 table whose two marked
         steps are adjacent (no matrix power on either side)."""
         monkeypatch.setattr(exact, "_PLAIN_LIMIT", 2)
-        rainbow._last_engine.clear()
+        rainbow._last_sums.clear()
         g = random_host_with_degrees(6, 1, 2, seed)
         col = greedy_proper_colouring(g, seed)
         for k in (1, 2):
@@ -123,7 +123,7 @@ class TestWalkEngineDtype:
             for (i, j), value in coincidence_table(g, col, k).items():
                 assert value == bf.closed_walk_weight_sum(g, 2 * k, colour_match=(i, j),
                                                           colouring=col), (k, i, j)
-        rainbow._last_engine.clear()
+        rainbow._last_sums.clear()
 
     @pytest.mark.parametrize("plain_limit", [exact._PLAIN_LIMIT, 2], ids=["float64", "residues"])
     def test_improper_colourings_match_oracle(self, monkeypatch, plain_limit):
@@ -131,17 +131,17 @@ class TestWalkEngineDtype:
         engine then takes in slices of n^2 / 2e edges; a random two-colouring
         gives two such classes of unequal size."""
         monkeypatch.setattr(exact, "_PLAIN_LIMIT", plain_limit)
-        rainbow._last_engine.clear()
+        rainbow._last_sums.clear()
         g = random_host_with_degrees(7, 3, 5, 3)
         assert 2 * g.edge_count() > g.n
         rng = random.Random(3)
-        for col in (EdgeColouring({e: 0 for e in g.edges()}, proper=False),
-                    EdgeColouring({e: rng.randrange(2) for e in g.edges()}, proper=False)):
+        for col in (EdgeColouring({e: 0 for e in g.edges()}),
+                    EdgeColouring({e: rng.randrange(2) for e in g.edges()})):
             for k in (1, 2):
                 for (i, j), value in coincidence_table(g, col, k).items():
                     assert value == bf.closed_walk_weight_sum(g, 2 * k, colour_match=(i, j),
                                                               colouring=col), (k, i, j)
-        rainbow._last_engine.clear()
+        rainbow._last_sums.clear()
 
     def test_irregular_host_past_64_vertices_matches_integer_oracle(self):
         # the former Python-integer engine refused hosts over 64 vertices
@@ -253,7 +253,7 @@ class TestPatternChain:
 
     def test_improper_colouring_rejected(self):
         g = gen_cycle(4)
-        col = EdgeColouring({e: 0 for e in g.edges()}, proper=False)
+        col = EdgeColouring({e: 0 for e in g.edges()})
         with pytest.raises(GraphError):
             check_pattern_chain(g, col, 2)
 
@@ -319,7 +319,7 @@ class TestRainbowSearch:
 
     def test_alternating_four_cycle_none(self):
         c4 = gen_cycle(4)
-        col = EdgeColouring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}, proper=True)
+        col = EdgeColouring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
         res = find_rainbow_cycle(c4, col)
         assert res.cycle is None and res.exhaustive
 
@@ -345,7 +345,7 @@ class TestAlmostRainbowSearch:
 
     def test_alternating_four_cycle_none(self):
         c4 = gen_cycle(4)
-        col = EdgeColouring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}, proper=True)
+        col = EdgeColouring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
         res = find_almost_rainbow(c4, col, Fraction(2, 5))
         assert res.cycle is None and res.exhaustive
 
@@ -384,7 +384,7 @@ class TestCycleSearchOracle:
         g = gen_random(n, Fraction(1, 2) if seed % 2 else Fraction(3, 4), seed)
         rng = random.Random(seed)
         colourings = [greedy_proper_colouring(g, seed),
-                      EdgeColouring({e: rng.randrange(3) for e in g.edges()}, proper=False)]
+                      EdgeColouring({e: rng.randrange(3) for e in g.edges()})]
         for col in colourings:
             for max_len in (None, 3, 4, 6):
                 cycles = [c for cyc in bf.simple_cycles(g, max_len)
@@ -414,33 +414,61 @@ class TestCycleSearchDepth:
     def test_almost_rainbow_cycle_1024(self):
         g = gen_cycle(1024)
         # every eighth edge repeats the colour of the next one
-        col = EdgeColouring({e: min(e) + (min(e) % 8 == 0) for e in g.edges()}, proper=False)
+        col = EdgeColouring({e: min(e) + (min(e) % 8 == 0) for e in g.edges()})
         res = find_almost_rainbow(g, col, Fraction(1, 4))
         assert len(res.cycle) == 1024 and res.exhaustive
 
 
 class TestCoincidenceTableKept:
-    """The walk engine keeps the coincidence weights of the last colouring
-    object and half-length it evaluated."""
+    """The walk layer keeps the values of its last call, matched by host
+    object, half-length and colouring object."""
 
     def test_pattern_and_variant_chains_share_one_table(self, monkeypatch):
         calls = []
         matched = _WalkEngine.matched_trace
 
-        def counted(self, colouring, a, b):
+        def counted(self, classes, a, b):
             calls.append((a, b))
-            return matched(self, colouring, a, b)
+            return matched(self, classes, a, b)
 
         monkeypatch.setattr(_WalkEngine, "matched_trace", counted)
-        rainbow._last_engine.clear()
+        rainbow._last_sums.clear()
         g = gen_complete(6)
         col = greedy_proper_colouring(g, 1)
         pattern = check_pattern_chain(g, col, 2)
         variant = check_variant_chain(g, col, 2, Fraction(2, 5))
         assert calls == [(0, 2), (1, 1)]
         assert variant["patterns"] == pattern["patterns"]
-        # an equal colouring is another object: its table is evaluated afresh
-        same = EdgeColouring(dict(col.colours), proper=True)
-        assert same == col
+        # a colouring with the same colours is another object: its table
+        # is evaluated afresh
+        same = EdgeColouring(dict(col.colours))
+        assert same != col
         assert check_pattern_chain(g, same, 2)["patterns"] == pattern["patterns"]
         assert calls == [(0, 2), (1, 1)] * 2
+
+    def test_sum_without_colouring_served_by_kept_table(self, monkeypatch):
+        built = []
+        engine = _WalkEngine
+
+        def counted(g, k):
+            built.append(k)
+            return engine(g, k)
+
+        monkeypatch.setattr(rainbow, "_WalkEngine", counted)
+        rainbow._last_sums.clear()
+        g = gen_complete(7)
+        col = greedy_proper_colouring(g, 2)
+        coincidence_table(g, col, 3)
+        assert cycle_weight_sum(g, 3) == 1 + Fraction(1, 6 ** 5)
+        assert built == [3]
+        # another half-length, or an equal host that is another object,
+        # builds an engine of its own
+        cycle_weight_sum(g, 2)
+        cycle_weight_sum(gen_complete(7), 2)
+        assert built == [3, 2, 2]
+
+    def test_colouring_must_cover_the_edges(self):
+        g = gen_cycle(4)
+        col = EdgeColouring({(0, 1): 0, (1, 2): 1, (2, 3): 0})
+        with pytest.raises(GraphError, match="cover exactly"):
+            coincidence_table(g, col, 2)

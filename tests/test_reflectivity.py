@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from bruteforce import cube_vertex, set_graph_vertex
-from test_automorphisms import decorated_c12
+from test_automorphisms import decorated_c12, triples_over
 from homreflect import (
     Automorphism,
     CapabilityError,
@@ -919,7 +919,7 @@ class TestLayeredSearch:
 def cycle_reflection_triples(n):
     """The triples of the n/2 reflections of the n-cycle through vertices."""
     reflections = [Automorphism(tuple((2 * a - v) % n for v in range(n))) for a in range(n // 2)]
-    return enumerate_reflection_triples(gen_cycle(n), reflections)
+    return triples_over(gen_cycle(n), reflections)
 
 
 def assert_cap_changes_nothing(monkeypatch, cells, cases):
