@@ -30,7 +30,7 @@ from .homcount import (check_final_inequality, check_reflection_inequality,
 from .rainbow import (check_pattern_chain, check_variant_chain,
                       coincidence_table, colour_deficiency, cycle_weight_sum,
                       cycle_weight_sum_spectral, find_almost_rainbow,
-                      find_rainbow_cycle)
+                      find_rainbow_cycle, total_bound)
 from .reflectivity import (DEFAULT_BUDGET, certificate_from_json, certificate_to_json,
                            certify_pairs, certify_reflective, enumerate_reflection_triples,
                            is_admissible, reflectivity_report, verify_certificate)
@@ -163,22 +163,9 @@ def _parse_vertices(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> tuple[None, int]:
-    kind = args.kind
-    if not args.out:
-        raise GraphError("gen needs --out for the edge-list file")
-    if args.colour_out and kind != "direction-coloured-cube":
-        raise GraphError(f"{kind} has no built-in colouring; use the h2k/verify colouring options")
-    colouring = None
-    if kind == "hypercube":
-        g = gen_hypercube(args.d)
-    elif kind == "setgraph":
-        g = gen_set_graph(args.l, args.k)
-    elif kind == "random":
-        if args.n is None or args.p is None:
-            raise GraphError("random needs --n and --p")
-        g = gen_random(args.n, parse_fraction(args.p), args.seed)
-    else:  # direction-coloured-cube
-        g, colouring = direction_colouring(args.d)
+    g, colouring = parse_graph_spec(args.graph)
+    if args.colour_out and colouring is None:
+        raise GraphError(f"{args.graph} has no built-in colouring to write to --colour-out")
     write_edge_list(g, args.out)
     sys.stderr.write(f"wrote {g.n} vertices, {g.edge_count()} edges to {args.out}\n")
     if colouring is not None:
@@ -191,6 +178,8 @@ def cmd_gen(args) -> tuple[None, int]:
 def cmd_certify(args) -> tuple[dict, int]:
     if args.r0 is not None and args.all_pairs:
         raise GraphError("--r0 and --all-pairs are alternatives; give one of them")
+    if args.r0 is None and not args.all_pairs:
+        raise GraphError("certify needs --r0 (one start) or --all-pairs")
     if args.r0 is not None and args.cert_dir:
         raise GraphError("--cert-dir holds all-pairs certificates; with --r0 use --cert-out")
     if args.r0 is None and args.cert_out:
@@ -345,36 +334,41 @@ def _search_if_violated(chain: dict, host: Graph, colouring: EdgeColouring,
                    "exhaustive": found.exhaustive})
 
 
-def cmd_experiment(args) -> tuple[dict, int]:
-    if args.name == "supersaturation":
-        rep = supersaturation_experiment(args.d, args.n, parse_fraction(args.p),
-                                         args.seed, args.trials)
-        report = base_report("experiment supersaturation", {
-            "d": args.d, "n": args.n, "p": frac_str(parse_fraction(args.p)),
-            "seed": args.seed, "trials": args.trials,
-        })
-        report.update({k: v for k, v in rep.items() if k != "trials"})
-        report["trials"] = rep["trials"]
-        return report, EXIT_OK
+def cmd_supersaturation(args) -> tuple[dict, int]:
+    p = parse_fraction(args.p)
+    rep = supersaturation_experiment(args.n, p, args.seed, args.trials)
+    report = base_report("experiment supersaturation", {
+        "d": 3, "n": args.n, "p": frac_str(p), "seed": args.seed, "trials": args.trials,
+    })
+    report.update(rep)
+    return report, EXIT_OK
+
+
+def cmd_rainbow_bounds(args) -> tuple[dict, int]:
+    """experiment rainbow-bounds, or almost-rainbow-bounds at deficiency
+    --epsilon (1/4 by default): one round of the chain per k = 2 .. k-max."""
+    if args.k_max < 2:
+        raise GraphError(f"--k-max must be at least 2, the first round's k; got {args.k_max}")
+    if args.spectral and args.colouring:
+        raise GraphError("--spectral reads no colouring; drop --colouring")
+    epsilon = getattr(args, "epsilon", None)  # rainbow-bounds has no --epsilon
+    eps = None if args.name == "rainbow-bounds" else \
+        colour_deficiency(parse_fraction(epsilon or "1/4"))
     host, builtin = parse_graph_spec(args.host)
     colouring = None if args.spectral else \
         resolve_colouring(host, args.colouring, builtin, args.seed)
     report = base_report(f"experiment {args.name}", {
         "host": args.host, "colouring": args.colouring or "auto",
-        "k_max": args.k_max, "epsilon": args.epsilon, "seed": args.seed,
+        "k_max": args.k_max, "epsilon": epsilon, "seed": args.seed,
         "spectral": args.spectral,
     })
     rows = []
     ok_unconditional = True
     cycles = []
     for k in range(2, args.k_max + 1):
-        eps = None if args.name == "rainbow-bounds" else parse_fraction(args.epsilon or "1/4")
         if args.spectral:
             sp = cycle_weight_sum_spectral(host, k)
-            delta = host.min_degree()
-            # the bound of no_rainbow_total, or of variant_total at eps
-            bound = (2.0 * k * k / delta) ** k * host.n if eps is None else \
-                float((k / (colour_deficiency(eps) * delta)) ** k * host.n)
+            bound = float(total_bound(host.n, host.min_degree(), k, eps))
             rows.append({"k": k, "weight_float": sp.value, "bound_float": bound,
                          "holds": sp.value <= bound + sp.error_bound})
             continue
@@ -409,6 +403,8 @@ def cmd_homcount(args) -> tuple[dict, int]:
 
 
 def cmd_h2k(args) -> tuple[dict, int]:
+    if args.colouring and not args.patterns:
+        raise GraphError("--colouring colours the pattern table; it needs --patterns")
     host, builtin = parse_graph_spec(args.host)
     report = base_report("h2k", {
         "host": args.host, "k": args.k, "patterns": args.patterns,
@@ -448,15 +444,10 @@ def _common(p, seed=False, budget=False):
 
 
 def _gen_arguments(g):
-    g.add_argument("kind", choices=("hypercube", "setgraph", "random",
-                                    "direction-coloured-cube"))
-    g.add_argument("--d", type=int, default=3)
-    g.add_argument("--l", type=int, default=1)
-    g.add_argument("--k", type=int, default=3)
-    g.add_argument("--n", type=int)
-    g.add_argument("--p")
-    g.add_argument("--colour-out")
-    _common(g, seed=True)
+    g.add_argument("--graph", required=True, help="graph spec, as every command reads it")
+    g.add_argument("--out", required=True, help="edge-list file")
+    g.add_argument("--colour-out", help="file for the spec's built-in colouring "
+                                        "(default: OUT.colours)")
     g.set_defaults(func=cmd_gen)
 
 
@@ -496,20 +487,25 @@ def _verify_arguments(v):
 
 
 def _experiment_arguments(e):
-    e.add_argument("name", choices=("supersaturation", "rainbow-bounds",
-                                    "almost-rainbow-bounds"))
-    e.add_argument("--d", type=int, default=3)
-    e.add_argument("--n", type=int, default=40)
-    e.add_argument("--p", default="7/10")
-    e.add_argument("--trials", type=int, default=5)
-    e.add_argument("--host")
-    e.add_argument("--colouring")
-    e.add_argument("--k-max", type=int, default=3)
-    e.add_argument("--epsilon")
-    e.add_argument("--spectral", action="store_true",
-                   help="float bounds via the eigenvalue path (large hosts)")
-    _common(e, seed=True)
-    e.set_defaults(func=cmd_experiment)
+    es = e.add_subparsers(dest="name", required=True)
+    s = es.add_parser("supersaturation", help="3-cube counts on seeded random hosts")
+    s.add_argument("--n", type=int, default=40)
+    s.add_argument("--p", default="7/10")
+    s.add_argument("--trials", type=int, default=5)
+    _common(s, seed=True)
+    s.set_defaults(func=cmd_supersaturation)
+    for name, help_line in (("rainbow-bounds", "no-rainbow chain, k = 2 .. k-max"),
+                            ("almost-rainbow-bounds", "almost-rainbow chain, k = 2 .. k-max")):
+        r = es.add_parser(name, help=help_line)
+        r.add_argument("--host", required=True)
+        r.add_argument("--colouring")
+        r.add_argument("--k-max", type=int, default=3)
+        if name == "almost-rainbow-bounds":
+            r.add_argument("--epsilon", help="colour deficiency (default 1/4)")
+        r.add_argument("--spectral", action="store_true",
+                       help="float bounds via the eigenvalue path (large hosts)")
+        _common(r, seed=True)
+        r.set_defaults(func=cmd_rainbow_bounds)
 
 
 def _homcount_arguments(hc):
@@ -570,10 +566,7 @@ def _command_named(argv: list[str]) -> str | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(_command_named(argv))
-    args = parser.parse_args(argv)
-    if args.command == "experiment" and args.name != "supersaturation" and not args.host:
-        parser.error(f"experiment {args.name} needs --host")
+    args = build_parser(_command_named(argv)).parse_args(argv)
     started = time.monotonic()
     try:
         report, code = args.func(args)

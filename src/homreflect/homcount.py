@@ -601,7 +601,7 @@ def turan_exponent(v: int, e: int, t: int) -> Fraction:
 _THRESHOLD = Fraction(1, 10)
 
 
-def supersaturation_experiment(d: int, n: int, p, seed: int, trials: int) -> dict:
+def supersaturation_experiment(n: int, p, seed: int, trials: int) -> dict:
     """Seeded random hosts at density p: count 3-cube homomorphisms,
     injective copies, and compare with the n^8 p^12 benchmark.
 
@@ -610,8 +610,6 @@ def supersaturation_experiment(d: int, n: int, p, seed: int, trials: int) -> dic
     work cap alone: the 3-cube's plan conditions on two vertices, so
     n^4 <= 3*10^8, n <= 131.
     """
-    if d != 3:
-        raise CapabilityError("supersaturation experiment runs at d=3 only")
     p = Fraction(p)
     benchmark = Fraction(n) ** 8 * p ** 12
     rows = []
@@ -634,7 +632,7 @@ def supersaturation_experiment(d: int, n: int, p, seed: int, trials: int) -> dic
         })
     ratios = [r["ratio_to_benchmark"] for r in rows]
     return {
-        "d": d,
+        "d": 3,
         "n": n,
         "p": p,
         "benchmark": benchmark,

@@ -252,8 +252,8 @@ def check_pattern_chain(g: Graph, colouring: EdgeColouring, k: int) -> dict:
         _add_check(checks, f"no_rainbow_step_k{j}", h[2 * j],
                    Fraction(2 * j * j, delta) * h[2 * j - 2], conditional=True)
     if k >= 2:
-        _add_check(checks, "no_rainbow_total", h[two_k],
-                   Fraction(2 * k * k, delta) ** k * g.n, conditional=True)
+        _add_check(checks, "no_rainbow_total", h[two_k], total_bound(g.n, delta, k),
+                   conditional=True)
     return {
         "k": k,
         "n": g.n,
@@ -264,6 +264,14 @@ def check_pattern_chain(g: Graph, colouring: EdgeColouring, k: int) -> dict:
         "unconditional_ok": all(c["holds"] for c in checks if not c["conditional"]),
         "conditional_ok": all(c["holds"] for c in checks if c["conditional"]),
     }
+
+
+def total_bound(n: int, delta: int, k: int, eps=None) -> Fraction:
+    """The chains' bound on h_2k for a host of n vertices and minimum degree
+    delta: (2k^2/delta)^k n, that of no_rainbow_total, or at colour
+    deficiency eps (k/(eps delta))^k n, that of variant_total."""
+    ratio = Fraction(2 * k * k, delta) if eps is None else Fraction(k) / (eps * delta)
+    return ratio ** k * n
 
 
 def colour_deficiency(eps) -> Fraction:
@@ -288,8 +296,8 @@ def check_variant_chain(g: Graph, colouring: EdgeColouring, k: int, eps) -> dict
         _add_check(checks, f"variant_step_k{j}", h[2 * j],
                    Fraction(j) / (eps * delta) * h[2 * j - 2], conditional=True)
     if k >= 2:
-        _add_check(checks, "variant_total", h[2 * k],
-                   (Fraction(k) / (eps * delta)) ** k * g.n, conditional=True)
+        _add_check(checks, "variant_total", h[2 * k], total_bound(g.n, delta, k, eps),
+                   conditional=True)
     _add_check(checks, "coincidence_counting", 2 * eps * k * h[2 * k],
                sum(table.values(), Fraction(0)), conditional=True)
     return {

@@ -192,7 +192,7 @@ def test_criterion_4_density_lower_bound():
 def test_criterion_5_supersaturation_desk_check():
     started = time.monotonic()
     p = Fraction(7, 10)
-    rep = supersaturation_experiment(3, 40, p, seed=1, trials=5)
+    rep = supersaturation_experiment(40, p, seed=1, trials=5)
     elapsed = time.monotonic() - started
     threshold_ok = rep["all_meet_threshold"]
     fractions = [row["noninjective_fraction"] for row in rep["trials"]]
@@ -355,11 +355,11 @@ def test_criterion_8_rainbow_pipeline():
 
 def test_criterion_9_determinism(tmp_path):
     commands = [
-        ["gen", "random", "--n", "14", "--p", "2/5", "--seed", "6"],
+        ["gen", "--graph", "random(14,2/5,6)"],
         ["certify", "--graph", "q3", "--all-pairs", "--format", "json"],
         ["verify", "section3", "--host", "direction-cube(3)", "--k", "2",
          "--format", "json"],
-        ["experiment", "supersaturation", "--d", "3", "--n", "14", "--p",
+        ["experiment", "supersaturation", "--n", "14", "--p",
          "7/10", "--trials", "2", "--seed", "3", "--format", "json"],
         ["h2k", "--host", "hypercube(5)", "--k", "3"],
     ]

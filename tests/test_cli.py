@@ -31,53 +31,59 @@ def run(tmp_path, *argv, out_name="report.txt"):
 class TestGen:
     def test_hypercube_file(self, tmp_path):
         path = tmp_path / "q3.edges"
-        assert main(["gen", "hypercube", "--d", "3", "--out", str(path)]) == 0
+        assert main(["gen", "--graph", "hypercube(3)", "--out", str(path)]) == 0
         g = read_edge_list(path)
         assert (g.n, g.edge_count()) == (8, 12)
 
     def test_setgraph_file(self, tmp_path):
         path = tmp_path / "sg.edges"
-        assert main(["gen", "setgraph", "--l", "1", "--k", "3", "--out", str(path)]) == 0
+        assert main(["gen", "--graph", "setgraph(1,3)", "--out", str(path)]) == 0
         g = read_edge_list(path)
         assert (g.n, g.edge_count()) == (6, 6)
 
     def test_random_repeat_identical(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
         for path in (a, b):
-            assert main(["gen", "random", "--n", "10", "--p", "1/2",
-                         "--seed", "1", "--out", str(path)]) == 0
+            assert main(["gen", "--graph", "random(10,1/2,1)", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("n, p, seed", [(10, "1/2", 1), (57, "3/10", 4), (300, "1/2", 2)])
     def test_random_file_matches_per_pair_draws(self, tmp_path, n, p, seed):
         got, want = tmp_path / "got.edges", tmp_path / "want.edges"
-        assert main(["gen", "random", "--n", str(n), "--p", p,
-                     "--seed", str(seed), "--out", str(got)]) == 0
+        assert main(["gen", "--graph", f"random({n},{p},{seed})", "--out", str(got)]) == 0
         write_edge_list(bf.gen_random_per_pair(n, Fraction(p), seed), want)
         assert got.read_bytes() == want.read_bytes()
 
     def test_direction_cube_writes_colouring(self, tmp_path):
         path = tmp_path / "cube.edges"
         cpath = tmp_path / "cube.colours"
-        assert main(["gen", "direction-coloured-cube", "--d", "3",
+        assert main(["gen", "--graph", "direction-cube(3)",
                      "--out", str(path), "--colour-out", str(cpath)]) == 0
         g = read_edge_list(path)
         col = read_colouring(g, cpath)
         assert col.proper and len(set(col.colours.values())) == 3
 
+    @pytest.mark.parametrize("spec", ["direction-cube(4)", "triangle-rainbow"])
+    def test_builtin_colouring_written_by_default(self, tmp_path, spec):
+        """A spec with a built-in colouring writes it to OUT.colours, the
+        colouring the spec itself gives."""
+        path = tmp_path / "g.edges"
+        assert main(["gen", "--graph", spec, "--out", str(path)]) == 0
+        g = read_edge_list(path)
+        want_graph, want = parse_graph_spec(spec)
+        assert g.edges() == want_graph.edges()
+        assert read_colouring(g, tmp_path / "g.edges.colours").colours == want.colours
+
     def test_bad_parameters_exit_one(self, tmp_path):
-        assert main(["gen", "hypercube", "--d", "0",
+        assert main(["gen", "--graph", "hypercube(0)",
                      "--out", str(tmp_path / "x.edges")]) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["hypercube", "--d", "3"],
-        ["setgraph", "--l", "1", "--k", "3"],
-        ["random", "--n", "6", "--p", "1/2"],
-    ], ids=["hypercube", "setgraph", "random"])
-    def test_colour_out_refused_before_writing(self, tmp_path, argv):
-        """Only the direction-coloured cube has a colouring to write; any
-        other kind exits 1 before it writes its edge list."""
-        assert main(["gen", *argv, "--out", str(tmp_path / "x.edges"),
+    @pytest.mark.parametrize("spec", ["hypercube(3)", "setgraph(1,3)", "random(6,1/2,0)"],
+                             ids=["hypercube", "setgraph", "random"])
+    def test_colour_out_refused_before_writing(self, tmp_path, spec):
+        """Only a spec with a built-in colouring has one to write; any other
+        spec exits 1 before it writes its edge list."""
+        assert main(["gen", "--graph", spec, "--out", str(tmp_path / "x.edges"),
                      "--colour-out", str(tmp_path / "y.col")]) == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -177,6 +183,7 @@ class TestCertify:
         (("--r0", "0,3", "--all-pairs"), ("--r0", "--all-pairs")),
         (("--r0", "0,3", "--cert-dir", "certs"), ("--r0", "--cert-dir")),
         (("--all-pairs", "--cert-out", "cert.json"), ("--r0", "--cert-out")),
+        ((), ("--r0", "--all-pairs")),
     ])
     def test_conflicting_flags_exit_one(self, tmp_path, capsys, flags, named):
         code, body = run(tmp_path, "certify", "--graph", "q3", *flags)
@@ -391,9 +398,8 @@ class TestVerify:
 
 class TestExperiment:
     def test_supersaturation_report(self, tmp_path):
-        code, body = run(tmp_path, "experiment", "supersaturation", "--d", "3",
-                         "--n", "16", "--p", "7/10", "--trials", "2",
-                         "--seed", "9", "--format", "json", out_name="r.json")
+        code, body = run(tmp_path, "experiment", "supersaturation", "--n", "16", "--p", "7/10",
+                         "--trials", "2", "--seed", "9", "--format", "json", out_name="r.json")
         assert code == 0
         data = json.loads(body)
         assert len(data["trials"]) == 2
@@ -447,6 +453,22 @@ class TestExperiment:
     def test_unknown_name_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "nonsense"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (("rainbow-bounds", "--host", "q3", "--k-max", "1"), "--k-max must be at least 2"),
+        (("almost-rainbow-bounds", "--host", "clique(8)", "--k-max", "1", "--epsilon", "junk"),
+         "--k-max must be at least 2"),
+        (("almost-rainbow-bounds", "--host", "nonsense(1)", "--epsilon", "junk"),
+         "cannot parse fraction 'junk'"),
+        (("almost-rainbow-bounds", "--host", "nonsense(1)", "--epsilon", "1/2"),
+         "strictly between 0 and 1/2"),
+    ], ids=["k-max-1", "k-max-1-epsilon", "epsilon-malformed", "epsilon-out-of-range"])
+    def test_round_inputs_refused_before_the_host(self, tmp_path, capsys, argv, message):
+        """A run that would do no round, or whose deficiency cannot be read,
+        exits 1 before its host is built."""
+        code, body = run(tmp_path, "experiment", *argv)
+        assert (code, body) == (1, b"")
+        assert message in capsys.readouterr().err
 
 
 class TestCountsAndWeights:
@@ -515,7 +537,7 @@ class TestSpecErrors:
     @pytest.mark.parametrize("argv", [
         ["homcount", "--pattern", "q3", "--host", "random(x,1/2,1)"],
         ["homcount", "--pattern", "q3", "--host", "random(5,x,1)"],
-        ["certify", "--graph", "setgraph(1,)"],
+        ["certify", "--graph", "setgraph(1,)", "--all-pairs"],
         ["h2k", "--host", "hypercube(3)", "--k", "1", "--patterns", "--colouring", "greedy(x)"],
     ], ids=["random-size", "random-density", "setgraph-empty", "greedy-seed"])
     def test_malformed_argument_exit_one(self, tmp_path, argv):
@@ -711,11 +733,11 @@ class TestCellCap:
 
 
 class TestFlags:
-    """--seed and --budget are registered only on the subcommands that read
-    them; elsewhere argparse refuses them."""
+    """Each subcommand registers only the options its run reads; argparse
+    refuses the others."""
 
     @pytest.mark.parametrize("argv", [
-        ("gen", "hypercube", "--budget", "5"),
+        ("gen", "--graph", "q3", "--out", "q3.edges", "--budget", "5"),
         ("certify", "--graph", "q3", "--seed", "1"),
         ("verify", "section2", "--host", "q3", "--seed", "1"),
         ("verify", "section3", "--host", "q3", "--budget", "5"),
@@ -723,12 +745,32 @@ class TestFlags:
         ("homcount", "--pattern", "q3", "--host", "q3", "--seed", "1"),
         ("homcount", "--pattern", "q3", "--host", "q3", "--budget", "5"),
         ("h2k", "--host", "q3", "--k", "1", "--budget", "5"),
+        ("experiment", "rainbow-bounds", "--host", "q3", "--epsilon", "1/4"),
+        ("experiment", "rainbow-bounds", "--host", "q3", "--n", "5"),
+        ("experiment", "rainbow-bounds", "--host", "q3", "--trials", "9"),
+        ("experiment", "supersaturation", "--host", "q3"),
+        ("experiment", "supersaturation", "--k-max", "0"),
+        ("experiment", "supersaturation", "--spectral"),
+        ("experiment", "supersaturation", "--d", "3"),
+        ("gen", "--graph", "q3", "--out", "q3.edges", "--d", "3"),
     ])
     def test_unread_flag_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("h2k", "--host", "q3", "--k", "2", "--colouring", "nonsense"), "needs --patterns"),
+        (("experiment", "rainbow-bounds", "--host", "q3", "--spectral",
+          "--colouring", "greedy(1)"), "--spectral reads no colouring"),
+    ], ids=["h2k-colouring", "spectral-colouring"])
+    def test_dropped_option_refused(self, tmp_path, capsys, argv, message):
+        """An option that the rest of the command line leaves unread exits 1
+        before any work."""
+        code, body = run(tmp_path, *argv)
+        assert (code, body) == (1, b"")
+        assert message in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -755,18 +797,15 @@ class TestSpecMatchesGeneratedFile:
     """A constructor spec and the edge-list file that `gen` wrote for it are
     one graph, so seeded colourings, and every report built on them, agree."""
 
-    @pytest.mark.parametrize("spec, gen_argv", [
-        ("hypercube(6)", ["hypercube", "--d", "6"]),
-        ("setgraph(2,6)", ["setgraph", "--l", "2", "--k", "6"]),
-        ("random(40,1/2,1)", ["random", "--n", "40", "--p", "1/2", "--seed", "1"]),
-    ], ids=["hypercube", "setgraph", "random"])
+    @pytest.mark.parametrize("spec", ["hypercube(6)", "setgraph(2,6)", "random(40,1/2,1)"],
+                             ids=["hypercube", "setgraph", "random"])
     @pytest.mark.parametrize("argv", [
         ["h2k", "--k", "2", "--patterns", "--colouring", "greedy(7)"],
         ["verify", "section3", "--k", "2"],
     ], ids=["h2k", "section3"])
-    def test_reports_byte_identical(self, tmp_path, spec, gen_argv, argv):
+    def test_reports_byte_identical(self, tmp_path, spec, argv):
         path = tmp_path / "host.edges"
-        assert main(["gen", *gen_argv, "--out", str(path)]) == 0
+        assert main(["gen", "--graph", spec, "--out", str(path)]) == 0
         reports = []
         for host in (spec, str(path)):
             code, report = run(tmp_path, *argv, "--host", host, "--format", "json")
@@ -799,6 +838,8 @@ class TestParserBuiltForOneCommand:
         ("verify",), ("verify", "section4"), ("verify", "section2"),
         ("homcount", "--pattern", "q3"), ("h2k", "--host", "q3", "--k", "two"),
         ("experiment", "rainbow-bounds"), ("certify", "--graph", "q3", "--bogus"),
+        ("experiment", "supersaturation", "--help"),
+        ("experiment", "almost-rainbow-bounds", "--help"),
     ])
     def test_help_and_errors_match_full_parser(self, monkeypatch, capsys, argv):
         lazy = self.outcome(argv, capsys)
@@ -808,7 +849,7 @@ class TestParserBuiltForOneCommand:
         assert lazy[0][0] == "SystemExit"
 
     @pytest.mark.parametrize("argv", [
-        ("gen", "random", "--n", "10", "--p", "1/2", "--out", "g.edges"),
+        ("gen", "--graph", "random(10,1/2,1)", "--out", "g.edges"),
         ("certify", "--graph", "q4", "--all-pairs", "--budget", "9"),
         ("check-cert", "--graph", "q3", "--cert", "c.json", "--format", "json"),
         ("verify", "section2", "--host", "clique(4)", "--max-sets", "3"),

@@ -892,15 +892,15 @@ class TestExponent:
 class TestSupersaturation:
     def test_empty_density(self):
         for n in (10, 20):
-            rep = supersaturation_experiment(3, n, Fraction(0), 1, 1)
+            rep = supersaturation_experiment(n, Fraction(0), 1, 1)
             assert (rep["trials"][0]["hom"], rep["trials"][0]["injective"]) == (0, 0)
 
     def test_complete_density_closed_form(self):
-        rep = supersaturation_experiment(3, 12, Fraction(1), 5, 1)
+        rep = supersaturation_experiment(12, Fraction(1), 5, 1)
         assert rep["trials"][0]["injective"] == math.perm(12, 8)
 
     def test_threshold_fields(self):
-        rep = supersaturation_experiment(3, 16, Fraction(7, 10), 2, 2)
+        rep = supersaturation_experiment(16, Fraction(7, 10), 2, 2)
         assert len(rep["trials"]) == 2
         for row in rep["trials"]:
             assert row["noninjective"] == row["hom"] - row["injective"]
@@ -908,10 +908,6 @@ class TestSupersaturation:
         assert rep["threshold"] == Fraction(1, 10)
         for row in rep["trials"]:
             assert row["meets_threshold"] == (row["injective"] >= rep["benchmark"] / 10)
-
-    def test_dimension_cap(self):
-        with pytest.raises(CapabilityError):
-            supersaturation_experiment(4, 20, Fraction(1, 2), 1, 1)
 
 
 class TestGnpExpectationOracle:
