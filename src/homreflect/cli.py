@@ -30,7 +30,7 @@ from .homcount import (check_final_inequality, check_reflection_inequality,
 from .rainbow import (check_pattern_chain, check_variant_chain,
                       coincidence_table, colour_deficiency, cycle_weight_sum,
                       cycle_weight_sum_spectral, find_almost_rainbow,
-                      find_rainbow_cycle, total_bound)
+                      find_rainbow_cycle, float_total_bounds)
 from .reflectivity import (DEFAULT_BUDGET, certificate_from_json, certificate_to_json,
                            certify_pairs, certify_reflective, enumerate_reflection_triples,
                            is_admissible, reflectivity_report, verify_certificate)
@@ -298,11 +298,12 @@ def cmd_verify_section2(args) -> tuple[dict, int]:
 
 
 def cmd_verify_section3(args) -> tuple[dict, int]:
+    eps = colour_deficiency(parse_fraction(args.epsilon)) if args.epsilon else None
     host, builtin = parse_graph_spec(args.host)
-    colouring = resolve_colouring(host, args.colouring, builtin, args.seed)
+    colouring = resolve_colouring(host, args.colouring, builtin, 0)
     report = base_report("verify section3", {
         "host": args.host, "colouring": args.colouring or "auto",
-        "k": args.k, "epsilon": args.epsilon, "seed": args.seed,
+        "k": args.k, "epsilon": args.epsilon,
     })
     chain = check_pattern_chain(host, colouring, args.k)
     report["weights"] = {str(j): v for j, v in chain["weights"].items()}
@@ -311,8 +312,7 @@ def cmd_verify_section3(args) -> tuple[dict, int]:
     report["conditional_ok"] = chain["conditional_ok"]
     cycles = []
     _search_if_violated(chain, host, colouring, None, cycles, kind="rainbow")
-    if args.epsilon:
-        eps = parse_fraction(args.epsilon)
+    if eps is not None:
         variant = check_variant_chain(host, colouring, args.k, eps)
         report["variant_checks"] = [dict(c) for c in variant["checks"]]
         report["variant_conditional_ok"] = variant["conditional_ok"]
@@ -356,11 +356,11 @@ def cmd_rainbow_bounds(args) -> tuple[dict, int]:
         colour_deficiency(parse_fraction(epsilon or "1/4"))
     host, builtin = parse_graph_spec(args.host)
     colouring = None if args.spectral else \
-        resolve_colouring(host, args.colouring, builtin, args.seed)
+        resolve_colouring(host, args.colouring, builtin, 0)
+    bounds = float_total_bounds(host, args.k_max, eps) if args.spectral else None
     report = base_report(f"experiment {args.name}", {
         "host": args.host, "colouring": args.colouring or "auto",
-        "k_max": args.k_max, "epsilon": epsilon, "seed": args.seed,
-        "spectral": args.spectral,
+        "k_max": args.k_max, "epsilon": epsilon, "spectral": args.spectral,
     })
     rows = []
     ok_unconditional = True
@@ -368,7 +368,7 @@ def cmd_rainbow_bounds(args) -> tuple[dict, int]:
     for k in range(2, args.k_max + 1):
         if args.spectral:
             sp = cycle_weight_sum_spectral(host, k)
-            bound = float(total_bound(host.n, host.min_degree(), k, eps))
+            bound = bounds[k - 2]
             rows.append({"k": k, "weight_float": sp.value, "bound_float": bound,
                          "holds": sp.value <= bound + sp.error_bound})
             continue
@@ -409,12 +409,11 @@ def cmd_h2k(args) -> tuple[dict, int]:
     report = base_report("h2k", {
         "host": args.host, "k": args.k, "patterns": args.patterns,
         "colouring": args.colouring or ("auto" if args.patterns else None),
-        "seed": args.seed,
     })
     # the table first: its walk sums hold h_2k, which the next call reuses
     table = None
     if args.patterns:
-        colouring = resolve_colouring(host, args.colouring, builtin, args.seed)
+        colouring = resolve_colouring(host, args.colouring, builtin, 0)
         table = coincidence_table(host, colouring, args.k)
     exact = cycle_weight_sum(host, args.k)
     spectral = cycle_weight_sum_spectral(host, args.k)
@@ -434,11 +433,9 @@ def cmd_h2k(args) -> tuple[dict, int]:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _common(p, seed=False, budget=False):
+def _common(p, budget=False):
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
     if budget:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
@@ -482,7 +479,7 @@ def _verify_arguments(v):
     v3.add_argument("--colouring")
     v3.add_argument("--k", type=int, default=2)
     v3.add_argument("--epsilon")
-    _common(v3, seed=True)
+    _common(v3)
     v3.set_defaults(func=cmd_verify_section3)
 
 
@@ -492,7 +489,8 @@ def _experiment_arguments(e):
     s.add_argument("--n", type=int, default=40)
     s.add_argument("--p", default="7/10")
     s.add_argument("--trials", type=int, default=5)
-    _common(s, seed=True)
+    _common(s)
+    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_supersaturation)
     for name, help_line in (("rainbow-bounds", "no-rainbow chain, k = 2 .. k-max"),
                             ("almost-rainbow-bounds", "almost-rainbow chain, k = 2 .. k-max")):
@@ -504,7 +502,7 @@ def _experiment_arguments(e):
             r.add_argument("--epsilon", help="colour deficiency (default 1/4)")
         r.add_argument("--spectral", action="store_true",
                        help="float bounds via the eigenvalue path (large hosts)")
-        _common(r, seed=True)
+        _common(r)
         r.set_defaults(func=cmd_rainbow_bounds)
 
 
@@ -522,7 +520,7 @@ def _h2k_arguments(h):
     h.add_argument("--k", type=int, required=True)
     h.add_argument("--colouring")
     h.add_argument("--patterns", action="store_true")
-    _common(h, seed=True)
+    _common(h)
     h.set_defaults(func=cmd_h2k)
 
 

@@ -30,8 +30,8 @@ It is checked before any array is allocated, and `admits` tells a kernel
 beforehand whether optional tables still fit under it.  At 2^26 cells (512 MB) it
 admits every walk engine the former int64 path ran on a host with degree
 lcm L >= 2.  That path needed n^2 L^2k (L/delta)^2 < 2^62, so 2k < 62 -
-2 log2 n: from n = 512 up the engine is plain with max(4, 2k + 1) < 63 -
-2 log2 n matrices, and below that it needs at most 3 layers of them.
+2 log2 n: from n = 512 up the engine is plain with at most max(4, 2k + 1)
+< 63 - 2 log2 n matrices, and below that it needs at most 3 layers of them.
 """
 
 from __future__ import annotations

@@ -41,12 +41,13 @@ class _WalkEngine:
 
     B[u][v] = L/deg(u) on edges is an integer, every row of B sums to L and
     B^t = L^t M^t for the step matrix M = D^-1 A, so each weight is an
-    integer over a power of L.  The engine stores B^1 .. B^T with
-    T = max(k, 2k - 2): step_trace(2j), j <= k, needs B^j, and
-    matched_trace(a, b), a + b = 2k - 2, needs B^a and B^b, B^0 being the
-    coincidence of row and column vertices.  It holds those T matrices and
-    at most three temporaries of n^2 cells, a colour class of any colouring
-    being taken in slices of n^2 cells.
+    integer over a power of L.  The engine stores B^1 .. B^T: step_trace(2j),
+    j <= k, needs B^j, so T = k; an engine for colour weights (`coloured`)
+    has T = max(k, 2k - 2), since matched_trace(a, b), a + b = 2k - 2,
+    needs B^a and B^b, B^0 being the coincidence of row and column
+    vertices.  It holds those T matrices and at most three temporaries of
+    n^2 cells, a colour class of any colouring being taken in slices of n^2
+    cells.
 
     Every value it forms is at most n L^2k / delta, delta the minimum
     degree, the bound it hands to Exact.  Every entry is non-negative, so
@@ -61,12 +62,12 @@ class _WalkEngine:
     tr(B^(a+b+2)) = tr(B^2k).
     """
 
-    def __init__(self, g: Graph, k: int):
+    def __init__(self, g: Graph, k: int, coloured: bool = False):
         _require_positive_degrees(g)
         self.g = g
         degs = g.degrees()
         self.scale = lcm(*degs)
-        top = max(k, 2 * k - 2)
+        top = max(k, 2 * k - 2) if coloured else k
         self.exact = Exact(g.n * self.scale ** (2 * k) // min(degs), g.n, top + 3)
         # B[u][v] = weights[u] on the edges uv
         self.weights = self.exact.from_ints([self.scale // d for d in degs])
@@ -139,7 +140,7 @@ def _walk_sums(g: Graph, k: int, colouring: EdgeColouring | None = None):
         host, kept_k, kept_colouring, weights, offsets = _last_sums[0]
         if host is g and kept_k == k and (colouring is None or colouring is kept_colouring):
             return weights, offsets
-    engine = _WalkEngine(g, k)
+    engine = _WalkEngine(g, k, colouring is not None)
     weights = tuple(engine.step_trace(2 * j) for j in range(1, k + 1))
     offsets = None
     if colouring is not None:
@@ -272,6 +273,21 @@ def total_bound(n: int, delta: int, k: int, eps=None) -> Fraction:
     deficiency eps (k/(eps delta))^k n, that of variant_total."""
     ratio = Fraction(2 * k * k, delta) if eps is None else Fraction(k) / (eps * delta)
     return ratio ** k * n
+
+
+def float_total_bounds(g: Graph, k_max: int, eps=None) -> list[float]:
+    """total_bound of g for k = 2 .. k_max as floats, or a GraphError at the
+    first k whose bound is past the float range.  A bound past n grows with
+    k, so no later one would fit either."""
+    _require_positive_degrees(g)
+    bounds = []
+    for k in range(2, k_max + 1):
+        try:
+            bounds.append(float(total_bound(g.n, g.min_degree(), k, eps)))
+        except OverflowError:
+            raise GraphError(f"the total bound at k = {k} is past the float range; "
+                             f"k up to {k - 1} fits") from None
+    return bounds
 
 
 def colour_deficiency(eps) -> Fraction:

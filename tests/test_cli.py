@@ -366,7 +366,7 @@ class TestVerify:
 
     def test_cycle_suite_attaches_witness_on_violation(self, tmp_path):
         code, body = run(tmp_path, "verify", "section3", "--host", "clique(66)",
-                         "--k", "2", "--seed", "5")
+                         "--k", "2", "--colouring", "greedy(5)")
         assert code == 0  # conditional violations are findings, not errors
         assert b"conditional_ok: False" in body
         assert b"kind: rainbow" in body
@@ -379,13 +379,48 @@ class TestVerify:
 
     def test_variant_suite(self, tmp_path):
         code, body = run(tmp_path, "verify", "section3", "--host", "clique(27)",
-                         "--k", "2", "--epsilon", "2/5", "--seed", "2")
+                         "--k", "2", "--epsilon", "2/5", "--colouring", "greedy(2)")
         assert code == 0
         assert b"variant_conditional_ok: False" in body
         assert b"kind: almost-rainbow" in body
 
     def test_malformed_host_error(self, tmp_path):
         assert main(["verify", "section3", "--host", "nonsense(1)", "--k", "2"]) == 1
+
+    @pytest.mark.parametrize("epsilon, message", [
+        ("junk", "cannot parse fraction 'junk'"),
+        ("3/4", "strictly between 0 and 1/2"),
+    ], ids=["malformed", "out-of-range"])
+    def test_epsilon_refused_before_any_walk_sum(self, tmp_path, capsys, monkeypatch,
+                                                 epsilon, message):
+        built = []
+        engine = rainbow._WalkEngine
+
+        def counted(g, k, *rest):
+            built.append(k)
+            return engine(g, k, *rest)
+
+        monkeypatch.setattr(rainbow, "_WalkEngine", counted)
+        rainbow._last_sums.clear()
+        code, body = run(tmp_path, "verify", "section3", "--host", "clique(30)", "--k", "3",
+                         "--epsilon", epsilon)
+        assert (code, body) == (1, b"")
+        assert message in capsys.readouterr().err
+        assert built == []
+
+    def test_default_colouring_is_greedy_zero(self, tmp_path):
+        """With no --colouring on a host without a built-in one, the chain
+        runs on greedy(0); only the report's colouring field tells them
+        apart."""
+        argv = ("verify", "section3", "--host", "clique(12)", "--k", "2", "--format", "json")
+        reports = []
+        for extra in ((), ("--colouring", "greedy(0)")):
+            code, body = run(tmp_path, *argv, *extra, out_name="r.json")
+            assert code == 0
+            reports.append(json.loads(body))
+        assert reports[0]["parameters"].pop("colouring") == "auto"
+        assert reports[1]["parameters"].pop("colouring") == "greedy(0)"
+        assert reports[0] == reports[1]
 
     def test_colouring_checked_where_used(self, tmp_path, proper_checks):
         """The chain works out that the greedy colouring is proper, once;
@@ -415,7 +450,7 @@ class TestExperiment:
 
     def test_rainbow_bounds_violation_attaches_cycle(self, tmp_path):
         code, body = run(tmp_path, "experiment", "rainbow-bounds",
-                         "--host", "clique(70)", "--k-max", "2", "--seed", "4")
+                         "--host", "clique(70)", "--k-max", "2", "--colouring", "greedy(4)")
         assert code == 0
         assert b"cycles_found" in body and b"cycle:" in body
 
@@ -453,6 +488,27 @@ class TestExperiment:
     def test_unknown_name_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "nonsense"])
+
+    @pytest.mark.parametrize("name, first_past", [
+        ("rainbow-bounds", 84), ("almost-rainbow-bounds", 137),
+    ])
+    def test_spectral_bound_past_float_range_refused(self, tmp_path, capsys, monkeypatch,
+                                                     name, first_past):
+        """A round whose bound is past the float range exits 1 before any
+        round runs; one round fewer runs to the end."""
+        rounds = []
+        spectral = cli.cycle_weight_sum_spectral
+        monkeypatch.setattr(cli, "cycle_weight_sum_spectral",
+                            lambda g, k: rounds.append(k) or spectral(g, k))
+        argv = ("experiment", name, "--host", "q3", "--spectral", "--format", "json")
+        code, body = run(tmp_path, *argv, "--k-max", str(first_past))
+        assert (code, body, rounds) == (1, b"", [])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the total bound at k = {first_past} is past the float")
+        assert "Traceback" not in err
+        code, body = run(tmp_path, *argv, "--k-max", str(first_past - 1))
+        assert code == 0
+        assert len(json.loads(body)["rounds"]) == first_past - 2
 
     @pytest.mark.parametrize("argv, message", [
         (("rainbow-bounds", "--host", "q3", "--k-max", "1"), "--k-max must be at least 2"),
@@ -684,9 +740,9 @@ class TestOneWalkEngine:
         built, alive = [], []
         engine = rainbow._WalkEngine
 
-        def counted(g, k):
+        def counted(g, k, *rest):
             built.append((k, sum(ref() is not None for ref in alive)))
-            made = engine(g, k)
+            made = engine(g, k, *rest)
             alive.append(weakref.ref(made))
             return made
 
@@ -753,6 +809,10 @@ class TestFlags:
         ("experiment", "supersaturation", "--spectral"),
         ("experiment", "supersaturation", "--d", "3"),
         ("gen", "--graph", "q3", "--out", "q3.edges", "--d", "3"),
+        ("verify", "section3", "--host", "q3", "--seed", "1"),
+        ("h2k", "--host", "q3", "--k", "1", "--seed", "1"),
+        ("experiment", "rainbow-bounds", "--host", "q3", "--seed", "1"),
+        ("experiment", "almost-rainbow-bounds", "--host", "q3", "--seed", "1"),
     ])
     def test_unread_flag_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -856,7 +916,7 @@ class TestParserBuiltForOneCommand:
         ("verify", "section3", "--host", "q3", "--epsilon", "1/4"),
         ("experiment", "supersaturation", "--trials", "2"),
         ("homcount", "--pattern", "q3", "--host", "q3", "--injective"),
-        ("h2k", "--host", "q3", "--k", "2", "--patterns", "--seed", "4"),
+        ("h2k", "--host", "q3", "--k", "2", "--patterns", "--colouring", "greedy(4)"),
     ])
     def test_parsed_values_match_full_parser(self, argv):
         got = cli.build_parser(cli._command_named(list(argv))).parse_args(argv)

@@ -162,10 +162,38 @@ class TestWalkEngineDtype:
 
     @pytest.mark.parametrize("k, products", [(1, 0), (2, 1), (3, 3), (4, 5)])
     def test_powers_stored(self, k, products):
-        # B^1 .. B^max(k, 2k - 2); B^0 is never built
-        engine = _WalkEngine(gen_hypercube(3), k)
-        assert engine.powers[0] is None
-        assert len(engine.powers) - 2 == products
+        # B^1 .. B^max(k, 2k - 2) for colour weights, B^1 .. B^k without;
+        # B^0 is never built
+        for coloured, made in ((True, products), (False, k - 1)):
+            engine = _WalkEngine(gen_hypercube(3), k, coloured)
+            assert engine.powers[0] is None
+            assert len(engine.powers) - 2 == made
+
+    @pytest.mark.parametrize("build, size, ks", [
+        (gen_complete, 1024, [6]), (gen_complete, 600, [10, 11, 12]),
+        (gen_hypercube, 10, [9, 10, 11]),
+    ], ids=["clique-1024", "clique-600", "hypercube-10"])
+    def test_engine_without_colouring_declares_fewer_matrices(self, monkeypatch, build, size,
+                                                              ks):
+        """An engine without colour weights declares k + 3 matrices to the
+        cell cap, not max(k, 2k - 2) + 3, so these sums are admitted where
+        the table of the same host and k is refused.  The declaration is
+        checked without forming any power."""
+        class Declared(Exception):
+            pass
+
+        def declare(bound, n, matrices):
+            raise Declared(exact.admits(bound, n, matrices))
+
+        monkeypatch.setattr(rainbow, "Exact", declare)
+        g = build(size)
+        for k in ks:
+            admitted = []
+            for coloured in (False, True):
+                with pytest.raises(Declared) as got:
+                    _WalkEngine(g, k, coloured)
+                admitted.append(got.value.args[0])
+            assert admitted == [True, False], k
 
 
 class TestSpectral:
@@ -450,9 +478,9 @@ class TestCoincidenceTableKept:
         built = []
         engine = _WalkEngine
 
-        def counted(g, k):
+        def counted(g, k, *rest):
             built.append(k)
-            return engine(g, k)
+            return engine(g, k, *rest)
 
         monkeypatch.setattr(rainbow, "_WalkEngine", counted)
         rainbow._last_sums.clear()
