@@ -30,7 +30,7 @@ from .homcount import (check_final_inequality, check_reflection_inequality,
 from .rainbow import (check_pattern_chain, check_variant_chain,
                       coincidence_table, colour_deficiency, cycle_weight_sum,
                       cycle_weight_sum_spectral, find_almost_rainbow,
-                      find_rainbow_cycle, float_total_bounds)
+                      find_rainbow_cycle, float_total_bounds, require_walk_engine)
 from .reflectivity import (DEFAULT_BUDGET, certificate_from_json, certificate_to_json,
                            certify_pairs, certify_reflective, enumerate_reflection_triples,
                            is_admissible, reflectivity_report, verify_certificate)
@@ -355,9 +355,11 @@ def cmd_rainbow_bounds(args) -> tuple[dict, int]:
     eps = None if args.name == "rainbow-bounds" else \
         colour_deficiency(parse_fraction(epsilon or "1/4"))
     host, builtin = parse_graph_spec(args.host)
-    colouring = None if args.spectral else \
-        resolve_colouring(host, args.colouring, builtin, 0)
-    bounds = float_total_bounds(host, args.k_max, eps) if args.spectral else None
+    if args.spectral:
+        colouring, bounds = None, float_total_bounds(host, args.k_max, eps)
+    else:
+        require_walk_engine(host, args.k_max, coloured=True)  # the last round's, the largest
+        colouring, bounds = resolve_colouring(host, args.colouring, builtin, 0), None
     report = base_report(f"experiment {args.name}", {
         "host": args.host, "colouring": args.colouring or "auto",
         "k_max": args.k_max, "epsilon": epsilon, "spectral": args.spectral,

@@ -36,8 +36,7 @@ lcm L >= 2.  That path needed n^2 L^2k (L/delta)^2 < 2^62, so 2k < 62 -
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from math import isqrt, prod
 
 import numpy as np
@@ -48,20 +47,42 @@ _PLAIN_LIMIT = 1 << 53
 _CELL_CAP = 1 << 26
 
 
-@lru_cache(maxsize=1)
-def _primes() -> np.ndarray:
-    """The primes p with 2^21 <= p and 1024 p^2 < 2^53, largest first: a
-    sieve of that window by the primes up to its square root."""
-    low, top = 1 << 21, isqrt(((1 << 53) - 1) // VERTEX_CAP)
-    small = np.ones(isqrt(top) + 1, dtype=bool)
+_LOW, _TOP = 1 << 21, isqrt(((1 << 53) - 1) // VERTEX_CAP)  # the window of primes
+_WINDOW_PRIMES = 58905  # the primes in the window; a test counts them with a full sieve
+_SEGMENT = 1 << 12  # numbers sieved at once
+
+
+def _descending_primes():
+    """The primes p with 2^21 <= p and 1024 p^2 < 2^53, largest first: the
+    window is sieved from its top down, one segment at a time, by the
+    primes up to its square root."""
+    small = np.ones(isqrt(_TOP) + 1, dtype=bool)
     small[:2] = False
-    for q in range(2, isqrt(isqrt(top)) + 1):
+    for q in range(2, isqrt(isqrt(_TOP)) + 1):
         if small[q]:
             small[q * q::q] = False
-    window = np.ones(top + 1 - low, dtype=bool)
-    for q in np.flatnonzero(small).tolist():
-        window[-low % q::q] = False
-    return np.flatnonzero(window)[::-1] + low
+    small = np.flatnonzero(small).tolist()
+    hi = _TOP + 1
+    while hi > _LOW:
+        lo = max(_LOW, hi - _SEGMENT)
+        segment = np.ones(hi - lo, dtype=bool)
+        for q in small:
+            segment[-lo % q::q] = False
+        yield from (np.flatnonzero(segment)[::-1] + lo).tolist()
+        hi = lo
+
+
+_stream = _descending_primes()
+_found: list[int] = []  # the primes taken from _stream so far, largest first
+
+
+def _primes(count: int) -> list[int]:
+    """The `count` largest primes of the window, largest first.  Only the
+    segments they lie in are sieved, and the primes found are kept for
+    later calls: a b-bit bound takes ceil(b / 21) of the window's 58,905,
+    ten or so for the counts and walk sums of the benchmark."""
+    _found.extend(islice(_stream, max(0, count - len(_found))))
+    return _found[:count]
 
 
 def adjacency(g: Graph) -> np.ndarray:
@@ -83,7 +104,17 @@ def admits(bound: int, n: int, matrices: int) -> bool:
     """Whether Exact(bound, n, matrices) stays within the cell cap."""
     count = _layers(bound)
     return (max(count, 1) * matrices * n * n <= _CELL_CAP
-            and (not count or count <= len(_primes())))
+            and count <= _WINDOW_PRIMES)
+
+
+def require_admitted(bound: int, n: int, matrices: int) -> None:
+    """The CapabilityError of Exact(bound, n, matrices) past the cell cap,
+    raised without building it."""
+    if not admits(bound, n, matrices):
+        count = max(_layers(bound), 1)
+        raise CapabilityError(
+            f"exact products would hold {count * matrices * n * n} float64 cells "
+            f"({count} residue layers), over the cap of {_CELL_CAP}")
 
 
 class Exact:
@@ -98,13 +129,8 @@ class Exact:
     """
 
     def __init__(self, bound: int, n: int, matrices: int):
-        count = _layers(bound)
-        if not admits(bound, n, matrices):
-            cells = max(count, 1) * matrices * n * n
-            raise CapabilityError(
-                f"exact products would hold {cells} float64 cells "
-                f"({max(count, 1)} residue layers), over the cap of {_CELL_CAP}")
-        self.primes = tuple(_primes()[:count].tolist()) if count else ()
+        require_admitted(bound, n, matrices)
+        self.primes = tuple(_primes(_layers(bound)))
         if not self.primes:
             self.mul, self.matmul = np.multiply, np.matmul
             self.total, self.to_int = np.ndarray.sum, int

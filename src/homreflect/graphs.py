@@ -333,11 +333,27 @@ class EdgeColouring:
         ends = [(x, c) for (u, v), c in self.colours.items() for x in (u, v)]
         return len(set(ends)) == len(ends)
 
+    def covers(self, g: Graph) -> bool:
+        """Whether the colours are on exactly the edges of g.  A yes is
+        kept for the last host object asked (neither a graph nor a
+        colouring changes after construction), so asking again about it is
+        free; a no is worked out on every call."""
+        if self.__dict__.get("_covered") is not g:
+            if not _covers(g, self.colours):
+                return False
+            self.__dict__["_covered"] = g
+        return True
+
+
+def _covers(g: Graph, colours: dict) -> bool:
+    return colours.keys() == set(g.edges())
+
 
 def validate_colouring(g: Graph, colouring: EdgeColouring) -> None:
-    """Every edge of g coloured exactly once.  Whether the colouring is
-    proper is its own `proper`, asked only where a proper one is needed."""
-    if colouring.colours.keys() != set(g.edges()):
+    """Every edge of g coloured exactly once, checked in full once per
+    host object (EdgeColouring.covers).  Whether the colouring is proper
+    is its own `proper`, asked only where a proper one is needed."""
+    if not colouring.covers(g):
         raise GraphError("colouring does not cover exactly the edge set")
 
 
@@ -438,6 +454,7 @@ def read_colouring(g: Graph, path) -> EdgeColouring:
             if key in colours:
                 raise GraphError(f"{path}: edge {key} coloured twice")
             colours[key] = c
-    if colours.keys() != set(g.edges()):
+    colouring = EdgeColouring(colours)
+    if not colouring.covers(g):
         raise GraphError(f"{path}: colouring does not cover exactly the edge set")
-    return EdgeColouring(colours)
+    return colouring

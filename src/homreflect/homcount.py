@@ -42,11 +42,15 @@ isomorphism class of a quotient matters, so the weights are summed per
 class, once per pattern, and the kernel runs once per class: 25 counts for
 the 3-cube's 354 partitions.
 
-hom_count memoises its counts per (quotient vertex count and edge set, host)
-in one least-recently-used table of _MEMO_SIZE entries and builds a pattern
-graph only on a miss, so a reflection sweep (`verify section2`) runs the
-kernel once per distinct quotient instead of four times per step; injective
-counts share the table, one entry per class representative.
+hom_count memoises at two levels, each a least-recently-used table of
+_MEMO_SIZE entries: (pattern, constraint set) -> quotient key, the
+quotient's vertex count and edge set, then (quotient key, host) -> count.
+A repeated call so forms no blocks and no edge set, and the kernel runs
+once per distinct quotient, building a pattern graph only on a miss.  A
+reflection sweep (`verify section2`) makes about four calls per step, but
+Q3's 30 one-side constraint sets give 23 distinct quotients, and sets
+with equal quotients share one count.  Injective counts share both tables,
+one entry per class representative.
 """
 
 from __future__ import annotations
@@ -103,13 +107,21 @@ def _quotient_key(edges, block_of) -> tuple[int, frozenset]:
 
 def hom_count(h: Graph, g: Graph, constraint=None) -> int:
     """Number of homomorphisms H -> G, optionally with every vertex of
-    `constraint` forced to a common image.  Counts are memoised per
-    (quotient key, host); a CapabilityError is raised again on every
-    call, never stored."""
+    `constraint` forced to a common image.  The quotient key is memoised
+    per (pattern, constraint) and the count per (quotient key, host); a
+    GraphError or CapabilityError is raised again on every call, never
+    stored."""
     if h.n > _PATTERN_CAP:
         raise CapabilityError(f"pattern size capped at {_PATTERN_CAP} vertices")
-    blocks = range(h.n) if constraint is None else _blocks(h, constraint)
-    return _memoised_count(_quotient_key(h.edges(), blocks), g)
+    group = None if constraint is None else frozenset(constraint)
+    return _memoised_count(_pattern_key(h, group), g)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pattern_key(h: Graph, group: frozenset | None) -> tuple[int, frozenset]:
+    """The quotient key of H with the vertices of `group` made one vertex,
+    or of H itself for None."""
+    return _quotient_key(h.edges(), range(h.n) if group is None else _blocks(h, group))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -441,7 +453,7 @@ def injective_hom_count(h: Graph, g: Graph) -> int:
         raise CapabilityError("injective counting capped at 10 pattern vertices")
     if h.n > g.n:
         return 0
-    return sum(weight * _memoised_count(_quotient_key(rep.edges(), range(rep.n)), g)
+    return sum(weight * _memoised_count(_pattern_key(rep, None), g)
                for rep, weight in _quotient_classes(h))
 
 

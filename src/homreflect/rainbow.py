@@ -25,13 +25,29 @@ from math import lcm
 
 import numpy as np
 
-from .exact import Exact, adjacency
+from .exact import Exact, adjacency, require_admitted
 from .graphs import EdgeColouring, Graph, GraphError, validate_colouring
 
 
 def _require_positive_degrees(g: Graph) -> None:
     if g.n == 0 or g.min_degree() == 0:
         raise GraphError("walk weights need every vertex to have positive degree")
+
+
+def _engine_size(g: Graph, k: int, coloured: bool) -> tuple[int, int, int]:
+    """The scale L, the top power T and the bound of _WalkEngine(g, k, coloured)."""
+    _require_positive_degrees(g)
+    degs = g.degrees()
+    scale = lcm(*degs)
+    return scale, max(k, 2 * k - 2) if coloured else k, g.n * scale ** (2 * k) // min(degs)
+
+
+def require_walk_engine(g: Graph, k: int, coloured: bool) -> None:
+    """The CapabilityError of _WalkEngine(g, k, coloured) past the cell cap,
+    raised without building it.  The bound and the matrix count grow with
+    k, so an engine that fits admits every smaller k."""
+    _, top, bound = _engine_size(g, k, coloured)
+    require_admitted(bound, g.n, top + 3)
 
 
 class _WalkEngine:
@@ -63,14 +79,11 @@ class _WalkEngine:
     """
 
     def __init__(self, g: Graph, k: int, coloured: bool = False):
-        _require_positive_degrees(g)
         self.g = g
-        degs = g.degrees()
-        self.scale = lcm(*degs)
-        top = max(k, 2 * k - 2) if coloured else k
-        self.exact = Exact(g.n * self.scale ** (2 * k) // min(degs), g.n, top + 3)
+        self.scale, top, bound = _engine_size(g, k, coloured)
+        self.exact = Exact(bound, g.n, top + 3)
         # B[u][v] = weights[u] on the edges uv
-        self.weights = self.exact.from_ints([self.scale // d for d in degs])
+        self.weights = self.exact.from_ints([self.scale // d for d in g.degrees()])
         self.powers = [None, self.exact.mul(adjacency(g), self.weights[..., :, None])]
         for _ in range(top - 1):
             self.powers.append(self.exact.matmul(self.powers[-1], self.powers[1]))

@@ -24,3 +24,20 @@ def proper_checks(monkeypatch):
     patched.__set_name__(EdgeColouring, "proper")
     monkeypatch.setattr(EdgeColouring, "proper", patched)
     return checked
+
+
+@pytest.fixture
+def coverage_checks(monkeypatch):
+    """Every full check that a colouring covers a graph's edge set, as the
+    graph's vertex count, in order."""
+    from homreflect import graphs
+
+    work = graphs._covers
+    checked = []
+
+    def counted(g, colours):
+        checked.append(g.n)
+        return work(g, colours)
+
+    monkeypatch.setattr(graphs, "_covers", counted)
+    return checked

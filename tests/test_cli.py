@@ -384,6 +384,15 @@ class TestVerify:
         assert b"variant_conditional_ok: False" in body
         assert b"kind: almost-rainbow" in body
 
+    def test_colouring_checked_once_where_both_chains_fail(self, tmp_path, coverage_checks):
+        """Both chains and both cycle searches take the colouring; its edge
+        set is checked against the host once."""
+        code, body = run(tmp_path, "verify", "section3", "--host", "clique(27)",
+                         "--k", "2", "--epsilon", "2/5", "--colouring", "greedy(2)")
+        assert code == 0
+        assert b"kind: rainbow" in body and b"kind: almost-rainbow" in body
+        assert coverage_checks == [27]
+
     def test_malformed_host_error(self, tmp_path):
         assert main(["verify", "section3", "--host", "nonsense(1)", "--k", "2"]) == 1
 
@@ -786,6 +795,29 @@ class TestCellCap:
         assert (code, body) == (1, b"")
         assert "over the cap" in capsys.readouterr().err
         assert peak < 1024 * 1024 * 8  # less than one 1024 x 1024 float64 matrix
+
+    @pytest.mark.parametrize("name", ["rainbow-bounds", "almost-rainbow-bounds"])
+    def test_k_max_past_the_cap_refused_before_any_round(self, tmp_path, capsys, monkeypatch,
+                                                         name):
+        """The last round's coloured engine is the largest, so checking it
+        refuses the run at once.  On clique(300), k = 22 is the first
+        half-length past the cap: 18 residue layers x 45 matrices x 300^2."""
+        built = []
+        engine = rainbow._WalkEngine
+
+        def counted(g, k, *rest):
+            built.append(k)
+            return engine(g, k, *rest)
+
+        monkeypatch.setattr(rainbow, "_WalkEngine", counted)
+        rainbow._last_sums.clear()
+        start = time.perf_counter()
+        code, body = run(tmp_path, "experiment", name, "--host", "clique(300)", "--k-max", "22")
+        assert time.perf_counter() - start < 1
+        assert (code, body, built) == (1, b"", [])
+        assert capsys.readouterr().err.startswith(
+            "error: exact products would hold 72900000 float64 cells (18 residue layers), "
+            "over the cap")
 
 
 class TestFlags:

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -52,6 +53,56 @@ class TestAdjacency:
         got = exact.adjacency(g)
         assert got.dtype == np.float64 and got.shape == (g.n, g.n)
         assert np.array_equal(got, bf.adjacency_from_edges(g))
+
+
+def _window_by_full_sieve() -> list[int]:
+    """The primes p with 2^21 <= p and 1024 p^2 < 2^53, largest first, by a
+    sieve of every number up to the window's top."""
+    top = 1 << 22  # past the window: 1024 (2^22)^2 = 2^54
+    sieve = np.ones(top, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, int(top ** 0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = False
+    return [p for p in np.flatnonzero(sieve)[::-1].tolist()
+            if 1 << 21 <= p and 1024 * p * p < 1 << 53]
+
+
+class TestPrimeWindow:
+    """The residue path's primes are sieved from the top of the window down,
+    only as far as a run needs them; they and their order are those of a
+    full sieve, so every residue is unchanged."""
+
+    @pytest.fixture(scope="class")
+    def window(self):
+        return _window_by_full_sieve()
+
+    def test_count_pinned_by_a_full_sieve(self, window):
+        assert len(window) == exact._WINDOW_PRIMES == 58905
+
+    @pytest.mark.parametrize("count", [0, 1, 10, 2000, 58905])
+    def test_largest_first_as_the_full_sieve(self, window, count):
+        assert list(islice(exact._descending_primes(), count)) == window[:count]
+        assert exact._primes(count) == window[:count]
+
+    def test_across_a_segment_boundary(self, window):
+        first = sum(p > exact._TOP - exact._SEGMENT for p in window)  # in the top segment
+        for count in (first, first + 1):
+            assert list(islice(exact._descending_primes(), count)) == window[:count]
+        assert Exact(1 << 53, 1, 1).primes == tuple(window[:3])
+
+    def test_whole_window_and_no_more(self, window):
+        assert list(exact._descending_primes()) == window
+        assert exact._primes(exact._WINDOW_PRIMES + 5) == window
+
+    def test_admits_no_bound_needing_more_primes_than_the_window(self):
+        most = exact._WINDOW_PRIMES
+        assert exact._layers((1 << 21 * most) - 1) == most
+        assert exact.admits((1 << 21 * most) - 1, 1, 1)
+        assert exact._layers(1 << 21 * most) == most + 1
+        assert not exact.admits(1 << 21 * most, 1, 1)
+        with pytest.raises(CapabilityError, match=f"{most + 1} residue layers"):
+            Exact(1 << 21 * most, 1, 1)
 
 
 class TestAgainstPythonIntegers:
@@ -132,7 +183,7 @@ class TestCellCap:
             return ex
 
         monkeypatch.setattr(module, "Exact", spy)
-        exact._primes()  # the process-wide prime table is no kernel's working memory
+        exact._primes(exact._WINDOW_PRIMES)  # the process-wide prime table is no kernel's working memory
         tracemalloc.start()
         try:
             run()

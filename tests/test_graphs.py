@@ -274,8 +274,9 @@ class TestColourings:
             assert len(set(col.colours.values())) <= 2 * g.max_degree() - 1
 
     def test_validated_once_per_graph_object(self, proper_checks):
-        """Coverage is checked against each graph it is asked of; whether
-        the colouring is proper is worked out once per colouring object."""
+        """Coverage is checked against each graph object it is asked of;
+        whether the colouring is proper is worked out once per colouring
+        object."""
         g = gen_complete(5)
         col = greedy_proper_colouring(g, 1)
         validate_colouring(g, col)
@@ -290,6 +291,38 @@ class TestColourings:
         # a colouring with the same colours is another object
         assert EdgeColouring(dict(col.colours)).proper
         assert proper_checks == [10, 10]
+
+    def test_coverage_checked_in_full_once_per_host_object(self, coverage_checks, tmp_path):
+        """A repeat check against the host object last passed is free; a
+        colouring that misses an edge is refused, in full, on every call."""
+        g = gen_complete(6)
+        col = greedy_proper_colouring(g, 1)
+        for _ in range(3):
+            validate_colouring(g, col)
+        assert coverage_checks == [6]
+        twin = make_graph(6, g.edges())
+        validate_colouring(twin, col)
+        validate_colouring(twin, col)
+        assert coverage_checks == [6, 6]
+        short = make_graph(6, g.edges()[1:])
+        for _ in range(2):
+            with pytest.raises(GraphError, match="cover exactly"):
+                validate_colouring(short, col)
+        assert coverage_checks == [6, 6, 6, 6]
+        # the host last passed is still remembered
+        validate_colouring(twin, col)
+        assert coverage_checks == [6, 6, 6, 6]
+        missing = EdgeColouring({e: 0 for e in g.edges()[1:]})
+        for _ in range(2):
+            with pytest.raises(GraphError, match="cover exactly"):
+                validate_colouring(g, missing)
+        assert coverage_checks == [6] * 6
+        # a colouring read from a file is checked as it is read, once
+        path = tmp_path / "k6.colours"
+        write_colouring(g, col, path)
+        read = read_colouring(g, path)
+        validate_colouring(g, read)
+        assert coverage_checks == [6] * 7
 
     @pytest.mark.parametrize("seed", range(20))
     def test_proper_matches_adjacent_edge_oracle(self, seed):

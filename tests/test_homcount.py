@@ -36,7 +36,7 @@ from homreflect import (
 )
 from homreflect import exact, homcount
 from homreflect.exact import Exact
-from homreflect.homcount import _memoised_count
+from homreflect.homcount import _memoised_count, _pattern_key
 
 # Frozen from the naive product-space oracle.
 HOM_Q3_K4 = 2652
@@ -190,6 +190,7 @@ class TestMemo:
         cold = []
         for r in sets:
             _memoised_count.cache_clear()
+            _pattern_key.cache_clear()
             cold.append(hom_count(pattern, g, r))
         assert cold == expected
         _memoised_count.cache_clear()
@@ -218,6 +219,56 @@ class TestMemo:
         built.clear()
         assert [hom_count(q3, g, r) for r in sets] == cold
         assert built == []
+
+    def test_key_built_once_per_pattern_and_constraint(self, monkeypatch):
+        built = []
+        key = homcount._quotient_key
+
+        def spy(edges, block_of):
+            built.append(block_of)
+            return key(edges, block_of)
+
+        monkeypatch.setattr(homcount, "_quotient_key", spy)
+        q3 = gen_hypercube(3)
+        g = gen_random(5, Fraction(1, 2), 5)
+        sets = _sweep_sets(q3) + [None]
+        _pattern_key.cache_clear()
+        _memoised_count.cache_clear()
+        cold = [hom_count(q3, g, r) for r in sets]
+        # the 30 sets and None; the 8 singletons key like None, 23 quotients in all
+        assert len(built) == 31
+        assert _memoised_count.cache_info().misses == 23
+        built.clear()
+        assert [hom_count(q3, g, r) for r in sets] == cold
+        assert built == []
+        info = _pattern_key.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (31, 31, 31)
+
+    def test_constraint_container_does_not_matter(self):
+        q3 = gen_hypercube(3)
+        g = gen_random(7, Fraction(1, 2), 2)
+        _pattern_key.cache_clear()
+        _memoised_count.cache_clear()
+        counts = {hom_count(q3, g, r) for r in ([0, 3], (3, 0), {0, 3}, frozenset({3, 0}))}
+        assert counts == {bf.hom_count_naive(q3, g, {0, 3})}
+        for info in (_pattern_key.cache_info(), _memoised_count.cache_info()):
+            assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+    @pytest.mark.parametrize("constraint, message", [
+        (set(), "empty set"),
+        ({0, 1}, "not independent"),
+        ({0, 8}, "unknown vertices"),
+    ], ids=["empty", "dependent", "out-of-range"])
+    def test_malformed_constraint_raised_on_every_call_and_never_stored(self, constraint,
+                                                                       message):
+        q3 = gen_hypercube(3)
+        g = gen_random(7, Fraction(1, 2), 2)
+        _pattern_key.cache_clear()
+        _memoised_count.cache_clear()
+        for _ in range(2):
+            with pytest.raises(GraphError, match=message):
+                hom_count(q3, g, constraint)
+        assert _pattern_key.cache_info().currsize == _memoised_count.cache_info().currsize == 0
 
     def test_sets_with_one_quotient_share_an_entry(self):
         q3 = gen_hypercube(3)
