@@ -249,10 +249,7 @@ def cmd_verify_section2(args) -> tuple[dict, int]:
     report = base_report("verify section2", {
         "pattern": args.pattern, "host": args.host, "max_sets": args.max_sets,
     })
-    checks = []
-    sid = sidorenko_check(pattern, host)
-    checks.append({"name": "density_lower_bound", "lhs": sid.hom,
-                   "rhs": sid.bound, "holds": sid.holds})
+    checks = [{"name": "density_lower_bound", **sidorenko_check(pattern, host)}]
     triples = enumerate_reflection_triples(pattern)
     parts = pattern.bipartition()
     candidates = [frozenset(c)
@@ -267,14 +264,11 @@ def cmd_verify_section2(args) -> tuple[dict, int]:
                 break
             if not is_admissible(pattern, triple, r):
                 continue
-            res = check_reflection_inequality(pattern, host, triple, r)
+            row = check_reflection_inequality(pattern, host, triple, r)
             done += 1
-            if not res.holds:
+            if not row["holds"]:
                 violations += 1
-                checks.append({"name": f"reflection_step_t{ti}_{sorted(r)}",
-                               "lhs": res.constrained ** 2,
-                               "rhs": res.reflected_ab * res.reflected_ba,
-                               "holds": False})
+                checks.append({"name": f"reflection_step_t{ti}_{sorted(r)}", **row})
     checks.append({"name": "reflection_steps_swept", "count": done,
                    "holds": violations == 0})
     exhausted = []
@@ -283,12 +277,8 @@ def cmd_verify_section2(args) -> tuple[dict, int]:
             exhausted.append(list(r0))
         if res.certificate is None:
             continue
-        fin = check_final_inequality(pattern, host, res.certificate)
         checks.append({"name": f"amplified_bound_{r0[0]}_{r0[1]}",
-                       "lhs": fin.constrained_start ** fin.exponent,
-                       "rhs": fin.full_side * fin.unconstrained ** (fin.exponent - 1),
-                       "holds": fin.holds,
-                       "exponent": fin.exponent})
+                       **check_final_inequality(pattern, host, res.certificate)})
     report["checks"] = checks
     ok = all(c["holds"] for c in checks)
     report["all_hold"] = ok
@@ -311,27 +301,25 @@ def cmd_verify_section3(args) -> tuple[dict, int]:
     report["unconditional_ok"] = chain["unconditional_ok"]
     report["conditional_ok"] = chain["conditional_ok"]
     cycles = []
-    _search_if_violated(chain, host, colouring, None, cycles, kind="rainbow")
+    if not chain["conditional_ok"]:
+        cycles.append({"kind": "rainbow", **_witness(host, colouring, None)})
     if eps is not None:
         variant = check_variant_chain(host, colouring, args.k, eps)
         report["variant_checks"] = [dict(c) for c in variant["checks"]]
         report["variant_conditional_ok"] = variant["conditional_ok"]
-        _search_if_violated(variant, host, colouring, eps, cycles, kind="almost-rainbow")
+        if not variant["conditional_ok"]:
+            cycles.append({"kind": "almost-rainbow", **_witness(host, colouring, eps)})
     report["cycles_found"] = cycles
     return report, EXIT_OK if chain["unconditional_ok"] else EXIT_VIOLATION
 
 
-def _search_if_violated(chain: dict, host: Graph, colouring: EdgeColouring,
-                        eps, cycles: list, **label) -> None:
-    """When a conditional bound of the chain fails, search for the cycle it
-    certifies (rainbow, or almost-rainbow at deficiency eps) and append the
-    result to cycles under the given label fields."""
-    if chain["conditional_ok"]:
-        return
+def _witness(host: Graph, colouring: EdgeColouring, eps) -> dict:
+    """Search for the cycle that a failed conditional bound certifies
+    (rainbow, or almost-rainbow at deficiency eps); return its report fields."""
     found = find_rainbow_cycle(host, colouring) if eps is None else \
         find_almost_rainbow(host, colouring, eps)
-    cycles.append({**label, "cycle": list(found.cycle) if found.cycle else None,
-                   "exhaustive": found.exhaustive})
+    return {"cycle": list(found.cycle) if found.cycle else None,
+            "exhaustive": found.exhaustive}
 
 
 def cmd_supersaturation(args) -> tuple[dict, int]:
@@ -367,6 +355,7 @@ def cmd_rainbow_bounds(args) -> tuple[dict, int]:
     rows = []
     ok_unconditional = True
     cycles = []
+    witness = None  # the search does not depend on k: run once, at the first failing round
     for k in range(2, args.k_max + 1):
         if args.spectral:
             sp = cycle_weight_sum_spectral(host, k)
@@ -383,7 +372,9 @@ def cmd_rainbow_bounds(args) -> tuple[dict, int]:
                      "weight": chain["weights"][2 * k],
                      "checks": [dict(c) for c in chain["checks"]],
                      "conditional_ok": chain["conditional_ok"]})
-        _search_if_violated(chain, host, colouring, eps, cycles, k=k)
+        if not chain["conditional_ok"]:
+            witness = witness or _witness(host, colouring, eps)
+            cycles.append({"k": k, **witness})
     report["rounds"] = rows
     report["cycles_found"] = cycles
     report["unconditional_ok"] = ok_unconditional

@@ -367,16 +367,14 @@ def greedy_proper_colouring(g: Graph, seed: int) -> EdgeColouring:
     """
     edges = list(g.edges())
     random.Random(seed).shuffle(edges)
-    at_vertex = [set() for _ in range(g.n)]
+    taken_at = [0] * g.n  # bit c set: colour c is on an edge at the vertex
     colours = {}
     for u, v in edges:
-        used = at_vertex[u] | at_vertex[v]
-        c = 0
-        while c in used:
-            c += 1
-        colours[(u, v)] = c
-        at_vertex[u].add(c)
-        at_vertex[v].add(c)
+        taken = taken_at[u] | taken_at[v]
+        free = ~taken & (taken + 1)  # the lowest clear bit
+        colours[(u, v)] = free.bit_length() - 1
+        taken_at[u] |= free
+        taken_at[v] |= free
     return EdgeColouring(colours)
 
 

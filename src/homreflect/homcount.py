@@ -55,7 +55,6 @@ one entry per class representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from statistics import median
@@ -524,76 +523,43 @@ def count_cube_homomorphisms(g: Graph) -> tuple[int, int]:
 # Inequality checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SidorenkoResult:
-    hom: int
-    bound: Fraction
-    holds: bool
-
-
-def sidorenko_check(h: Graph, g: Graph) -> SidorenkoResult:
-    """Compare hom(H,G) with n^v(H) p^e(H), exactly."""
+def sidorenko_check(h: Graph, g: Graph) -> dict:
+    """Compare hom(H,G) with n^v(H) p^e(H), exactly.  Returns the report
+    row {"lhs": hom(H,G), "rhs": the bound, "holds": lhs >= rhs}."""
     lhs = hom_count(h, g)
     p = edge_density(g)
     rhs = Fraction(g.n) ** h.n * p ** h.edge_count()
-    return SidorenkoResult(lhs, rhs, Fraction(lhs) >= rhs)
+    return {"lhs": lhs, "rhs": rhs, "holds": Fraction(lhs) >= rhs}
 
 
-@dataclass(frozen=True)
-class ReflectionInequalityResult:
-    constrained: int
-    reflected_ab: int
-    reflected_ba: int
-    unconstrained: int
-    holds_pair: bool
-    holds_weak: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.holds_pair and self.holds_weak
-
-
-def check_reflection_inequality(h: Graph, g: Graph, triple: ReflectionTriple,
-                                r) -> ReflectionInequalityResult:
+def check_reflection_inequality(h: Graph, g: Graph, triple: ReflectionTriple, r) -> dict:
     """One reflection step: the constrained count squared is at most the
     product of the two reflected counts, and also at most the first
-    reflected count times the unconstrained count."""
+    reflected count times the unconstrained count.  Returns the report row
+    {"lhs": hom(R)^2, "rhs": hom(R_AB) hom(R_BA), "holds"}, where holds
+    needs both inequalities; the second cross-checks the kernel."""
     r = frozenset(r)
     r_ab = reflect_set(h, triple, r)
     r_ba = reflect_set(h, triple.flipped(), r)
-    c_r = hom_count(h, g, r)
+    lhs = hom_count(h, g, r) ** 2
     c_ab = hom_count(h, g, r_ab)
-    c_ba = hom_count(h, g, r_ba)
-    c_all = hom_count(h, g)
-    return ReflectionInequalityResult(
-        c_r, c_ab, c_ba, c_all,
-        holds_pair=c_r * c_r <= c_ab * c_ba,
-        holds_weak=c_r * c_r <= c_ab * c_all,
-    )
+    rhs = c_ab * hom_count(h, g, r_ba)
+    weak = lhs <= c_ab * hom_count(h, g)
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs and weak}
 
 
-@dataclass(frozen=True)
-class FinalInequalityResult:
-    constrained_start: int
-    full_side: int
-    unconstrained: int
-    exponent: int
-    holds: bool
-
-
-def check_final_inequality(h: Graph, g: Graph,
-                           cert: ReflectionCertificate) -> FinalInequalityResult:
+def check_final_inequality(h: Graph, g: Graph, cert: ReflectionCertificate) -> dict:
     """Certificate-amplified bound: hom to the full side dominates the
-    start count raised to s = 2^m, normalised by hom^(s-1)."""
+    start count raised to s = 2^m, normalised by hom^(s-1).  Returns the
+    report row {"lhs": hom(start)^s, "rhs": hom(side) hom^(s-1), "holds":
+    lhs <= rhs, "exponent": s}."""
     ok, report = verify_certificate(h, cert)
     if not ok:
         raise GraphError(f"invalid certificate: {report[-1] if report else 'unverifiable'}")
-    c_start = hom_count(h, g, cert.start)
-    c_side = hom_count(h, g, cert.side)
-    c_all = hom_count(h, g)
     s = cert.amplification_exponent
-    holds = c_side * c_all ** (s - 1) >= c_start ** s
-    return FinalInequalityResult(c_start, c_side, c_all, s, holds)
+    lhs = hom_count(h, g, cert.start) ** s
+    rhs = hom_count(h, g, cert.side) * hom_count(h, g) ** (s - 1)
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs, "exponent": s}
 
 
 def turan_exponent(v: int, e: int, t: int) -> Fraction:

@@ -14,9 +14,11 @@ placed neighbour's image: the anchored searches must find the same maps in
 the same order and refuse at the same point.  The random graph generator
 and the adjacency matrix keep their former builds too, one randrange call
 per vertex pair and a matrix filled from the edge list, which the bulk
-builds must reproduce exactly.  hom_count's former conditioning rule for
-bipartite patterns, a greedy pick from the smaller side, is kept as the
-reference that the label-free plan may never exceed.
+builds must reproduce exactly.  The greedy edge colouring keeps its former
+colour sets, which the per-vertex bitmasks must reproduce.  hom_count's
+former conditioning rule for bipartite patterns, a greedy pick from the
+smaller side, is kept as the reference that the label-free plan may never
+exceed.
 
 The last four functions are not oracles but label helpers: Q4 with one
 side labelled first, vertex ids of cube coordinate strings and of
@@ -514,6 +516,25 @@ def smaller_side_greedy_conditioned(h: Graph) -> int:
             nbrs[a].add(b)
             nbrs[b].add(a)
     return conditioned
+
+
+def greedy_colouring_by_sets(g: Graph, seed: int) -> dict:
+    """The colours of greedy_proper_colouring's former build: per edge of
+    the seeded shuffle, the union of both ends' colour sets, scanned from 0
+    for the smallest colour missing."""
+    edges = list(g.edges())
+    random.Random(seed).shuffle(edges)
+    at_vertex = [set() for _ in range(g.n)]
+    colours = {}
+    for u, v in edges:
+        used = at_vertex[u] | at_vertex[v]
+        c = 0
+        while c in used:
+            c += 1
+        colours[(u, v)] = c
+        at_vertex[u].add(c)
+        at_vertex[v].add(c)
+    return colours
 
 
 def side_first_q4() -> Graph:

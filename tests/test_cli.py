@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -16,10 +17,14 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from test_reflectivity import comb_graph
 import homreflect
-from homreflect import cli, rainbow, read_colouring, read_edge_list, write_edge_list
+from homreflect import cli, homcount, rainbow, read_colouring, read_edge_list, write_edge_list
 from homreflect.cli import main, parse_graph_spec
 from homreflect.graphs import VERTEX_CAP, gen_random
 from homreflect.reflectivity import certify_pairs, certify_reflective, reflectivity_report
+
+
+PINS = Path(__file__).parent / "pins"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(tmp_path, *argv, out_name="report.txt"):
@@ -358,6 +363,36 @@ class TestVerify:
         assert "budget_exhausted_pairs" not in report
         assert sum(c["name"].startswith("amplified_bound") for c in report["checks"]) == 6
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_readme_section2_report_pinned(self, tmp_path, fmt):
+        """README's section-2 command gives this report, byte for byte."""
+        code, body = run(tmp_path, "verify", "section2", "--pattern", "q3",
+                         "--host", "random(10,1/2,3)", "--format", fmt)
+        assert code == 0
+        assert body == (PINS / f"verify_section2_q3.{fmt}").read_bytes()
+
+    def test_inflated_constrained_count_fails_its_steps(self, tmp_path, monkeypatch):
+        """With hom(Q3, G | {0, 3, 5}) inflated tenfold, every step that
+        constrains {0, 3, 5} is reported and the run exits 2.  Where both
+        reflections give the set back, lhs equals rhs: the step fails on the
+        weak inequality, hom(R)^2 <= hom(R_AB) hom(H, G)."""
+        count = homcount.hom_count
+
+        def inflated(h, g, constraint=None):
+            c = count(h, g, constraint)
+            return 10 * c if constraint is not None and set(constraint) == {0, 3, 5} else c
+
+        monkeypatch.setattr(homcount, "hom_count", inflated)
+        code, body = run(tmp_path, "verify", "section2", "--pattern", "q3",
+                         "--host", "random(10,1/2,3)", "--format", "json")
+        report = json.loads(body)
+        assert (code, report["all_hold"]) == (2, False)
+        rhs = [7807489600, 7807489600] + [89147856] * 4 + [7807489600, 7807489600]
+        assert [c for c in report["checks"] if not c["holds"]] == [
+            {"name": f"reflection_step_t{ti}_[0, 3, 5]", "lhs": 7807489600, "rhs": r,
+             "holds": False} for ti, r in enumerate(rhs)
+        ] + [{"name": "reflection_steps_swept", "count": 200, "holds": False}]
+
     def test_cycle_suite_direction_cube(self, tmp_path):
         code, body = run(tmp_path, "verify", "section3",
                          "--host", "direction-cube(3)", "--k", "2")
@@ -494,6 +529,24 @@ class TestExperiment:
         assert (code, body) == (1, b"")
         assert "strictly between 0 and 1/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, search", [
+        (("rainbow-bounds", "--host", "clique(66)", "--k-max", "4"), "find_rainbow_cycle"),
+        (("almost-rainbow-bounds", "--host", "clique(30)", "--epsilon", "2/5",
+          "--k-max", "3"), "find_almost_rainbow"),
+    ], ids=["rainbow", "almost-rainbow"])
+    def test_witness_searched_once(self, tmp_path, monkeypatch, argv, search):
+        """The cycle search does not depend on k: it runs at the first round
+        whose bound fails, and every failing round reports its result."""
+        calls = []
+        found = getattr(cli, search)
+        monkeypatch.setattr(cli, search, lambda *a: calls.append(a) or found(*a))
+        code, body = run(tmp_path, "experiment", *argv, "--format", "json", out_name="r.json")
+        assert code == 0
+        cycles = json.loads(body)["cycles_found"]
+        assert [c["k"] for c in cycles] == list(range(2, int(argv[-1]) + 1))
+        assert all(c == {**cycles[0], "k": c["k"]} for c in cycles)
+        assert len(calls) == 1
+
     def test_unknown_name_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "nonsense"])
@@ -616,9 +669,26 @@ class TestSpecErrors:
 
 def readme_constructors() -> list[str]:
     """The constructors the README's "Graph specs are ..." paragraph names."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     paragraph = readme.split("Graph specs are", 1)[1].split("Every graph", 1)[0]
     return [name for item in re.findall(r"`([^`]+)`", paragraph) for name in item.split(" / ")]
+
+
+def readme_commands() -> list[list[str]]:
+    """The command lines of the README's command block, in order, as words."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [shlex.split(line, comments=True) for line in block.split("```", 1)[0].splitlines()]
+    return [words for words in lines if words]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    """Every line of the README's command block exits 0, run in order in
+    one directory, so each reads the files the earlier ones wrote."""
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert commands and all(words[0] == "homreflect" for words in commands)
+    for words in commands:
+        assert main(words[1:]) == 0, words
 
 
 class TestSpecTable:

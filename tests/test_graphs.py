@@ -273,6 +273,13 @@ class TestColourings:
         if g.edge_count():
             assert len(set(col.colours.values())) <= 2 * g.max_degree() - 1
 
+    @pytest.mark.parametrize("spec", [(40, Fraction(1, 2), 1), (60, Fraction(1, 5), 2),
+                                      (25, Fraction(9, 10), 3)])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_greedy_matches_set_reference(self, spec, seed):
+        g = gen_random(*spec)
+        assert greedy_proper_colouring(g, seed).colours == bf.greedy_colouring_by_sets(g, seed)
+
     def test_validated_once_per_graph_object(self, proper_checks):
         """Coverage is checked against each graph object it is asked of;
         whether the colouring is proper is worked out once per colouring

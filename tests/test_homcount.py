@@ -836,16 +836,16 @@ class TestSidorenko:
     def test_single_edge_equality(self):
         g = gen_random(9, Fraction(1, 2), 6)
         res = sidorenko_check(make_graph(2, [(0, 1)]), g)
-        assert res.holds
-        assert Fraction(res.hom) == res.bound  # 2e == p n^2 exactly
+        assert res["holds"]
+        assert Fraction(res["lhs"]) == res["rhs"]  # 2e == p n^2 exactly
 
     def test_cube_in_complete(self):
-        assert sidorenko_check(gen_hypercube(3), gen_complete(8)).holds
+        assert sidorenko_check(gen_hypercube(3), gen_complete(8))["holds"]
 
     def test_cube_in_random(self):
         g = gen_random(12, Fraction(1, 2), 7)
         res = sidorenko_check(gen_hypercube(3), g)
-        assert res.holds
+        assert res["holds"]
 
 
 class TestReflectionInequality:
@@ -855,14 +855,14 @@ class TestReflectionInequality:
         r = frozenset({cube_vertex("000"), cube_vertex("011")})
         t = next(t for t in triples if is_admissible(q3, t, r))
         res = check_reflection_inequality(q3, q3, t, r)
-        assert res.holds
+        assert res["holds"]
 
     def test_degenerate_single_edge_host(self):
         q3 = gen_hypercube(3)
         k2 = make_graph(2, [(0, 1)])
         t = enumerate_reflection_triples(q3)[0]
         for r in _admissible_sets(q3, t):
-            assert check_reflection_inequality(q3, k2, t, r).holds
+            assert check_reflection_inequality(q3, k2, t, r)["holds"]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_exhaustive_sweep_random_host(self, seed):
@@ -871,7 +871,7 @@ class TestReflectionInequality:
         for t in enumerate_reflection_triples(q3):
             for r in _admissible_sets(q3, t):
                 res = check_reflection_inequality(q3, g, t, r)
-                assert res.holds_pair and res.holds_weak, (t, r)
+                assert res["holds"], (t, r)
 
     def test_inadmissible_rejected(self):
         q3 = gen_hypercube(3)
@@ -903,13 +903,13 @@ class TestFinalInequality:
         evens = sorted(v for v in range(8) if bin(v).count("1") % 2 == 0)
         cert = certify_reflective(q3, {evens[0], evens[1]}).certificate
         res = check_final_inequality(q3, g, cert)
-        assert res.holds
+        assert res["holds"]
 
     def test_zero_start_trivial(self):
         q3 = gen_hypercube(3)
         host = make_graph(3, [(0, 1)])  # plus an isolated vertex
         cert = certify_reflective(q3, {0, 3}).certificate
-        assert check_final_inequality(q3, host, cert).holds
+        assert check_final_inequality(q3, host, cert)["holds"]
 
     def test_invalid_certificate_is_input_error(self):
         from homreflect import ReflectionCertificate

@@ -240,7 +240,7 @@ class TestAdmissibilityAndReflection:
         assert reflect_set(h, t, {0, 2}) == frozenset({0, 3})
         assert reflect_set(h, t.flipped(), {0, 2}) == frozenset({1, 2})
         res = check_reflection_inequality(h, gen_cycle_blowup(3), t, {0, 2})
-        assert res.holds
+        assert res["holds"]
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
