@@ -33,7 +33,7 @@ from .rainbow import (check_pattern_chain, check_variant_chain,
                       find_rainbow_cycle, float_total_bounds, require_walk_engine)
 from .reflectivity import (DEFAULT_BUDGET, certificate_from_json, certificate_to_json,
                            certify_pairs, certify_reflective, enumerate_reflection_triples,
-                           is_admissible, reflectivity_report, verify_certificate)
+                           is_admissible, pattern_sides, reflectivity_report, verify_certificate)
 from .reports import frac_str, parse_fraction, render_json, render_text
 
 EXIT_OK = 0
@@ -185,9 +185,7 @@ def cmd_certify(args) -> tuple[dict, int]:
     if args.r0 is None and args.cert_out:
         raise GraphError("--cert-out holds a single start's certificate; it needs --r0")
     g, _ = parse_graph_spec(args.graph)
-    parts = g.bipartition()
-    if parts is None or not g.is_connected():
-        raise GraphError("certification needs a connected bipartite graph")
+    pattern_sides(g)
     report = base_report("certify", {"graph": args.graph, "budget": args.budget})
     if args.r0 is not None:
         r0 = _parse_vertices(args.r0)
@@ -244,14 +242,12 @@ def cmd_verify_section2(args) -> tuple[dict, int]:
         raise GraphError(f"--max-sets must be 0 (all) or positive, got {args.max_sets}")
     pattern, _ = parse_graph_spec(args.pattern)
     host, _ = parse_graph_spec(args.host)
-    if pattern.bipartition() is None or not pattern.is_connected():
-        raise GraphError("the reflection suite needs a connected bipartite pattern")
+    parts = pattern_sides(pattern)
     report = base_report("verify section2", {
         "pattern": args.pattern, "host": args.host, "max_sets": args.max_sets,
     })
     checks = [{"name": "density_lower_bound", **sidorenko_check(pattern, host)}]
     triples = enumerate_reflection_triples(pattern)
-    parts = pattern.bipartition()
     candidates = [frozenset(c)
                   for part in parts
                   for size in range(1, len(part) + 1)
@@ -388,7 +384,7 @@ def cmd_homcount(args) -> tuple[dict, int]:
         "pattern": args.pattern, "host": args.host,
         "constraint": args.constraint, "injective": args.injective,
     })
-    constraint = _parse_vertices(args.constraint) if args.constraint else None
+    constraint = None if args.constraint is None else _parse_vertices(args.constraint)
     report["count"] = hom_count(pattern, host, constraint)
     if args.injective:
         report["injective_count"] = injective_hom_count(pattern, host)
@@ -560,6 +556,8 @@ def main(argv=None) -> int:
     args = build_parser(_command_named(argv)).parse_args(argv)
     started = time.monotonic()
     try:
+        if getattr(args, "budget", 1) < 1:  # certify and verify section2
+            raise GraphError(f"budget must be at least 1, got {args.budget}")
         report, code = args.func(args)
         if report is not None:
             emit(report, args.format, args.out)

@@ -146,12 +146,6 @@ class Graph:
         self._parts = parts
         return parts
 
-    def side_of(self, v: int) -> int:
-        parts = self.bipartition()
-        if parts is None:
-            raise GraphError("graph is not bipartite")
-        return 0 if v in parts[0] else 1
-
 
 def _mask(vertices) -> int:
     m = 0

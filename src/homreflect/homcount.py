@@ -586,9 +586,14 @@ def supersaturation_experiment(n: int, p, seed: int, trials: int) -> dict:
     A trial meets the threshold when its injective count is at least
     _THRESHOLD times the benchmark.  Host size is bounded by hom_count's
     work cap alone: the 3-cube's plan conditions on two vertices, so
-    n^4 <= 3*10^8, n <= 131.
+    n^4 <= 3*10^8, n <= 131.  n or trials below 1, or p outside (0, 1],
+    raises GraphError before any host is drawn: such a run has no host, or
+    no valid density, or a zero benchmark.
     """
     p = Fraction(p)
+    if n < 1 or not 0 < p <= 1 or trials < 1:
+        raise GraphError(f"supersaturation needs n >= 1, 0 < p <= 1 and trials >= 1; "
+                         f"got n={n}, p={p}, trials={trials}")
     benchmark = Fraction(n) ** 8 * p ** 12
     rows = []
     for i in range(trials):
@@ -603,8 +608,7 @@ def supersaturation_experiment(n: int, p, seed: int, trials: int) -> dict:
             "injective": inj,
             "noninjective": noninj,
             "noninjective_fraction": (float(noninj) / hom) if hom else 0.0,
-            "ratio_to_benchmark": (float(Fraction(inj) / benchmark)
-                                   if benchmark else float("inf")),
+            "ratio_to_benchmark": float(Fraction(inj) / benchmark),
             "meets_threshold": Fraction(inj) >= _THRESHOLD * benchmark,
             "degree_ratio": (g.max_degree() / mind) if mind else None,
         })
@@ -617,6 +621,6 @@ def supersaturation_experiment(n: int, p, seed: int, trials: int) -> dict:
         "threshold": _THRESHOLD,
         "trials": rows,
         "all_meet_threshold": all(r["meets_threshold"] for r in rows),
-        "min_ratio": min(ratios) if ratios else None,
-        "median_ratio": median(ratios) if ratios else None,
+        "min_ratio": min(ratios),
+        "median_ratio": median(ratios),
     }

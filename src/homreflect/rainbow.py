@@ -355,38 +355,36 @@ class CycleSearchResult:
         return self.cycle is not None
 
 
-def find_rainbow_cycle(g: Graph, colouring: EdgeColouring,
-                       max_len: int | None = None,
-                       node_budget: int = 5 * 10 ** 6) -> CycleSearchResult:
+# Path vertices one cycle search may push before it stops without an answer.
+_NODE_BUDGET = 5 * 10 ** 6
+
+
+def find_rainbow_cycle(g: Graph, colouring: EdgeColouring) -> CycleSearchResult:
     """Search for a simple cycle whose edge colours are pairwise distinct.
 
     Exhaustive (a certified "none") when the search finished inside the
     node budget; otherwise the miss only means not-found-within-budget.
     """
-    return _cycle_search(g, colouring, None, max_len, node_budget)
+    return _cycle_search(g, colouring, None)
 
 
-def find_almost_rainbow(g: Graph, colouring: EdgeColouring, eps,
-                        max_len: int | None = None,
-                        node_budget: int = 5 * 10 ** 6) -> CycleSearchResult:
+def find_almost_rainbow(g: Graph, colouring: EdgeColouring, eps) -> CycleSearchResult:
     """Search for a simple cycle of some length L with more than (1-eps)L
     distinct colours; exhaustive as for find_rainbow_cycle."""
     eps = colour_deficiency(eps)
-    return _cycle_search(g, colouring, eps, max_len, node_budget)
+    return _cycle_search(g, colouring, eps)
 
 
-def _cycle_search(g: Graph, colouring: EdgeColouring, eps, max_len: int | None,
-                  node_budget: int) -> CycleSearchResult:
-    """Depth-first search for a simple cycle of length L <= max_len with
-    r < eps L repeats, r being its edges minus its distinct colours; eps
-    None asks for a rainbow cycle, r = 0.  Each cycle is met from its
-    smallest vertex.  The repeats of a path never fall as it grows, so a
-    path with r >= eps max_len is pruned.  Each path vertex pushed is one
-    node."""
+def _cycle_search(g: Graph, colouring: EdgeColouring, eps) -> CycleSearchResult:
+    """Depth-first search for a simple cycle of length L with r < eps L
+    repeats, r being its edges minus its distinct colours; eps None asks
+    for a rainbow cycle, r = 0.  Each cycle is met from its smallest
+    vertex.  The repeats of a path never fall as it grows, so a path with
+    r >= eps n is pruned.  Each path vertex pushed is one node."""
     validate_colouring(g, colouring)
-    max_len = g.n if max_len is None else min(max_len, g.n)
-    # r < eps L is r den < num L; r < L / (max_len + 1) means r = 0 for L <= max_len
-    num, den = (1, max_len + 1) if eps is None else (eps.numerator, eps.denominator)
+    n = g.n
+    # r < eps L is r den < num L; r < L / (n + 1) means r = 0 for L <= n
+    num, den = (1, n + 1) if eps is None else (eps.numerator, eps.denominator)
     counts: dict[int, int] = {}
     nodes = 0
 
@@ -399,19 +397,19 @@ def _cycle_search(g: Graph, colouring: EdgeColouring, eps, max_len: int | None,
         used = {s}
         stack = [(iter(sorted(g.adj[s])), 0, None)]
         nodes += 1
-        while stack and nodes <= node_budget:
+        while stack and nodes <= _NODE_BUDGET:
             todo, r, _ = stack[-1]
             v = path[-1]
             for w in todo:
                 closes = w == s and len(path) >= 3
-                if not closes and (w <= s or w in used or len(path) >= max_len):
+                if not closes and (w <= s or w in used or len(path) >= n):
                     continue
                 c = colouring.of(v, w)
                 repeats = r + (c in counts)
                 if closes:
                     if repeats * den < num * len(path):
                         return tuple(path)
-                elif repeats * den < num * max_len:
+                elif repeats * den < num * n:
                     path.append(w)
                     used.add(w)
                     counts[c] = counts.get(c, 0) + 1
@@ -433,9 +431,9 @@ def _cycle_search(g: Graph, colouring: EdgeColouring, eps, max_len: int | None,
             repeats = len(hit) - distinct_colour_count(g, colouring, hit)
             assert is_simple_cycle(g, hit) and repeats * den < num * len(hit)
             return CycleSearchResult(hit, exhaustive=True)
-        if nodes > node_budget:
+        if nodes > _NODE_BUDGET:
             break
-    return CycleSearchResult(None, exhaustive=nodes <= node_budget)
+    return CycleSearchResult(None, exhaustive=nodes <= _NODE_BUDGET)
 
 
 # ---------------------------------------------------------------------------

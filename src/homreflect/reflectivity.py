@@ -52,6 +52,15 @@ class ReflectionTriple:
         return (self.swap.perm, tuple(sorted(self.side_a)))
 
 
+def pattern_sides(h: Graph) -> tuple[frozenset[int], frozenset[int]]:
+    """The two bipartition sides of H; GraphError unless H is a connected
+    bipartite pattern, which every certificate search needs."""
+    parts = h.bipartition()
+    if parts is None or not h.is_connected():
+        raise GraphError("the pattern must be a connected bipartite graph")
+    return parts
+
+
 def verify_reflection_triple(h: Graph, a, b, phi: Automorphism) -> tuple[bool, str | None]:
     """Check the four triple conditions; on failure name the first violated one."""
     why = _triple_failure(h, ReflectionTriple(frozenset(a), frozenset(b), phi))
@@ -60,8 +69,9 @@ def verify_reflection_triple(h: Graph, a, b, phi: Automorphism) -> tuple[bool, s
 
 # One swap map serves several triples, and one triple many certificate
 # steps (the mapped certificates of `certify_pairs` repeat them), so both
-# checks are memoised by content.  A command meets at most _INVOLUTION_CAP
-# swap maps, as conjugates of involutions are involutions.
+# checks are memoised by content: a triple enumerated, then met in a step,
+# is checked once.  A command meets at most _INVOLUTION_CAP swap maps, as
+# conjugates of involutions are involutions.
 @lru_cache(maxsize=_INVOLUTION_CAP)
 def _swap_fixed_set(h: Graph, perm: tuple[int, ...]) -> frozenset[int] | None:
     """The fixed set of perm when it is a non-identity involution of H, and
@@ -76,15 +86,10 @@ def _swap_fixed_set(h: Graph, perm: tuple[int, ...]) -> frozenset[int] | None:
 
 @lru_cache(maxsize=_INVOLUTION_CAP)
 def _triple_failure(h: Graph, t: ReflectionTriple) -> str | None:
+    """The first triple condition that t violates, or None."""
     fixed = _swap_fixed_set(h, t.swap.perm)
     if fixed is None:
         return "swap map is not a non-identity involution"
-    return _sides_failure(h, t, fixed)
-
-
-def _sides_failure(h: Graph, t: ReflectionTriple, fixed: frozenset[int]) -> str | None:
-    """The first condition on A and B that the triple violates, given the
-    fixed set of its swap map."""
     a, b = t.side_a, t.side_b
     if a | b | fixed != frozenset(range(h.n)) or (a & b) or (a & fixed) or (b & fixed):
         return "A, B and the fixed set do not partition the vertices"
@@ -103,8 +108,8 @@ def enumerate_reflection_triples(h: Graph) -> list[ReflectionTriple]:
     as every involution carrying a triple does: remove its fixed set, take
     connected components, and demand the involution move every component;
     each way of assigning the component pairs to the two sides yields one
-    triple.  The swap map of an involution that yields triples is checked
-    once, the sides once per triple.
+    triple.  Each triple is checked once (`_triple_failure`), and the check
+    is remembered for the certificate steps that use it.
     """
     triples: list[ReflectionTriple] = []
     for phi in _involutions(h):
@@ -124,10 +129,6 @@ def enumerate_reflection_triples(h: Graph) -> list[ReflectionTriple]:
             seen.add(img)
         if not ok or not pairs:
             continue
-        fixed = _swap_fixed_set(h, phi.perm)
-        if fixed is None:
-            raise AssertionError("enumerated triple fails validation: swap map is not a "
-                                 "non-identity involution")
         for assign in range(1 << len(pairs)):
             a: set[int] = set()
             b: set[int] = set()
@@ -139,7 +140,7 @@ def enumerate_reflection_triples(h: Graph) -> list[ReflectionTriple]:
                     a |= left
                     b |= right
             triple = ReflectionTriple(frozenset(a), frozenset(b), phi)
-            why = _sides_failure(h, triple, fixed)
+            why = _triple_failure(h, triple)
             if why is not None:
                 raise AssertionError(f"enumerated triple fails validation: {why}")
             triples.append(triple)
@@ -228,10 +229,10 @@ def verify_certificate(h: Graph, cert: ReflectionCertificate) -> tuple[bool, lis
     for j, step in enumerate(cert.steps):
         t = step.triple
         try:
-            good, why = verify_reflection_triple(h, t.side_a, t.side_b, t.swap)
+            why = _triple_failure(h, t)
         except GraphError as exc:
             raise GraphError(f"step {j}: {exc}") from None
-        if not good:
+        if why is not None:
             return False, report + [f"step {j}: malformed triple: {why}"]
         if not is_admissible(h, t, current):
             return False, report + [f"step {j}: set not admissible"]
@@ -247,6 +248,16 @@ def verify_certificate(h: Graph, cert: ReflectionCertificate) -> tuple[bool, lis
         return False, report + ["final set is not the full side"]
     report.append(f"reached full side after {cert.num_steps} steps; exponent {cert.amplification_exponent}")
     return True, report
+
+
+def _self_checked(h: Graph, cert: ReflectionCertificate, start, failure: str
+                  ) -> ReflectionCertificate:
+    """A certificate this module made, once it is verified and starts at
+    `start`; otherwise the maker has a bug, and AssertionError names it."""
+    ok, log = verify_certificate(h, cert)
+    if not ok or cert.start != frozenset(start):
+        raise AssertionError(f"{failure}: {log}")
+    return cert
 
 
 def _conjugate_triple(t: ReflectionTriple, sigma: Automorphism) -> ReflectionTriple:
@@ -388,14 +399,6 @@ class _SideMoves:
         return succ, ok
 
 
-@lru_cache(maxsize=4)
-def _side_moves(triples: tuple[ReflectionTriple, ...], side: frozenset[int], n: int) -> _SideMoves:
-    """The arrays of a triple list over one side, built once for all the
-    searches on that list (certify_pairs runs one per orbit of pairs).  The
-    key is the triples' content, so a list changed in place is rebuilt."""
-    return _SideMoves(triples, side, n)
-
-
 @dataclass
 class ReflectivitySearch:
     """Outcome of one breadth-first certificate search."""
@@ -426,9 +429,7 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
     states and, for each, over the triples, so the states visited, the
     parents and the chain are the ones such a loop finds.
     """
-    parts = h.bipartition()
-    if parts is None or not h.is_connected():
-        raise GraphError("certificate search needs a connected bipartite pattern")
+    parts = pattern_sides(h)
     r0 = frozenset(r0)
     if not r0:
         raise GraphError("starting set must not be empty")
@@ -443,15 +444,13 @@ def certify_reflective(h: Graph, r0, budget: int = DEFAULT_BUDGET,
     if triples is None:
         triples = enumerate_reflection_triples(h)
 
-    moves = _side_moves(tuple(triples), side, h.n)
+    moves = _SideMoves(triples, side, h.n)
     chain, visited = _layered_search(moves, moves.mask(r0), budget)
     if chain is None:
         return ReflectivitySearch(None, visited, visited > budget)
     steps = tuple(CertificateStep(triples[idx], moves.vertices(state)) for idx, state in chain)
-    cert = ReflectionCertificate(r0, side, steps)
-    ok, rep = verify_certificate(h, cert)
-    if not ok:
-        raise AssertionError(f"search produced an invalid certificate: {rep}")
+    cert = _self_checked(h, ReflectionCertificate(r0, side, steps), r0,
+                         "search produced an invalid certificate")
     return ReflectivitySearch(cert, visited, False)
 
 
@@ -569,10 +568,8 @@ def certify_pairs(h: Graph, sides, budget: int = DEFAULT_BUDGET,
             first, sigma = orbit[pair]
             res = searched[first]
             if res.certificate is not None and pair != first:
-                cert = conjugate_certificate(res.certificate, sigma)
-                ok, log = verify_certificate(h, cert)
-                if not ok or sorted(cert.start) != list(pair):
-                    raise AssertionError(f"mapped certificate for {pair} is invalid: {log}")
+                cert = _self_checked(h, conjugate_certificate(res.certificate, sigma), pair,
+                                     f"mapped certificate for {pair} is invalid")
                 res = ReflectivitySearch(cert, res.states_visited, False)
             results.append((pair, res))
     return results
@@ -587,9 +584,7 @@ def reflectivity_report(h: Graph, budget: int = DEFAULT_BUDGET) -> dict:
     skipped and marked as covered by symmetry.  Verdict is "yes" only if
     every pair certifies; otherwise "unknown".
     """
-    parts = h.bipartition()
-    if parts is None or not h.is_connected():
-        raise GraphError("reflectivity report needs a connected bipartite graph")
+    parts = pattern_sides(h)
     # On a connected graph an automorphism that sends one vertex of a side
     # into the other side exchanges the two sides.
     swap_sides = len(parts[0]) == len(parts[1]) and \
@@ -663,11 +658,8 @@ def _run_chain(h: Graph, r0: frozenset[int], side: frozenset[int],
         if reflected != current:
             steps.append(CertificateStep(triple, reflected))
         current = reflected
-    cert = ReflectionCertificate(r0, side, tuple(steps))
-    ok, rep = verify_certificate(h, cert)
-    if not ok:
-        raise AssertionError(f"explicit chain failed validation: {rep}")
-    return cert
+    return _self_checked(h, ReflectionCertificate(r0, side, tuple(steps)), r0,
+                         "explicit chain failed validation")
 
 
 def _coord(v: int, i: int) -> int:
@@ -755,7 +747,7 @@ def hypercube_reflection_chain(d: int, r0) -> ReflectionCertificate:
     plan = [(triple, target) for k in range(2, d)
             for triple, target in zip(hypercube_growth_step(d, k),
                                       (_even_prefix_trimmed(d, k), _even_prefix_set(d, k + 1)))]
-    side = h.bipartition()[h.side_of(u)]
+    side = next(part for part in h.bipartition() if u in part)
     return _run_chain(h, r0, side, steps, sigma, _even_prefix_set(d, 2), plan)
 
 

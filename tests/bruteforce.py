@@ -212,10 +212,9 @@ def walk_weight_by_matrix_power(g, length: int) -> Fraction:
     return Fraction(sum(power[u][u] for u in range(g.n)), scale ** length)
 
 
-def simple_cycles(g, max_len=None) -> list[tuple[int, ...]]:
+def simple_cycles(g) -> list[tuple[int, ...]]:
     """Every simple cycle once, rooted at its smallest vertex, one
     orientation (second vertex smaller than last)."""
-    max_len = g.n if max_len is None else max_len
     out = []
 
     def extend(s, path, used):
@@ -223,7 +222,7 @@ def simple_cycles(g, max_len=None) -> list[tuple[int, ...]]:
         for w in sorted(g.adj[v]):
             if w == s and len(path) >= 3 and path[1] < path[-1]:
                 out.append(tuple(path))
-            if w <= s or w in used or len(path) >= max_len:
+            if w <= s or w in used:
                 continue
             path.append(w)
             used.add(w)

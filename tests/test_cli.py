@@ -691,6 +691,34 @@ def test_readme_commands_run(tmp_path, monkeypatch):
         assert main(words[1:]) == 0, words
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_readme_json_reports_are_json(tmp_path, monkeypatch):
+    """Every README command that writes a report writes, with --format
+    json, a report that strict JSON reads."""
+    monkeypatch.chdir(tmp_path)
+    reports = 0
+    for i, words in enumerate(readme_commands()):
+        if words[1] == "gen":
+            assert main(words[1:]) == 0, words
+            continue
+        out = tmp_path / f"report{i}.json"
+        assert main(words[1:] + ["--format", "json", "--out", str(out)]) == 0, words
+        assert strict_json(out.read_text())["command"].startswith(words[1]), words
+        reports += 1
+    assert reports
+
+
+def test_strict_json_refuses_infinity():
+    with pytest.raises(ValueError, match="Infinity is not JSON"):
+        strict_json('{"min_ratio": Infinity}')
+
+
 class TestSpecTable:
     """The README names every graph constructor there is, and the spellings
     it does not name are refused."""
@@ -734,7 +762,8 @@ class TestVertexLists:
         ["certify", "--graph", "q3", "--r0", ",3"],
         ["certify", "--graph", "q3", "--r0", "3,"],
         ["homcount", "--pattern", "q3", "--host", "clique(4)", "--constraint", "0,,3"],
-    ], ids=["inner", "leading", "trailing", "constraint"])
+        ["homcount", "--pattern", "q3", "--host", "clique(4)", "--constraint", ""],
+    ], ids=["inner", "leading", "trailing", "constraint", "empty-constraint"])
     def test_empty_item_exit_one(self, tmp_path, argv):
         src = str(Path(homreflect.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-m", "homreflect.cli", *argv], cwd=tmp_path,
@@ -773,6 +802,46 @@ class TestInputsCheckedFirst:
                          "--injective", "--constraint", constraint)
         assert (code, body) == (1, b"")
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--graph", "clique(3)", "--all-pairs"],
+        ["certify", "--graph", "clique-union(2,2)", "--r0", "0,1"],
+        ["verify", "section2", "--pattern", "clique(3)", "--host", "q3"],
+    ], ids=["certify-triangle", "certify-two-edges", "section2-triangle"])
+    def test_pattern_gate_has_one_message(self, tmp_path, capsys, argv):
+        code, body = run(tmp_path, *argv)
+        assert (code, body) == (1, b"")
+        assert capsys.readouterr().err == "error: the pattern must be a connected bipartite graph\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--graph", "q3", "--all-pairs"],
+        ["certify", "--graph", "q3", "--r0", "0,3"],
+        ["verify", "section2", "--pattern", "q4", "--host", "random(12,1/2,1)"],
+    ], ids=["certify-all-pairs", "certify-r0", "section2"])
+    def test_budget_below_one_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        work = []
+        monkeypatch.setattr(cli, "parse_graph_spec", lambda spec: work.append(spec))
+        monkeypatch.setattr(homcount, "hom_count", lambda *a: work.append(a))
+        code, body = run(tmp_path, *argv, "--budget", "0")
+        assert (code, body, work) == (1, b"", [])
+        assert capsys.readouterr().err == "error: budget must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "8", "--p", "0", "--trials", "1"],
+        ["--n", "8", "--p", "3/2", "--trials", "1"],
+        ["--n", "0", "--p", "1/2", "--trials", "1"],
+        ["--n", "8", "--p", "1/2", "--trials", "0"],
+    ], ids=["p-zero", "p-over-one", "n-zero", "trials-zero"])
+    def test_supersaturation_without_hosts_or_benchmark(self, tmp_path, capsys, monkeypatch,
+                                                        argv):
+        # each used to exit 0; p = 0 and n = 0 reported an infinite ratio,
+        # which is not JSON, and trials = 0 an empty list that met the threshold
+        drawn = []
+        monkeypatch.setattr(homcount, "gen_random", lambda *a: drawn.append(a))
+        code, body = run(tmp_path, "experiment", "supersaturation", *argv, "--format", "json")
+        assert (code, body, drawn) == (1, b"", [])
+        assert capsys.readouterr().err.startswith("error: supersaturation needs n >= 1")
 
 
 class TestWorkCap:

@@ -358,9 +358,10 @@ class TestRainbowSearch:
         assert res.cycle is None
         assert res.exhaustive
 
-    def test_budget_reported_honestly(self):
+    def test_budget_reported_honestly(self, monkeypatch):
         g, col = direction_colouring(4)
-        res = find_rainbow_cycle(g, col, node_budget=5)
+        monkeypatch.setattr(rainbow, "_NODE_BUDGET", 5)
+        res = find_rainbow_cycle(g, col)
         assert res.cycle is None and not res.exhaustive
 
 
@@ -400,11 +401,11 @@ class TestAlmostRainbowSearch:
 
 class TestCycleSearchOracle:
     """Both searches against every simple cycle listed by the brute-force
-    oracle.  A cycle qualifies when its length L is at most max_len and
-    fewer than eps L of its edges repeat a colour (none for a rainbow
-    cycle).  With the default budget a search finishes and returns the
-    least qualifying cycle, written from its smallest vertex in either
-    direction: depth-first order over sorted neighbours meets it first."""
+    oracle.  A cycle qualifies when fewer than eps L of its L edges repeat
+    a colour (none for a rainbow cycle).  With the default budget a search
+    finishes and returns the least qualifying cycle, written from its
+    smallest vertex in either direction: depth-first order over sorted
+    neighbours meets it first."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_first_qualifying_cycle(self, seed):
@@ -414,19 +415,18 @@ class TestCycleSearchOracle:
         colourings = [greedy_proper_colouring(g, seed),
                       EdgeColouring({e: rng.randrange(3) for e in g.edges()})]
         for col in colourings:
-            for max_len in (None, 3, 4, 6):
-                cycles = [c for cyc in bf.simple_cycles(g, max_len)
-                          for c in (cyc, cyc[:1] + cyc[:0:-1])]
-                for eps in (None, Fraction(1, 10), Fraction(1, 4), Fraction(2, 5),
-                            Fraction(49, 100)):
-                    def qualifies(cyc):
-                        repeats = len(cyc) - distinct_colour_count(g, col, cyc)
-                        return repeats == 0 if eps is None else repeats < eps * len(cyc)
+            cycles = [c for cyc in bf.simple_cycles(g)
+                      for c in (cyc, cyc[:1] + cyc[:0:-1])]
+            for eps in (None, Fraction(1, 10), Fraction(1, 4), Fraction(2, 5),
+                        Fraction(49, 100)):
+                def qualifies(cyc):
+                    repeats = len(cyc) - distinct_colour_count(g, col, cyc)
+                    return repeats == 0 if eps is None else repeats < eps * len(cyc)
 
-                    res = (find_rainbow_cycle(g, col, max_len) if eps is None
-                           else find_almost_rainbow(g, col, eps, max_len))
-                    want = min(filter(qualifies, cycles), default=None)
-                    assert (res.cycle, res.exhaustive) == (want, True), (max_len, eps)
+                res = (find_rainbow_cycle(g, col) if eps is None
+                       else find_almost_rainbow(g, col, eps))
+                want = min(filter(qualifies, cycles), default=None)
+                assert (res.cycle, res.exhaustive) == (want, True), eps
 
 
 class TestCycleSearchDepth:

@@ -118,6 +118,24 @@ class TestTripleEnumeration:
                 assert ok
 
 
+class TestSelfCheck:
+    """Each certificate the module makes is verified before it is returned;
+    one that fails is a bug of its maker and raises AssertionError."""
+
+    def test_search_and_chain(self, monkeypatch):
+        monkeypatch.setattr(reflectivity, "verify_certificate", lambda h, cert: (False, ["x"]))
+        with pytest.raises(AssertionError,
+                           match=r"^search produced an invalid certificate: \['x'\]$"):
+            certify_reflective(gen_hypercube(3), (0, 3))
+        with pytest.raises(AssertionError, match=r"^explicit chain failed validation: \['x'\]$"):
+            hypercube_reflection_chain(3, (0, 3))
+
+    def test_mapped_certificate_from_the_wrong_start(self, monkeypatch):
+        monkeypatch.setattr(reflectivity, "conjugate_certificate", lambda cert, sigma: cert)
+        with pytest.raises(AssertionError, match=r"^mapped certificate for \(0, 5\) is invalid"):
+            certify_pairs(gen_hypercube(3), [frozenset({0, 3, 5, 6})])
+
+
 class TestChecksOnce:
     """The automorphism, involution and fixed-set checks run once per swap
     map, the side checks once per triple."""
@@ -130,16 +148,18 @@ class TestChecksOnce:
         assert sorted(checked) == [a.perm for a in bf.involutions_unanchored(g)]
 
     def test_certify_pairs_checks_each_distinct_triple_once(self, monkeypatch):
+        # the enumeration checks each triple; verifying the certificates'
+        # steps, which repeat those triples, adds no check
         g = gen_cycle(24)
-        triples = enumerate_reflection_triples(g)
         swaps = record_calls(monkeypatch, "is_automorphism", lambda h, perm: perm)
-        sides = record_calls(monkeypatch, "_sides_failure",
-                             lambda h, t, fixed: (t.side_a, t.side_b, t.swap.perm))
+        triples = enumerate_reflection_triples(g)
+        assert reflectivity._triple_failure.cache_info().misses == len(triples) == 24
         results = certify_pairs(g, g.bipartition(), triples=triples)
         assert all(res.known_reflective for _, res in results)
         steps = [st.triple for _, res in results for st in res.certificate.steps]
-        assert len(set(sides)) == len(sides) == len(set(steps)) < len(steps)
-        assert len(set(swaps)) == len(swaps) == len({t.swap for t in steps})
+        assert set(steps) <= set(triples) and len(set(steps)) < len(steps)
+        assert reflectivity._triple_failure.cache_info().misses == len(triples)
+        assert len(set(swaps)) == len(swaps) == len({t.swap for t in triples})
 
 
     def test_flipped_triple_built_once(self, monkeypatch):
@@ -359,6 +379,16 @@ class TestCertificateSearch:
         triples = enumerate_reflection_triples(q5)
         for pair, steps in [((8, 25), 6), ((16, 31), 7)]:
             assert certify_reflective(q5, pair, triples=triples).certificate.num_steps == steps
+
+    @pytest.mark.parametrize("h", [make_graph(3, [(0, 1), (1, 2), (0, 2)]),
+                                   make_graph(4, [(0, 1), (2, 3)])],
+                             ids=["triangle", "two-edges"])
+    def test_one_gate_for_the_pattern(self, h):
+        gate = "^the pattern must be a connected bipartite graph$"
+        with pytest.raises(GraphError, match=gate):
+            certify_reflective(h, {0})
+        with pytest.raises(GraphError, match=gate):
+            reflectivity_report(h)
 
     def test_empty_start_and_budget_below_one_are_input_errors(self):
         q3 = gen_hypercube(3)
@@ -924,17 +954,13 @@ def cycle_reflection_triples(n):
 
 def assert_cap_changes_nothing(monkeypatch, cells, cases):
     """Outcomes under the cap `cells(number of triples)` equal those under
-    the default cap; the cached arrays are rebuilt, so that their digit
-    tables follow the cap too."""
+    the default cap; each search builds its arrays, so their digit tables
+    follow the cap too."""
     triples = {g.n: enumerate_reflection_triples(g) for g, _ in cases}
     expected = [search_outcome(certify_reflective(g, pair, triples=triples[g.n]))
                 for g, pair in cases]
     got = []
-    try:
-        for g, pair in cases:
-            monkeypatch.setattr(reflectivity, "_CELL_CAP", cells(len(triples[g.n])))
-            reflectivity._side_moves.cache_clear()
-            got.append(search_outcome(certify_reflective(g, pair, triples=triples[g.n])))
-    finally:
-        reflectivity._side_moves.cache_clear()
+    for g, pair in cases:
+        monkeypatch.setattr(reflectivity, "_CELL_CAP", cells(len(triples[g.n])))
+        got.append(search_outcome(certify_reflective(g, pair, triples=triples[g.n])))
     assert got == expected
