@@ -30,7 +30,7 @@ from .homcount import (check_final_inequality, check_reflection_inequality,
 from .rainbow import (check_pattern_chain, check_variant_chain,
                       coincidence_table, colour_deficiency, cycle_weight_sum,
                       cycle_weight_sum_spectral, find_almost_rainbow,
-                      find_rainbow_cycle, float_total_bounds, require_walk_engine)
+                      find_rainbow_cycle, float_total_bounds)
 from .reflectivity import (DEFAULT_BUDGET, certificate_from_json, certificate_to_json,
                            certify_pairs, certify_reflective, enumerate_reflection_triples,
                            is_admissible, pattern_sides, reflectivity_report, verify_certificate)
@@ -292,8 +292,8 @@ def cmd_verify_section3(args) -> tuple[dict, int]:
         "k": args.k, "epsilon": args.epsilon,
     })
     chain = check_pattern_chain(host, colouring, args.k)
-    report["weights"] = {str(j): v for j, v in chain["weights"].items()}
-    report["checks"] = [dict(c) for c in chain["checks"]]
+    report["weights"] = chain["weights"]
+    report["checks"] = chain["checks"]
     report["unconditional_ok"] = chain["unconditional_ok"]
     report["conditional_ok"] = chain["conditional_ok"]
     cycles = []
@@ -301,7 +301,7 @@ def cmd_verify_section3(args) -> tuple[dict, int]:
         cycles.append({"kind": "rainbow", **_witness(host, colouring, None)})
     if eps is not None:
         variant = check_variant_chain(host, colouring, args.k, eps)
-        report["variant_checks"] = [dict(c) for c in variant["checks"]]
+        report["variant_checks"] = variant["checks"]
         report["variant_conditional_ok"] = variant["conditional_ok"]
         if not variant["conditional_ok"]:
             cycles.append({"kind": "almost-rainbow", **_witness(host, colouring, eps)})
@@ -330,7 +330,8 @@ def cmd_supersaturation(args) -> tuple[dict, int]:
 
 def cmd_rainbow_bounds(args) -> tuple[dict, int]:
     """experiment rainbow-bounds, or almost-rainbow-bounds at deficiency
-    --epsilon (1/4 by default): one round of the chain per k = 2 .. k-max."""
+    --epsilon (1/4 by default): one round of the chain per k = k-max .. 2,
+    the largest walk engine first, reported from k = 2 up."""
     if args.k_max < 2:
         raise GraphError(f"--k-max must be at least 2, the first round's k; got {args.k_max}")
     if args.spectral and args.colouring:
@@ -342,7 +343,6 @@ def cmd_rainbow_bounds(args) -> tuple[dict, int]:
     if args.spectral:
         colouring, bounds = None, float_total_bounds(host, args.k_max, eps)
     else:
-        require_walk_engine(host, args.k_max, coloured=True)  # the last round's, the largest
         colouring, bounds = resolve_colouring(host, args.colouring, builtin, 0), None
     report = base_report(f"experiment {args.name}", {
         "host": args.host, "colouring": args.colouring or "auto",
@@ -352,7 +352,7 @@ def cmd_rainbow_bounds(args) -> tuple[dict, int]:
     ok_unconditional = True
     cycles = []
     witness = None  # the search does not depend on k: run once, at the first failing round
-    for k in range(2, args.k_max + 1):
+    for k in range(args.k_max, 1, -1):
         if args.spectral:
             sp = cycle_weight_sum_spectral(host, k)
             bound = bounds[k - 2]
@@ -366,18 +366,21 @@ def cmd_rainbow_bounds(args) -> tuple[dict, int]:
             chain = check_variant_chain(host, colouring, k, eps)
         rows.append({"k": k,
                      "weight": chain["weights"][2 * k],
-                     "checks": [dict(c) for c in chain["checks"]],
+                     "checks": chain["checks"],
                      "conditional_ok": chain["conditional_ok"]})
         if not chain["conditional_ok"]:
             witness = witness or _witness(host, colouring, eps)
             cycles.append({"k": k, **witness})
-    report["rounds"] = rows
-    report["cycles_found"] = cycles
+    report["rounds"] = rows[::-1]
+    report["cycles_found"] = cycles[::-1]
     report["unconditional_ok"] = ok_unconditional
     return report, EXIT_OK if ok_unconditional else EXIT_VIOLATION
 
 
 def cmd_homcount(args) -> tuple[dict, int]:
+    if args.constraint is not None and args.injective:
+        raise GraphError("--constraint sends its vertices to one image, which no injective "
+                         "map does; drop --constraint or --injective")
     pattern, _ = parse_graph_spec(args.pattern)
     host, _ = parse_graph_spec(args.host)
     report = base_report("homcount", {

@@ -107,14 +107,22 @@ def admits(bound: int, n: int, matrices: int) -> bool:
             and count <= _WINDOW_PRIMES)
 
 
-def require_admitted(bound: int, n: int, matrices: int) -> None:
-    """The CapabilityError of Exact(bound, n, matrices) past the cell cap,
-    raised without building it."""
-    if not admits(bound, n, matrices):
-        count = max(_layers(bound), 1)
-        raise CapabilityError(
-            f"exact products would hold {count * matrices * n * n} float64 cells "
-            f"({count} residue layers), over the cap of {_CELL_CAP}")
+def require_bits_admitted(bits: int, n: int, matrices: int) -> None:
+    """The CapabilityError of Exact(bound, n, matrices) for any bound of at
+    least 2^bits, raised without forming one: when `matrices` matrices pass
+    the cell cap on one layer, or when such a bound needs more residue
+    layers than the window has primes.  From bits = 53 on, it is past 2^53
+    and has more than `bits` bits, so it needs ceil((bits + 1) / 21) layers
+    or more.  The message says "at least"."""
+    layers = -(-(bits + 1) // 21) if bits >= 53 else 0
+    if matrices * n * n > _CELL_CAP or layers > _WINDOW_PRIMES:
+        raise _over_cap(max(layers, 1), n, matrices, "at least ")
+
+
+def _over_cap(layers: int, n: int, matrices: int, qualifier: str) -> CapabilityError:
+    return CapabilityError(
+        f"exact products would hold {qualifier}{layers * matrices * n * n} float64 cells "
+        f"({qualifier}{layers} residue layers), over the cap of {_CELL_CAP}")
 
 
 class Exact:
@@ -129,7 +137,8 @@ class Exact:
     """
 
     def __init__(self, bound: int, n: int, matrices: int):
-        require_admitted(bound, n, matrices)
+        if not admits(bound, n, matrices):
+            raise _over_cap(max(_layers(bound), 1), n, matrices, "")
         self.primes = tuple(_primes(_layers(bound)))
         if not self.primes:
             self.mul, self.matmul = np.multiply, np.matmul

@@ -311,11 +311,17 @@ def edge_density(g: Graph) -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class EdgeColouring:
-    """Colour ids per unordered edge (u, v), u < v.  Like a Graph it is not
-    changed after construction.  Two colourings are equal only when they
-    are the same object, which is how kept walk sums are matched."""
+    """Colour ids per unordered edge (u, v), u < v, of one graph: built only
+    when the colours sit on exactly the graph's edges.  Like a Graph it is
+    not changed after construction.  Two colourings are equal only when
+    they are the same object, which is how kept walk sums are matched."""
 
+    graph: Graph
     colours: dict
+
+    def __post_init__(self):
+        if self.colours.keys() != set(self.graph.edges()):
+            raise GraphError("colouring does not cover exactly the edge set")
 
     def of(self, u: int, v: int) -> int:
         return self.colours[(u, v) if u < v else (v, u)]
@@ -327,27 +333,12 @@ class EdgeColouring:
         ends = [(x, c) for (u, v), c in self.colours.items() for x in (u, v)]
         return len(set(ends)) == len(ends)
 
-    def covers(self, g: Graph) -> bool:
-        """Whether the colours are on exactly the edges of g.  A yes is
-        kept for the last host object asked (neither a graph nor a
-        colouring changes after construction), so asking again about it is
-        free; a no is worked out on every call."""
-        if self.__dict__.get("_covered") is not g:
-            if not _covers(g, self.colours):
-                return False
-            self.__dict__["_covered"] = g
-        return True
-
-
-def _covers(g: Graph, colours: dict) -> bool:
-    return colours.keys() == set(g.edges())
-
 
 def validate_colouring(g: Graph, colouring: EdgeColouring) -> None:
-    """Every edge of g coloured exactly once, checked in full once per
-    host object (EdgeColouring.covers).  Whether the colouring is proper
-    is its own `proper`, asked only where a proper one is needed."""
-    if not colouring.covers(g):
+    """Every edge of g coloured exactly once: the colouring was made for g,
+    or for a graph with the same edges.  Whether the colouring is proper is
+    its own `proper`, asked only where a proper one is needed."""
+    if colouring.graph is not g and colouring.graph.edges() != g.edges():
         raise GraphError("colouring does not cover exactly the edge set")
 
 
@@ -356,8 +347,7 @@ def greedy_proper_colouring(g: Graph, seed: int) -> EdgeColouring:
     colouring depends only on the graph and the seed.
 
     Uses at most 2*maxdeg - 1 colours.  Each edge takes a colour free at
-    both ends, so the result is proper and covers every edge by
-    construction; callers validate colourings where they use them.
+    both ends, so the result is proper.
     """
     edges = list(g.edges())
     random.Random(seed).shuffle(edges)
@@ -369,13 +359,13 @@ def greedy_proper_colouring(g: Graph, seed: int) -> EdgeColouring:
         colours[(u, v)] = free.bit_length() - 1
         taken_at[u] |= free
         taken_at[v] |= free
-    return EdgeColouring(colours)
+    return EdgeColouring(g, colours)
 
 
 def rainbow_colouring(g: Graph) -> EdgeColouring:
     """Every edge its own colour (proper by construction)."""
     colours = {e: i for i, e in enumerate(g.edges())}
-    return EdgeColouring(colours)
+    return EdgeColouring(g, colours)
 
 
 def direction_colouring(d: int) -> tuple[Graph, EdgeColouring]:
@@ -385,7 +375,7 @@ def direction_colouring(d: int) -> tuple[Graph, EdgeColouring]:
     colours = {}
     for u, v in g.edges():
         colours[(u, v)] = (u ^ v).bit_length() - 1
-    return g, EdgeColouring(colours)
+    return g, EdgeColouring(g, colours)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +436,7 @@ def read_colouring(g: Graph, path) -> EdgeColouring:
             if key in colours:
                 raise GraphError(f"{path}: edge {key} coloured twice")
             colours[key] = c
-    colouring = EdgeColouring(colours)
-    if not colouring.covers(g):
-        raise GraphError(f"{path}: colouring does not cover exactly the edge set")
-    return colouring
+    try:
+        return EdgeColouring(g, colours)
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None

@@ -25,29 +25,13 @@ from math import lcm
 
 import numpy as np
 
-from .exact import Exact, adjacency, require_admitted
+from .exact import Exact, adjacency, require_bits_admitted
 from .graphs import EdgeColouring, Graph, GraphError, validate_colouring
 
 
 def _require_positive_degrees(g: Graph) -> None:
     if g.n == 0 or g.min_degree() == 0:
         raise GraphError("walk weights need every vertex to have positive degree")
-
-
-def _engine_size(g: Graph, k: int, coloured: bool) -> tuple[int, int, int]:
-    """The scale L, the top power T and the bound of _WalkEngine(g, k, coloured)."""
-    _require_positive_degrees(g)
-    degs = g.degrees()
-    scale = lcm(*degs)
-    return scale, max(k, 2 * k - 2) if coloured else k, g.n * scale ** (2 * k) // min(degs)
-
-
-def require_walk_engine(g: Graph, k: int, coloured: bool) -> None:
-    """The CapabilityError of _WalkEngine(g, k, coloured) past the cell cap,
-    raised without building it.  The bound and the matrix count grow with
-    k, so an engine that fits admits every smaller k."""
-    _, top, bound = _engine_size(g, k, coloured)
-    require_admitted(bound, g.n, top + 3)
 
 
 class _WalkEngine:
@@ -76,14 +60,24 @@ class _WalkEngine:
     w = L/deg (each at most an entry of B^(a+b+1)) and, per colour, their
     weighted total; the totals of all colours add up to at most
     tr(B^(a+b+2)) = tr(B^2k).
+
+    The bound is formed only after its size is checked from k and L alone,
+    so that a huge k is refused at once.  A degree is at most n - 1, so
+    delta < n and n L^2k / delta >= L^2k, and L >= 2^(b - 1) for b the bit
+    length of L: the bound is at least 2^(2k(b - 1)), the lower bound that
+    require_bits_admitted reads.
     """
 
     def __init__(self, g: Graph, k: int, coloured: bool = False):
+        _require_positive_degrees(g)
         self.g = g
-        self.scale, top, bound = _engine_size(g, k, coloured)
-        self.exact = Exact(bound, g.n, top + 3)
+        degrees = g.degrees()
+        self.scale = lcm(*degrees)
+        top = max(k, 2 * k - 2) if coloured else k
+        require_bits_admitted(2 * k * (self.scale.bit_length() - 1), g.n, top + 3)
+        self.exact = Exact(g.n * self.scale ** (2 * k) // min(degrees), g.n, top + 3)
         # B[u][v] = weights[u] on the edges uv
-        self.weights = self.exact.from_ints([self.scale // d for d in g.degrees()])
+        self.weights = self.exact.from_ints([self.scale // d for d in degrees])
         self.powers = [None, self.exact.mul(adjacency(g), self.weights[..., :, None])]
         for _ in range(top - 1):
             self.powers.append(self.exact.matmul(self.powers[-1], self.powers[1]))
@@ -264,7 +258,7 @@ def check_pattern_chain(g: Graph, colouring: EdgeColouring, k: int) -> dict:
         _add_check(checks, "shorten_step", top, h[two_k - 2] / delta, conditional=False)
     for j in range(2, k + 1):
         _add_check(checks, f"no_rainbow_step_k{j}", h[2 * j],
-                   Fraction(2 * j * j, delta) * h[2 * j - 2], conditional=True)
+                   _ratio(delta, j) * h[2 * j - 2], conditional=True)
     if k >= 2:
         _add_check(checks, "no_rainbow_total", h[two_k], total_bound(g.n, delta, k),
                    conditional=True)
@@ -280,12 +274,18 @@ def check_pattern_chain(g: Graph, colouring: EdgeColouring, k: int) -> dict:
     }
 
 
+def _ratio(delta: int, j: int, eps=None) -> Fraction:
+    """The chains' bound on h_2j / h_2j-2 at minimum degree delta: 2j^2/delta,
+    that of no_rainbow_step_k{j}, or at colour deficiency eps j/(eps delta),
+    that of variant_step_k{j}."""
+    return Fraction(2 * j * j, delta) if eps is None else Fraction(j) / (eps * delta)
+
+
 def total_bound(n: int, delta: int, k: int, eps=None) -> Fraction:
     """The chains' bound on h_2k for a host of n vertices and minimum degree
-    delta: (2k^2/delta)^k n, that of no_rainbow_total, or at colour
-    deficiency eps (k/(eps delta))^k n, that of variant_total."""
-    ratio = Fraction(2 * k * k, delta) if eps is None else Fraction(k) / (eps * delta)
-    return ratio ** k * n
+    delta, (_ratio)^k n: that of no_rainbow_total, or at colour deficiency
+    eps that of variant_total."""
+    return _ratio(delta, k, eps) ** k * n
 
 
 def float_total_bounds(g: Graph, k_max: int, eps=None) -> list[float]:
@@ -323,7 +323,7 @@ def check_variant_chain(g: Graph, colouring: EdgeColouring, k: int, eps) -> dict
     checks = []
     for j in range(2, k + 1):
         _add_check(checks, f"variant_step_k{j}", h[2 * j],
-                   Fraction(j) / (eps * delta) * h[2 * j - 2], conditional=True)
+                   _ratio(delta, j, eps) * h[2 * j - 2], conditional=True)
     if k >= 2:
         _add_check(checks, "variant_total", h[2 * k], total_bound(g.n, delta, k, eps),
                    conditional=True)
@@ -458,7 +458,4 @@ def is_simple_cycle(g: Graph, seq) -> bool:
 
 def is_rainbow_cycle(g: Graph, colouring: EdgeColouring, seq) -> bool:
     seq = tuple(seq)
-    if not is_simple_cycle(g, seq):
-        return False
-    cols = cycle_step_colours(g, colouring, seq)
-    return len(set(cols)) == len(cols)
+    return is_simple_cycle(g, seq) and distinct_colour_count(g, colouring, seq) == len(seq)

@@ -28,16 +28,16 @@ def proper_checks(monkeypatch):
 
 @pytest.fixture
 def coverage_checks(monkeypatch):
-    """Every full check that a colouring covers a graph's edge set, as the
-    graph's vertex count, in order."""
-    from homreflect import graphs
+    """Every check that a colouring covers its graph's edge set, made when
+    the colouring is built, as the graph's vertex count, in order."""
+    from homreflect.graphs import EdgeColouring
 
-    work = graphs._covers
+    work = EdgeColouring.__post_init__
     checked = []
 
-    def counted(g, colours):
-        checked.append(g.n)
-        return work(g, colours)
+    def counted(colouring):
+        checked.append(colouring.graph.n)
+        return work(colouring)
 
-    monkeypatch.setattr(graphs, "_covers", counted)
+    monkeypatch.setattr(EdgeColouring, "__post_init__", counted)
     return checked

@@ -596,14 +596,21 @@ class TestCountsAndWeights:
         assert code == 0
         assert json.loads(body)["count"] == 2652
 
-    def test_homcount_constraint_and_injective(self, tmp_path):
+    def test_homcount_constraint_and_injective(self, tmp_path, capsys, monkeypatch):
+        """The injective count has no constraint to take: no injective map
+        sends two vertices to one image.  The pair exits 1 before any graph
+        is built or counted."""
+        def never(spec):
+            raise AssertionError("a graph was built before the options were checked")
+
+        monkeypatch.setattr(cli, "parse_graph_spec", never)
         code, body = run(tmp_path, "homcount", "--pattern", "q3", "--host",
-                         "clique(4)", "--constraint", "0,3", "--injective",
+                         "clique(10)", "--constraint", "0,3", "--injective",
                          "--format", "json", out_name="hc.json")
-        assert code == 0
-        data = json.loads(body)
-        assert data["injective_count"] == 0  # 8 vertices cannot embed in K4
-        assert data["count"] > 0
+        assert (code, body) == (1, b"")
+        assert capsys.readouterr().err == (
+            "error: --constraint sends its vertices to one image, which no injective map "
+            "does; drop --constraint or --injective\n")
 
     def test_h2k_report(self, tmp_path):
         code, body = run(tmp_path, "h2k", "--host", "hypercube(4)", "--k", "3",
@@ -779,8 +786,7 @@ class TestInputsCheckedFirst:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "section2", "--host", "random(6,1/2,1)", "--max-sets", "-1"],
-        ["homcount", "--pattern", "q3", "--host", "random(8,1/2,1)", "--injective",
-         "--constraint", "0,x"],
+        ["homcount", "--pattern", "q3", "--host", "random(8,1/2,1)", "--constraint", "0,x"],
     ], ids=["negative-max-sets", "unreadable-constraint"])
     def test_exit_one_without_traceback(self, tmp_path, argv):
         src = str(Path(homreflect.__file__).resolve().parents[1])
@@ -882,7 +888,8 @@ class TestOneWalkEngine:
     @pytest.mark.parametrize("argv, lengths", [
         (["h2k", "--host", "direction-cube(4)", "--k", "2", "--patterns"], [2]),
         (["verify", "section3", "--host", "clique(6)", "--k", "2", "--epsilon", "2/5"], [2]),
-        (["experiment", "rainbow-bounds", "--host", "direction-cube(4)", "--k-max", "3"], [2, 3]),
+        # the rounds run from k-max down
+        (["experiment", "rainbow-bounds", "--host", "direction-cube(4)", "--k-max", "3"], [3, 2]),
     ], ids=["h2k-patterns", "section3-epsilon", "rainbow-bounds"])
     def test_engines_built(self, tmp_path, monkeypatch, argv, lengths):
         built, alive = [], []
@@ -901,6 +908,18 @@ class TestOneWalkEngine:
         assert built == [(t, 0) for t in lengths]
         assert all(ref() is None for ref in alive)
 
+    @pytest.mark.parametrize("argv, failing", [
+        (("rainbow-bounds", "--host", "clique(66)"), [2, 3, 4]),
+        (("almost-rainbow-bounds", "--host", "clique(30)", "--epsilon", "2/5"), [2, 3, 4]),
+        (("rainbow-bounds", "--host", "hypercube(5)", "--spectral"), []),
+    ], ids=["rainbow-bounds", "almost-rainbow-bounds", "spectral"])
+    def test_rounds_reported_ascending(self, tmp_path, argv, failing):
+        """The rounds run from k-max down; the report lists them, and the
+        cycles found, from k = 2 up."""
+        code, report, _ = run_json(tmp_path, "experiment", *argv, "--k-max", "4")
+        assert code == 0
+        assert [row["k"] for row in report["rounds"]] == [2, 3, 4]
+        assert [cycle["k"] for cycle in report["cycles_found"]] == failing
 
     def test_spectral_rounds_decompose_once(self, tmp_path, monkeypatch):
         calls = []
@@ -924,7 +943,7 @@ class TestCellCap:
     any matrix is allocated."""
 
     def test_refused_exit_one_before_allocation(self, tmp_path, capsys):
-        # cycle(1024), k = 30: 4 residue layers x 61 matrices x 1024^2 cells
+        # cycle(1024), k = 30: 4 residue layers x 33 matrices x 1024^2 cells
         tracemalloc.start()
         try:
             code, body = run(tmp_path, "h2k", "--host", "cycle(1024)", "--k", "30")
@@ -935,11 +954,36 @@ class TestCellCap:
         assert "over the cap" in capsys.readouterr().err
         assert peak < 1024 * 1024 * 8  # less than one 1024 x 1024 float64 matrix
 
+    @pytest.mark.parametrize("host, k", [("q3", 10 ** 7), ("q3", 10 ** 9),
+                                         ("clique(4)", 4194300)])
+    def test_huge_half_length_refused_before_the_bound_is_formed(self, tmp_path, capsys,
+                                                                  host, k):
+        """The engine's bound n L^2k / delta is at least 2^(2k(b - 1)), b the
+        bit length of L, and that alone refuses these: on q3 (L = 3) it needs
+        more residue layers than the prime window holds, and on clique(4)
+        as well, though its k + 3 matrices of 4^2 cells are just within the
+        cap.  Forming 3^(2k) would take seconds at k = 10^7 (4 MB) and
+        never end at 10^9."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, body = run(tmp_path, "h2k", "--host", host, "--k", str(k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert (code, body) == (1, b"")
+        err = capsys.readouterr().err
+        assert err.startswith("error: exact products would hold at least ")
+        assert "residue layers), over the cap" in err
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("name", ["rainbow-bounds", "almost-rainbow-bounds"])
     def test_k_max_past_the_cap_refused_before_any_round(self, tmp_path, capsys, monkeypatch,
                                                          name):
-        """The last round's coloured engine is the largest, so checking it
-        refuses the run at once.  On clique(300), k = 22 is the first
+        """The rounds run from k-max down, and the last round's coloured
+        engine is the largest, so building it first refuses the run at once,
+        before anything is allocated.  On clique(300), k = 22 is the first
         half-length past the cap: 18 residue layers x 45 matrices x 300^2."""
         built = []
         engine = rainbow._WalkEngine
@@ -953,7 +997,7 @@ class TestCellCap:
         start = time.perf_counter()
         code, body = run(tmp_path, "experiment", name, "--host", "clique(300)", "--k-max", "22")
         assert time.perf_counter() - start < 1
-        assert (code, body, built) == (1, b"", [])
+        assert (code, body, built) == (1, b"", [22])
         assert capsys.readouterr().err.startswith(
             "error: exact products would hold 72900000 float64 cells (18 residue layers), "
             "over the cap")

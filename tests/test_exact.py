@@ -171,6 +171,20 @@ class TestCellCap:
         with pytest.raises(CapabilityError, match="3 residue layers"):
             Exact(2 ** 53, 1024, 22)
 
+    @pytest.mark.parametrize("n, matrices", [(1, 1), (1024, 64), (1024, 65)])
+    def test_refusal_from_bits_only_where_exact_refuses(self, n, matrices):
+        """require_bits_admitted refuses only what Exact refuses for every
+        bound of at least 2^bits; at the window's end, 2^bits itself."""
+        most = exact._WINDOW_PRIMES
+        for bits in (0, 52, 53, 54, 21 * most - 1, 21 * most):
+            try:
+                exact.require_bits_admitted(bits, n, matrices)
+            except CapabilityError as refused:
+                assert "at least" in str(refused)
+                assert not exact.admits(1 << bits, n, matrices), bits
+            else:
+                assert matrices * n * n <= exact._CELL_CAP and bits < 21 * most
+
     @staticmethod
     def _declared_and_peak(monkeypatch, module, run):
         """The cells a kernel declares to Exact, and the peak bytes it
@@ -225,7 +239,7 @@ class TestCellCap:
         # one colour class of K40 has 1560 oriented edges, more than the
         # 40 rows of the matrices the engine declares
         g = gen_complete(40)
-        col = EdgeColouring({e: 0 for e in g.edges()})
+        col = EdgeColouring(g, {e: 0 for e in g.edges()})
 
         def run():
             rainbow._last_sums.clear()

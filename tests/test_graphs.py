@@ -22,6 +22,7 @@ from homreflect import (
     gen_set_graph,
     greedy_proper_colouring,
     make_graph,
+    rainbow_colouring,
     read_colouring,
     read_edge_list,
     validate_colouring,
@@ -281,9 +282,9 @@ class TestColourings:
         assert greedy_proper_colouring(g, seed).colours == bf.greedy_colouring_by_sets(g, seed)
 
     def test_validated_once_per_graph_object(self, proper_checks):
-        """Coverage is checked against each graph object it is asked of;
-        whether the colouring is proper is worked out once per colouring
-        object."""
+        """A colouring passes for the graph it was made for and for any
+        graph with the same edges; whether it is proper is worked out once
+        per colouring object."""
         g = gen_complete(5)
         col = greedy_proper_colouring(g, 1)
         validate_colouring(g, col)
@@ -296,40 +297,53 @@ class TestColourings:
         with pytest.raises(GraphError, match="cover exactly"):
             validate_colouring(make_graph(5, g.edges()[1:]), col)
         # a colouring with the same colours is another object
-        assert EdgeColouring(dict(col.colours)).proper
+        assert EdgeColouring(g, dict(col.colours)).proper
         assert proper_checks == [10, 10]
 
     def test_coverage_checked_in_full_once_per_host_object(self, coverage_checks, tmp_path):
-        """A repeat check against the host object last passed is free; a
-        colouring that misses an edge is refused, in full, on every call."""
+        """Each colouring checks that it covers its graph when it is built,
+        once; no use of it checks again, whatever graph it is used with."""
         g = gen_complete(6)
         col = greedy_proper_colouring(g, 1)
-        for _ in range(3):
-            validate_colouring(g, col)
         assert coverage_checks == [6]
         twin = make_graph(6, g.edges())
-        validate_colouring(twin, col)
-        validate_colouring(twin, col)
-        assert coverage_checks == [6, 6]
         short = make_graph(6, g.edges()[1:])
-        for _ in range(2):
+        for _ in range(3):
+            validate_colouring(g, col)
+            validate_colouring(twin, col)
             with pytest.raises(GraphError, match="cover exactly"):
                 validate_colouring(short, col)
-        assert coverage_checks == [6, 6, 6, 6]
-        # the host last passed is still remembered
-        validate_colouring(twin, col)
-        assert coverage_checks == [6, 6, 6, 6]
-        missing = EdgeColouring({e: 0 for e in g.edges()[1:]})
-        for _ in range(2):
-            with pytest.raises(GraphError, match="cover exactly"):
-                validate_colouring(g, missing)
-        assert coverage_checks == [6] * 6
-        # a colouring read from a file is checked as it is read, once
+        assert col.proper
+        assert coverage_checks == [6]
+        # each maker checks the colouring it makes, once
         path = tmp_path / "k6.colours"
         write_colouring(g, col, path)
         read = read_colouring(g, path)
-        validate_colouring(g, read)
-        assert coverage_checks == [6] * 7
+        rainbow = rainbow_colouring(g)
+        cube, direction = direction_colouring(3)
+        assert coverage_checks == [6, 6, 6, 8]
+        for h, made in ((g, read), (g, rainbow), (cube, direction)):
+            validate_colouring(h, made)
+        assert coverage_checks == [6, 6, 6, 8]
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_cover_refused_when_built(self, tmp_path, change):
+        """A colouring that misses an edge of its graph, or colours a pair
+        that is no edge, is refused when it is built; read from a file, the
+        refusal names the file."""
+        g = gen_cycle(5)
+        colours = {e: i % 2 for i, e in enumerate(g.edges())}
+        if change == "missing":
+            del colours[(0, 1)]
+        else:
+            colours[(0, 2)] = 2
+        with pytest.raises(GraphError, match="^colouring does not cover exactly the edge set$"):
+            EdgeColouring(g, colours)
+        path = tmp_path / "c.colours"
+        path.write_text("".join(f"{u} {v} {c}\n" for (u, v), c in colours.items()))
+        with pytest.raises(GraphError) as refused:
+            read_colouring(g, path)
+        assert str(refused.value) == f"{path}: colouring does not cover exactly the edge set"
 
     @pytest.mark.parametrize("seed", range(20))
     def test_proper_matches_adjacent_edge_oracle(self, seed):
@@ -340,11 +354,11 @@ class TestColourings:
         g = gen_random(4 + seed % 7, Fraction(rng.randrange(1, 5), 5), seed)
         greedy = greedy_proper_colouring(g, seed)
         colourings = [greedy,
-                      EdgeColouring({e: rng.randrange(2 + seed % 5) for e in g.edges()})]
+                      EdgeColouring(g, {e: rng.randrange(2 + seed % 5) for e in g.edges()})]
         meeting = [(e, f) for e in g.edges() for f in g.edges() if e != f and set(e) & set(f)]
         if meeting:
             e, f = rng.choice(meeting)
-            colourings.append(EdgeColouring({**greedy.colours, e: greedy.colours[f]}))
+            colourings.append(EdgeColouring(g, {**greedy.colours, e: greedy.colours[f]}))
             assert not colourings[-1].proper
         for col in colourings:
             assert col.proper == bf.colouring_is_proper(g, col)
@@ -352,7 +366,7 @@ class TestColourings:
 
     def test_equal_only_by_identity(self):
         g, col = direction_colouring(2)
-        same = EdgeColouring(dict(col.colours))
+        same = EdgeColouring(g, dict(col.colours))
         assert col == col and same != col
         assert len({col, same, col}) == 2
 

@@ -135,8 +135,8 @@ class TestWalkEngineDtype:
         g = random_host_with_degrees(7, 3, 5, 3)
         assert 2 * g.edge_count() > g.n
         rng = random.Random(3)
-        for col in (EdgeColouring({e: 0 for e in g.edges()}),
-                    EdgeColouring({e: rng.randrange(2) for e in g.edges()})):
+        for col in (EdgeColouring(g, {e: 0 for e in g.edges()}),
+                    EdgeColouring(g, {e: rng.randrange(2) for e in g.edges()})):
             for k in (1, 2):
                 for (i, j), value in coincidence_table(g, col, k).items():
                     assert value == bf.closed_walk_weight_sum(g, 2 * k, colour_match=(i, j),
@@ -281,7 +281,7 @@ class TestPatternChain:
 
     def test_improper_colouring_rejected(self):
         g = gen_cycle(4)
-        col = EdgeColouring({e: 0 for e in g.edges()})
+        col = EdgeColouring(g, {e: 0 for e in g.edges()})
         with pytest.raises(GraphError):
             check_pattern_chain(g, col, 2)
 
@@ -302,6 +302,22 @@ class TestPatternChain:
         col = rainbow_colouring(g)
         rep = check_pattern_chain(g, col, 2)
         assert rep["conditional_ok"]
+
+    def test_conditional_bounds_as_stated(self):
+        """no_rainbow_step_k{j} bounds h_2j by (2j^2/delta) h_2j-2 and
+        no_rainbow_total bounds h_2k by (2k^2/delta)^k n; the variant's
+        checks take j/(eps delta) in place of 2j^2/delta."""
+        g = random_host_with_degrees(10, 3, 5, 1)
+        col = greedy_proper_colouring(g, 1)
+        delta, k, eps = g.min_degree(), 4, Fraction(1, 3)
+        pattern, variant = check_pattern_chain(g, col, k), check_variant_chain(g, col, k, eps)
+        for prefix, rep, ratio in (("no_rainbow", pattern, lambda j: Fraction(2 * j * j, delta)),
+                                   ("variant", variant, lambda j: j / (eps * delta))):
+            rhs = {c["name"]: c["rhs"] for c in rep["checks"]}
+            h = rep["weights"]
+            for j in range(2, k + 1):
+                assert rhs[f"{prefix}_step_k{j}"] == ratio(j) * h[2 * j - 2]
+            assert rhs[f"{prefix}_total"] == ratio(k) ** k * g.n
 
 
 class TestVariantChain:
@@ -347,7 +363,7 @@ class TestRainbowSearch:
 
     def test_alternating_four_cycle_none(self):
         c4 = gen_cycle(4)
-        col = EdgeColouring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
+        col = EdgeColouring(c4, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
         res = find_rainbow_cycle(c4, col)
         assert res.cycle is None and res.exhaustive
 
@@ -374,7 +390,7 @@ class TestAlmostRainbowSearch:
 
     def test_alternating_four_cycle_none(self):
         c4 = gen_cycle(4)
-        col = EdgeColouring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
+        col = EdgeColouring(c4, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
         res = find_almost_rainbow(c4, col, Fraction(2, 5))
         assert res.cycle is None and res.exhaustive
 
@@ -413,7 +429,7 @@ class TestCycleSearchOracle:
         g = gen_random(n, Fraction(1, 2) if seed % 2 else Fraction(3, 4), seed)
         rng = random.Random(seed)
         colourings = [greedy_proper_colouring(g, seed),
-                      EdgeColouring({e: rng.randrange(3) for e in g.edges()})]
+                      EdgeColouring(g, {e: rng.randrange(3) for e in g.edges()})]
         for col in colourings:
             cycles = [c for cyc in bf.simple_cycles(g)
                       for c in (cyc, cyc[:1] + cyc[:0:-1])]
@@ -442,7 +458,7 @@ class TestCycleSearchDepth:
     def test_almost_rainbow_cycle_1024(self):
         g = gen_cycle(1024)
         # every eighth edge repeats the colour of the next one
-        col = EdgeColouring({e: min(e) + (min(e) % 8 == 0) for e in g.edges()})
+        col = EdgeColouring(g, {e: min(e) + (min(e) % 8 == 0) for e in g.edges()})
         res = find_almost_rainbow(g, col, Fraction(1, 4))
         assert len(res.cycle) == 1024 and res.exhaustive
 
@@ -469,7 +485,7 @@ class TestCoincidenceTableKept:
         assert variant["patterns"] == pattern["patterns"]
         # a colouring with the same colours is another object: its table
         # is evaluated afresh
-        same = EdgeColouring(dict(col.colours))
+        same = EdgeColouring(g, dict(col.colours))
         assert same != col
         assert check_pattern_chain(g, same, 2)["patterns"] == pattern["patterns"]
         assert calls == [(0, 2), (1, 1)] * 2
@@ -496,7 +512,11 @@ class TestCoincidenceTableKept:
         assert built == [3, 2, 2]
 
     def test_colouring_must_cover_the_edges(self):
+        """A colouring that misses an edge is refused when it is built; one
+        made for another graph is refused where it is used."""
         g = gen_cycle(4)
-        col = EdgeColouring({(0, 1): 0, (1, 2): 1, (2, 3): 0})
         with pytest.raises(GraphError, match="cover exactly"):
-            coincidence_table(g, col, 2)
+            EdgeColouring(g, {(0, 1): 0, (1, 2): 1, (2, 3): 0})
+        path = make_graph(4, g.edges()[:3])
+        with pytest.raises(GraphError, match="cover exactly"):
+            coincidence_table(g, rainbow_colouring(path), 2)
