@@ -19,10 +19,13 @@ b-bit bound, so that their product exceeds the bound.  Every result is
 reduced modulo p, so entries stay below p, an elementwise product below
 p^2, a dot product of at most 1024 terms (VERTEX_CAP bounds every inner
 dimension) below 1024 p^2 < 2^53, and a sum of fewer than 2^31 reduced
-entries below 2^53: each residue is exact.  Only final scalars are
-recombined, by the Chinese remainder theorem (von zur Gathen and Gerhard,
-"Modern Computer Algebra", ch. 5); a value below the product of the primes
-is the one number with its residues.
+entries below 2^53: each residue is exact.  So a sum of products is
+reduced once, not once per product: `dot` contracts the last axes of two
+arrays, at most 1024 entries long, and reduces only the sums (the delayed
+reduction of Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Only final
+scalars are recombined, by the Chinese remainder theorem (von zur Gathen
+and Gerhard, "Modern Computer Algebra", ch. 5); a value below the product
+of the primes is the one number with its residues.
 
 One cap, _CELL_CAP, bounds the float64 cells held at once: layers x
 matrices x n^2, one layer on the plain path and one per prime otherwise.
@@ -177,6 +180,14 @@ class Exact:
         aligned with, not every one of them."""
         product = (vec[..., None, :] @ m)[..., 0, :]
         return self._reduce(product) if self.primes else product
+
+    def dot(self, a, b) -> np.ndarray:
+        """The sums of a * b over their last axis, which has at most 1024
+        entries: the rows of two matrices of one shape, or two vectors,
+        paired up entry by entry.  Each sum is reduced once, not each
+        product, and no product array is formed."""
+        sums = np.einsum("...i,...i->...", a, b)
+        return self._reduce(sums) if self.primes else sums
 
     def total(self, a, axis) -> np.ndarray:
         return self._reduce(np.sum(a, axis=axis))

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -44,10 +45,11 @@ class _WalkEngine:
     integer over a power of L.  The engine stores B^1 .. B^T: step_trace(2j),
     j <= k, needs B^j, so T = k; an engine for colour weights (`coloured`)
     has T = max(k, 2k - 2), since matched_trace(a, b), a + b = 2k - 2,
-    needs B^a and B^b, B^0 being the coincidence of row and column
-    vertices.  It holds those T matrices and at most three temporaries of
-    n^2 cells, a colour class of any colouring being taken in slices of n^2
-    cells.
+    needs B^a and B^b, B^0 being the identity, which is never built.  It
+    holds those T matrices and at most three temporaries of n^2 cells: the
+    product of step_trace is never formed, a colour class of at most n
+    oriented edges gathers two blocks of at most n^2 cells, and a larger
+    one forms its step matrix and two products (matched_trace).
 
     Every value it forms is at most n L^2k / delta, delta the minimum
     degree, the bound it hands to Exact.  Every entry is non-negative, so
@@ -55,11 +57,14 @@ class _WalkEngine:
     L^t, so its entries are at most L^t <= L^2k.  A diagonal entry of M^t,
     t >= 1, is sum_v M^(t-1)[u,v] M[v,u] <= 1/delta, so tr(B^t) <= n L^t /
     delta.  step_trace(2j) adds up the products B^j[u,v] B^j[v,u], whose
-    total is tr(B^2j) <= n L^2k / delta.  matched_trace(a, b) forms products
-    of entries of B^a and B^b (at most L^(a+b)), their sums weighted by
-    w = L/deg (each at most an entry of B^(a+b+1)) and, per colour, their
-    weighted total; the totals of all colours add up to at most
-    tr(B^(a+b+2)) = tr(B^2k).
+    total is tr(B^2j) <= n L^2k / delta.  matched_trace(a, b) forms entries
+    of B^a and B^b, some times w = L/deg or times a colour's step matrix
+    (each at most an entry of B^(a+1) or B^(b+1)), products of two of them
+    (at most L^(a+b+1)), their row sums (each at most an entry of
+    B^(a+b+1)) and, per colour, their weighted total; the totals of all
+    colours add up to at most tr(B^(a+b+2)) = tr(B^2k).  Offset 1 of a
+    proper colouring adds up the products B^2[y,y] B^(2k-2)[y,y], whose
+    total is that offset's value.
 
     The bound is formed only after its size is checked from k and L alone,
     so that a huge k is refused at once.  A degree is at most n - 1, so
@@ -84,50 +89,116 @@ class _WalkEngine:
 
     def step_trace(self, t: int) -> Fraction:
         """Total weight of the closed walks of length t = 2j, j <= k: the
-        sum of B^j times its transpose, entry by entry, is tr(B^t)."""
+        rows of B^j paired with the columns, entry by entry, add up to
+        tr(B^t)."""
         half = self.powers[t // 2]
-        product = self.exact.mul(half, half.mT)
-        return Fraction(self.exact.to_int(self.exact.total(product, (-2, -1))), self.scale ** t)
+        rows = self.exact.dot(half, half.mT)
+        return Fraction(self.exact.to_int(self.exact.total(rows, -1)), self.scale ** t)
 
-    def matched_trace(self, classes: list, a: int, b: int) -> Fraction:
+    def matched_trace(self, classes, a: int, b: int) -> Fraction:
         """Sum over colours of tr(M^a E M^b E) with E the colour's oriented
         step matrix: closed walks of length a+b+2 whose two marked steps
-        share that colour.  `classes` holds each colour's oriented edges
-        (x, y) as the arrays xs and ys (_colour_classes)."""
-        total = sum(self._colour_total(a, b, xs, ys) for xs, ys in classes)
+        share that colour.  `classes` is _colour_classes(g, colouring):
+        whether the colouring is proper, and each colour's oriented edges
+        (x, y) as the arrays xs and ys.
+
+        With w = L/deg, a colour's share of L^(a+b+2) times the value is the
+        sum over its oriented edges i = (x_i, y_i) of w[x_i] rows[i], where
+        rows[i] = sum_j B^a[y_j, x_i] B^b[y_i, x_j] w[x_j] over the same
+        edges j: the walk takes edge i, b steps to x_j, edge j and a steps
+        back to x_i.
+
+        Offset 1 (a = 0) of a proper colouring needs no colours.  B^0 is the
+        identity, so edge j ends where edge i starts, y_j = x_i, and a proper
+        colouring has one edge of each colour at x_i: j is edge i walked
+        back, x_j = y_i, and its term is w[x_i] w[y_i] B^b[y_i, y_i].  Over
+        all colours every oriented edge is taken once, so the value is the
+        sum over y of B^b[y, y] times sum_x w[y] w[x] over the edges (x, y),
+        which is B^2[y, y] = sum_x B[y, x] B[x, y].  At k = 1, a = b = 0 and
+        edge j must also start where edge i ends, so it is edge i walked
+        back in every colouring, and B^0[y, y] = 1.
+
+        Every other offset takes each class by one row contraction.  A
+        class of at most n oriented edges, as every class of a proper
+        colouring is, gathers the blocks B^a[y_j, x_i] and C^b[y_i, x_j] of
+        at most n^2 cells each, C^b = B^b diag(w) being formed and reduced
+        once for all classes, and contracts them row by row.  A larger
+        class, which only an improper colouring has, is taken as its step
+        matrix E[x, y] = w[x]: rows[i] is (B^b E B^a)[y_i, x_i], and the
+        class's share tr(E B^a E B^b) is the row contraction of E B^a with
+        the columns of E B^b, two matrix products of inner dimension n.
+        Either way the engine holds three temporaries of n^2 cells.
+
+        Every sum is exact.  On the residue path a row adds at most n <=
+        1024 products of two reduced entries, each below p^2, so it stays
+        below 1024 p^2 < 2^53 and is reduced once; so does the weighted
+        total of at most n rows.  On the plain path every row, weighted, is
+        a partial sum of the colour's share, at most tr(B^(a+b+2)), and an
+        entry B^b[y, x] w[x] is at most B^(b+1)[y, y'] for an edge (x, y'):
+        all stay within the engine's bound."""
+        proper, members = classes
+        if a == 0 and (proper or b == 0):
+            total = self._reversal_total(b)
+        else:
+            n = self.g.n
+            total = sum(self._matrix_total(a, b, xs, ys) for xs, ys in members if len(xs) > n)
+            gathered = [(xs, ys) for xs, ys in members if len(xs) <= n]
+            if gathered:
+                scaled = self.exact.mul(self.powers[b], self.weights[..., None, :])
+                total += sum(self._gathered_total(a, scaled, xs, ys) for xs, ys in gathered)
         return Fraction(total, self.scale ** (a + b + 2))
 
-    def _colour_total(self, a: int, b: int, xs, ys) -> int:
-        """The sum over a colour's oriented edges (x,y), (z,p) of
-        B^a[p,x] B^b[y,z] w[x] w[z].  The m oriented edges (x,y) are taken
-        in slices of at most n^2 / m, so that no block exceeds n^2 cells;
-        a proper colouring's m <= n takes one slice.  Blocks are freed
-        slice by slice."""
+    def _reversal_total(self, b: int) -> int:
+        """sum_y B^2[y, y] B^b[y, y]: offset 1 where every marked pair is an
+        edge walked there and back."""
+        exact, step = self.exact, self.powers[1]
+        tail = (exact.lift(np.ones(self.g.n)) if b == 0
+                else np.diagonal(self.powers[b], axis1=-2, axis2=-1))
+        return exact.to_int(exact.dot(exact.dot(step, step.mT), tail))
+
+    def _gathered_total(self, a: int, scaled, xs, ys) -> int:
+        """A class's share from the blocks B^a[y_j, x_i] and scaled[y_i, x_j]."""
         exact = self.exact
-        w = self.weights[..., xs]
-        step = self.g.n ** 2 // len(xs)  # m <= n(n-1): at least 1
-        total = 0
-        for i in range(0, len(xs), step):
-            sx, sy = xs[i:i + step], ys[i:i + step]
-            pairs = exact.mul(self._block(a, ys, sx).mT, self._block(b, sy, xs))
-            rows = exact.total(exact.mul(pairs, w[..., None, :]), -1)
-            total += exact.to_int(exact.total(exact.mul(rows, w[..., i:i + step]), -1))
-        return total
+        if a:
+            ahead = _gather(self.powers[a], ys[None, :], xs[:, None])
+        else:
+            ahead = exact.lift((ys[None, :] == xs[:, None]).astype(np.float64))
+        rows = exact.dot(ahead, _gather(scaled, ys[:, None], xs))
+        return exact.to_int(exact.dot(rows, self.weights[..., xs]))
 
-    def _block(self, t: int, ys, xs):
-        """B^t at rows ys and columns xs."""
-        if t == 0:
-            return self.exact.lift(ys[:, None] == xs)
-        return self.powers[t][..., ys[:, None], xs]
+    def _matrix_total(self, a: int, b: int, xs, ys) -> int:
+        """A class's share tr(E B^a E B^b) from its step matrix E."""
+        exact = self.exact
+        step = np.zeros(self.powers[1].shape)
+        step[..., xs, ys] = self.weights[..., xs]
+        ahead = exact.matmul(step, self.powers[a]) if a else step
+        back = exact.matmul(step, self.powers[b])
+        return exact.to_int(exact.total(exact.dot(ahead, back.mT), -1))
 
 
-def _colour_classes(g: Graph, colouring: EdgeColouring) -> list:
-    """Each colour's oriented edges (x, y) of g, as the arrays xs and ys."""
-    by_colour: dict[int, list[tuple[int, int]]] = {}
-    for u, v in g.edges():
-        by_colour.setdefault(colouring.of(u, v), []).extend(((u, v), (v, u)))
-    # contiguous rows: the engine gathers matrix entries along them
-    return [np.array(oriented).T.copy() for oriented in by_colour.values()]
+def _gather(matrices, rows, cols) -> np.ndarray:
+    """matrices[..., rows, cols] for index arrays that broadcast together,
+    taken along the flattened matrices, which numpy does faster than
+    indexing two axes."""
+    flat = matrices.reshape(matrices.shape[:-2] + (-1,))
+    return np.take(flat, rows * matrices.shape[-1] + cols, axis=-1)
+
+
+def _colour_classes(g: Graph, colouring: EdgeColouring) -> tuple:
+    """Whether the colouring is proper, and each colour's oriented edges
+    (x, y) of g as the arrays xs and ys: the edges in edges() order, sorted
+    stably by colour once."""
+    edges = g.edges()
+    ids = np.array([colouring.colours[e] for e in edges])
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp,
+                       count=2 * len(edges)).reshape(-1, 2)[order]
+    # each edge (u, v) gives (u, v) and (v, u), in contiguous arrays: the
+    # engine gathers matrix entries along them
+    cuts = 2 * np.flatnonzero(ids[1:] != ids[:-1]) + 2
+    xs, ys = np.split(ends.ravel(), cuts), np.split(ends[:, ::-1].ravel(), cuts)
+    return colouring.proper, list(zip(xs, ys))
 
 
 # The values of the last _walk_sums call: (host, k, colouring, weights, offsets)

@@ -4,7 +4,8 @@ Everything here enumerates naively and shares no strategy with the package
 kernels: automorphisms filter all permutations, homomorphism counts walk
 plain product spaces with per-edge checks, injective counts come from the
 coincidence-partition inclusion-exclusion, G(n, p) expectations sum over
-the same partitions, and cycle weights enumerate closed walks one by one.
+the same partitions, and cycle weights enumerate closed walks one by one
+or multiply over the factors of a tensor product.
 The certificate search oracle is the package's former search, one
 breadth-first loop over (state, triple) pairs, kept verbatim: the layered
 search must match its states_visited, budget_exhausted and chain exactly.
@@ -37,7 +38,8 @@ import numpy as np
 
 from homreflect.automorphisms import (_INVOLUTION_CAP, Automorphism, _candidates,
                                       _placement_order)
-from homreflect.graphs import CapabilityError, Graph, GraphError, _mask, make_graph
+from homreflect.graphs import (CapabilityError, EdgeColouring, Graph, GraphError, _mask,
+                               make_graph)
 from homreflect.reflectivity import (DEFAULT_BUDGET, CertificateStep, ReflectionCertificate,
                                      ReflectionTriple, ReflectivitySearch,
                                      enumerate_reflection_triples, verify_certificate)
@@ -210,6 +212,28 @@ def walk_weight_by_matrix_power(g, length: int) -> Fraction:
     step = [[scale // degs[u] if v in g.adj[u] else 0 for v in range(g.n)] for u in range(g.n)]
     power = int_matrix_power(step, length)
     return Fraction(sum(power[u][u] for u in range(g.n)), scale ** length)
+
+
+def tensor_product(g1, g2, c1=None, c2=None):
+    """The tensor product of g1 and g2, vertex (u1, u2) numbered u1 * n2 + u2
+    and adjacent to (v1, v2) when u1 ~ v1 and u2 ~ v2, with the product
+    colouring of c1 and c2 (the pair of the two colours, as one id), or
+    None without them.  A closed walk of the product is a pair of closed
+    walks, its degrees the products of theirs, and two of its steps share a
+    product colour when they share a colour in both factors: so h_2k and
+    every colour-coincidence weight of the product are those of the factors
+    multiplied."""
+    edges = {}
+    for (u1, v1), (u2, v2) in product(g1.edges(), g2.edges()):
+        for a, b in (((u1, u2), (v1, v2)), ((u1, v2), (v1, u2))):
+            x, y = sorted((a[0] * g2.n + a[1], b[0] * g2.n + b[1]))
+            edges[(x, y)] = (u1, v1), (u2, v2)
+    g = make_graph(g1.n * g2.n, list(edges))
+    if c1 is None:
+        return g, None
+    width = max(c2.colours.values()) + 1
+    return g, EdgeColouring(g, {e: c1.of(*e1) * width + c2.of(*e2)
+                                for e, (e1, e2) in edges.items()})
 
 
 def simple_cycles(g) -> list[tuple[int, ...]]:

@@ -106,9 +106,9 @@ class TestPrimeWindow:
 
 
 class TestAgainstPythonIntegers:
-    """Products, elementwise products, sums and conversions agree with
-    Python integers on random n-by-n matrices with entries below
-    `top`; n^3 top^2 bounds every value formed."""
+    """Products, elementwise products, row contractions, sums and
+    conversions agree with Python integers on random n-by-n matrices with
+    entries below `top`; n^3 top^2 bounds every value formed."""
 
     @pytest.mark.parametrize("top, plain_limit, layers", [
         (2 ** 19, 2 ** 53, 0),       # below 2^53: plain float64
@@ -132,6 +132,12 @@ class TestAgainstPythonIntegers:
         elementwise = ex.mul(left, right)
         assert [ex.to_int(ex.total(elementwise[..., i, :], -1)) for i in range(n)] \
             == [sum(x * y for x, y in zip(a[i], b[i])) for i in range(n)]
+        # a row contraction of matrices, also against a transposed view, and of vectors
+        assert ex.to_ints(ex.dot(left, right)) == [sum(x * y for x, y in zip(a[i], b[i]))
+                                                   for i in range(n)]
+        assert ex.to_ints(ex.dot(left, right.mT)) == [want[i][i] for i in range(n)]
+        assert ex.to_int(ex.dot(left[..., 0, :], right[..., 1, :])) == \
+            sum(x * y for x, y in zip(a[0], b[1]))
         row = ex.matvec(left[..., 0, :], right)
         assert [ex.to_int(row[..., j]) for j in range(n)] == want[0]
         assert ex.to_ints(ex.from_ints([0, top - 1, 0, 1])) == [0, top - 1, 0, 1]

@@ -128,8 +128,8 @@ class TestWalkEngineDtype:
     @pytest.mark.parametrize("plain_limit", [exact._PLAIN_LIMIT, 2], ids=["float64", "residues"])
     def test_improper_colourings_match_oracle(self, monkeypatch, plain_limit):
         """One colour puts all 2e > n oriented edges in one class, which the
-        engine then takes in slices of n^2 / 2e edges; a random two-colouring
-        gives two such classes of unequal size."""
+        engine takes as a matrix; a random two-colouring gives two classes of
+        unequal size."""
         monkeypatch.setattr(exact, "_PLAIN_LIMIT", plain_limit)
         rainbow._last_sums.clear()
         g = random_host_with_degrees(7, 3, 5, 3)
@@ -194,6 +194,72 @@ class TestWalkEngineDtype:
                     _WalkEngine(g, k, coloured)
                 admitted.append(got.value.args[0])
             assert admitted == [True, False], k
+
+
+class TestColourWeightsAgainstWalks:
+    """Every canonical coincidence offset at k = 1, 2 and 3 equals the
+    closed-walk enumeration, on the plain path and on residues: for a
+    proper colouring, whose offset 1 comes from a diagonal; for one with two
+    same-colour edges at a vertex, where that shortcut would miss walks and
+    every class, of at most n oriented edges, is gathered, B^0 included;
+    and for one colour, a class of more than n oriented edges."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        g = random_host_with_degrees(6, 3, 5, 1)
+        proper = greedy_proper_colouring(g, 1)
+        e, f = next((e, f) for e in g.edges() for f in g.edges()
+                    if e < f and set(e) & set(f))
+        colourings = {"proper": proper,
+                      "defect": EdgeColouring(g, {**proper.colours, e: proper.colours[f]}),
+                      "one": EdgeColouring(g, {e: 0 for e in g.edges()})}
+        sizes = {name: [len(xs) for xs, _ in rainbow._colour_classes(g, col)[1]]
+                 for name, col in colourings.items()}
+        assert not colourings["defect"].proper and max(sizes["defect"]) <= g.n
+        assert sizes["one"] == [2 * g.edge_count()] and 2 * g.edge_count() > g.n
+        want = {(name, k): [bf.closed_walk_weight_sum(g, 2 * k, colour_match=(i, 2 * k),
+                                                      colouring=col)
+                            for i in range(1, k + 1)]
+                for name, col in colourings.items() for k in (1, 2, 3)}
+        return g, colourings, want
+
+    @pytest.mark.parametrize("plain_limit", [exact._PLAIN_LIMIT, 2], ids=["float64", "residues"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["proper", "defect", "one"])
+    def test_every_offset(self, monkeypatch, cases, plain_limit, k, name):
+        g, colourings, want = cases
+        monkeypatch.setattr(exact, "_PLAIN_LIMIT", plain_limit)
+        assert bool(_WalkEngine(g, k, True).exact.primes) == (plain_limit == 2)
+        rainbow._last_sums.clear()
+        table = coincidence_table(g, colourings[name], k)
+        rainbow._last_sums.clear()
+        assert [table[(i, 2 * k)] for i in range(1, k + 1)] == want[(name, k)]
+
+
+class TestProductHost:
+    """A closed walk of a tensor product is a pair of closed walks of its
+    factors, so on random(9) x random(8), 72 vertices on the residue path,
+    every h_2j and every coincidence offset at k = 3 is the product of the
+    factors' values, under the product of proper colourings (offset 1 from
+    a diagonal, classes gathered) and of one-colourings (one class taken as
+    a matrix)."""
+
+    @pytest.mark.parametrize("proper", [True, False], ids=["greedy", "one-colour"])
+    def test_values_multiply(self, proper):
+        factors = [random_host_with_degrees(9, 1, 2, 1), random_host_with_degrees(8, 1, 2, 2)]
+        cols = [greedy_proper_colouring(f, 1) if proper else
+                EdgeColouring(f, {e: 0 for e in f.edges()}) for f in factors]
+        g, col = bf.tensor_product(*factors, *cols)
+        assert g.n == 72 and col.proper == proper
+        assert _WalkEngine(g, 3, True).exact.primes
+        rainbow._last_sums.clear()
+        tables = [coincidence_table(h, c, 3) for h, c in zip(factors + [g], cols + [col])]
+        for i in range(1, 4):
+            assert tables[2][(i, 6)] == tables[0][(i, 6)] * tables[1][(i, 6)], i
+        for k in (1, 2, 3):
+            assert cycle_weight_sum(g, k) == cycle_weight_sum(factors[0], k) * \
+                cycle_weight_sum(factors[1], k), k
+        rainbow._last_sums.clear()
 
 
 class TestSpectral:
