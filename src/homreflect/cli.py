@@ -18,6 +18,7 @@ import time
 from itertools import combinations
 
 from . import __version__
+from .exact import _keep_freed_blocks
 from .graphs import (CapabilityError, EdgeColouring, Graph, GraphError,
                      direction_colouring, gen_clique_union, gen_complete,
                      gen_cycle, gen_cycle_blowup, gen_hypercube, gen_random,
@@ -555,6 +556,7 @@ def _command_named(argv: list[str]) -> str | None:
 
 
 def main(argv=None) -> int:
+    _keep_freed_blocks()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(_command_named(argv)).parse_args(argv)
     started = time.monotonic()

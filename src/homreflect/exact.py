@@ -39,6 +39,7 @@ lcm L >= 2.  That path needed n^2 L^2k (L/delta)^2 < 2^62, so 2k < 62 -
 
 from __future__ import annotations
 
+import ctypes
 from itertools import chain, islice
 from math import isqrt, prod
 
@@ -48,6 +49,35 @@ from .graphs import VERTEX_CAP, CapabilityError, Graph
 
 _PLAIN_LIMIT = 1 << 53
 _CELL_CAP = 1 << 26
+
+
+def _keep_freed_blocks() -> None:
+    """Keep the blocks of freed arrays of up to the cell cap inside the
+    process, when the C library is glibc; called once by the command line.
+
+    By default glibc serves a block past its mmap threshold (128 KiB at
+    first) from a fresh mapping and unmaps it when freed, and it gives the
+    top of the heap back once more than its trim threshold is free there.
+    Its sliding rule raises the mmap threshold to each freed mapped block
+    and the trim threshold to twice that, but not past 32 MiB (mallopt(3)).
+    So a freed kernel temporary of 128 KiB to 32 MiB can still be unmapped
+    or trimmed, every larger one is, and the next array of its shape is
+    faulted in again page by page.  Both thresholds are set here to
+    _CELL_CAP float64 cells (512 MiB), the largest block the exact layer
+    can hold, so no array the kernels form leaves the process between uses.
+    The mmap threshold goes first and the trim threshold follows only when
+    it was taken: any threshold call turns the sliding rule off, and a trim
+    threshold set alone would leave the mmap threshold at 128 KiB.  Where
+    there is no mallopt (macOS, Windows) nothing is set, and musl's mallopt
+    does nothing.  Only where memory comes from changes, never a value.  A
+    program that imports homreflect keeps its C library's default policy."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no mallopt, or (Windows) no CDLL(None)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, _CELL_CAP * 8) == 1:  # M_MMAP_THRESHOLD
+        mallopt(-1, _CELL_CAP * 8)  # M_TRIM_THRESHOLD
 
 
 _LOW, _TOP = 1 << 21, isqrt(((1 << 53) - 1) // VERTEX_CAP)  # the window of primes

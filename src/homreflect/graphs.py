@@ -403,12 +403,16 @@ def read_edge_list(path) -> Graph:
         raise GraphError(f"{path}: bad header line {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise GraphError(f"{path}: header promises {m} edges, found {len(lines) - 1}")
-    edges = []
+    edges, seen = [], set()
     for ln in lines[1:]:
         try:
             u, v = map(int, ln.split())
         except ValueError:
             raise GraphError(f"{path}: bad edge line {ln!r}") from None
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphError(f"{path}: edge {key} listed twice")
+        seen.add(key)
         edges.append((u, v))
     return make_graph(n, edges)
 

@@ -1,4 +1,5 @@
 import json
+import platform
 import re
 import shlex
 import subprocess
@@ -1001,6 +1002,44 @@ class TestCellCap:
         assert capsys.readouterr().err.startswith(
             "error: exact products would hold 72900000 float64 cells (18 residue layers), "
             "over the cap")
+
+
+_FAULTS_CHILD = """
+import json, resource, sys
+from fractions import Fraction
+from homreflect import cli, homcount
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+if sys.argv[1] == "cli":
+    cli.main(["experiment", "supersaturation", "--n", "40", "--trials", "3", "--seed", "5",
+              "--format", "json", "--out", "report.json"])
+else:
+    rows = homcount.supersaturation_experiment(40, Fraction(7, 10), 5, 3)["trials"]
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+if sys.argv[1] == "cli":
+    with open("report.json") as fh:
+        rows = json.load(fh)["trials"]
+print(json.dumps([faults, [[r["hom"], r["injective"]] for r in rows]]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the thresholds are glibc's")
+def test_command_line_keeps_freed_blocks(tmp_path):
+    """The command line pins glibc's mmap and trim thresholds at the cell
+    cap, so the supersaturation run's freed temporaries are not faulted in
+    again: the same counts, through `cli.main`, take at most a quarter of
+    the minor page faults of a direct call under glibc's default policy
+    (about 0.6k against 10k)."""
+    src = str(Path(homreflect.__file__).resolve().parents[1])
+    runs = {}
+    for via in ("cli", "library"):
+        out = subprocess.run([sys.executable, "-c", _FAULTS_CHILD, via], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120,
+                             env={"PYTHONPATH": src, "PATH": ""})
+        assert out.returncode == 0, out.stderr
+        runs[via] = json.loads(out.stdout)
+    assert runs["cli"][1] == runs["library"][1]
+    assert 4 * runs["cli"][0] <= runs["library"][0], runs
 
 
 class TestFlags:

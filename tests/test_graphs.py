@@ -415,6 +415,15 @@ class TestFileFormats:
         with pytest.raises(GraphError):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("lines", ["0 1\n0 1\n", "0 1\n1 0\n"], ids=["same", "reversed"])
+    def test_edge_listed_twice_refused(self, tmp_path, lines):
+        """A repeated edge line, in either orientation, would make a graph
+        of fewer edges than the header promises."""
+        path = tmp_path / "dup.edges"
+        path.write_text("2 2\n" + lines)
+        with pytest.raises(GraphError, match=r"dup.edges: edge \(0, 1\) listed twice"):
+            read_edge_list(path)
+
     def test_colouring_round_trip(self, tmp_path):
         g, col = direction_colouring(3)
         path = tmp_path / "c.colours"

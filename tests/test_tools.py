@@ -9,6 +9,9 @@ SRC = ROOT / "src"
 _spec = importlib.util.spec_from_file_location("same_output", ROOT / "tools" / "same_output.py")
 same_output = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_output)
+_spec = importlib.util.spec_from_file_location("faults", ROOT / "tools" / "faults.py")
+faults = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(faults)
 
 
 def readme_lines() -> list[str]:
@@ -48,3 +51,28 @@ class TestSameOutput:
         cmdfile.write_text("\n".join(readme_lines()) + "\n")
         assert same_output.main([str(SRC), str(changed), str(cmdfile)]) == 1
         assert shown in capsys.readouterr().out
+
+
+class TestFaults:
+    def test_one_row_per_line_in_order(self, tmp_path, capsys):
+        """The lines run in order in one directory (the certificate file the
+        second writes is read by the third), with a file copied in first."""
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "k22.edges").write_text("4 4\n0 2\n0 3\n1 2\n1 3\n")
+        lines = readme_lines()[1:] + ["homreflect h2k --host k22.edges --k 1"]
+        cmdfile = tmp_path / "lines.txt"
+        cmdfile.write_text("\n".join(lines) + "\n")
+        assert faults.main([str(SRC), str(cmdfile), "--inputs", str(inputs)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == len(lines) + 2
+        for line, row in zip(lines, rows[1:]):
+            wall, minflt, code, command = row.split(maxsplit=3)
+            assert (command, code) == (line, "0") and float(wall) > 0 and int(minflt) >= 0
+        assert rows[-1].endswith(f"total of {len(lines)} lines")
+
+    def test_a_child_that_fails_is_counted(self, tmp_path, capsys):
+        cmdfile = tmp_path / "lines.txt"
+        cmdfile.write_text("homreflect h2k --host q3 --k 1\n")
+        assert faults.main([str(tmp_path / "nowhere"), str(cmdfile)]) == 1
+        assert "(no result)" in capsys.readouterr().out

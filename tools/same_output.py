@@ -1,6 +1,6 @@
 """Compare what two source trees of homreflect do on the same command lines.
 
-    python tools/same_output.py OLD_SRC NEW_SRC [CMDFILE]
+    python tools/same_output.py OLD_SRC NEW_SRC [CMDFILE] [--inputs DIR]
 
 OLD_SRC and NEW_SRC are directories that hold the `homreflect` package
 (`src/` of two checkouts).  CMDFILE holds one `homreflect ...` command line
@@ -8,9 +8,10 @@ per line; blank lines and lines starting with `#` are skipped.  Without it
 the lines are the command block of README.md's "Command line" section.
 
 The lines run in order, each as `python -m homreflect.cli ARGS`, in one
-fresh directory per tree and per report format: once as written, and once
-with `--format json` added to every command but `gen`, so later lines read
-the files earlier ones wrote.  After each command the two trees' exit
+fresh directory per tree and per report format, which starts as a copy of
+DIR's files (say, the input files a CMDFILE's lines read): once as written,
+and once with `--format json` added to every command but `gen`, so later
+lines read the files earlier ones wrote.  After each command the two trees' exit
 codes, stdout, stderr without its `elapsed:` lines, and every file in the
 directory are compared.  Each difference is printed; the exit code is 1 if
 there was any, else 0.
@@ -18,8 +19,10 @@ there was any, else 0.
 
 from __future__ import annotations
 
+import argparse
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -81,12 +84,20 @@ def _differences(old: dict, new: dict) -> list[str]:
     return out
 
 
-def compare(old_src: Path, new_src: Path, lines: list[str]) -> int:
+def fresh_directory(inputs: Path | None) -> tempfile.TemporaryDirectory:
+    """A temporary directory holding a copy of the files of `inputs`, if given."""
+    work = tempfile.TemporaryDirectory()
+    if inputs is not None:
+        shutil.copytree(inputs, work.name, dirs_exist_ok=True)
+    return work
+
+
+def compare(old_src: Path, new_src: Path, lines: list[str], inputs: Path | None = None) -> int:
     """Run `lines` on both trees in both formats; the number of commands
     whose outcomes differ, each difference printed."""
     differing = 0
     for fmt in ("text", "json"):
-        with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
+        with fresh_directory(inputs) as old_dir, fresh_directory(inputs) as new_dir:
             for line in lines:
                 argv = _argv(line, fmt)
                 old = _run(old_src, argv, Path(old_dir))
@@ -102,11 +113,14 @@ def compare(old_src: Path, new_src: Path, lines: list[str]) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (2, 3):
-        print("usage: python tools/same_output.py OLD_SRC NEW_SRC [CMDFILE]", file=sys.stderr)
-        return 2
-    lines = command_lines(Path(argv[2])) if len(argv) == 3 else readme_lines()
-    return 1 if compare(Path(argv[0]), Path(argv[1]), lines) else 0
+    parser = argparse.ArgumentParser(prog="python tools/same_output.py")
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("cmdfile", type=Path, nargs="?")
+    parser.add_argument("--inputs", type=Path, metavar="DIR")
+    args = parser.parse_args(argv)
+    lines = command_lines(args.cmdfile) if args.cmdfile else readme_lines()
+    return 1 if compare(args.old_src, args.new_src, lines, args.inputs) else 0
 
 
 if __name__ == "__main__":
