@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import CapabilityError, Graph, _mask
 
@@ -40,7 +41,9 @@ class Automorphism:
     def is_involution(self) -> bool:
         return all(self.perm[w] == v for v, w in enumerate(self.perm))
 
-    def fixed_set(self) -> frozenset[int]:
+    @cached_property
+    def fixed(self) -> frozenset[int]:
+        """The vertices the map fixes, worked out once per map object."""
         return frozenset(v for v, w in enumerate(self.perm) if v == w)
 
 

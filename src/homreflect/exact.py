@@ -165,21 +165,18 @@ class Exact:
 
     Arrays of the residue path carry the residue axis first; a kernel keeps
     to `...`-indexing over the last axes, so one code serves both paths.
-    On the plain path the operations are numpy's own.  Every operation
-    returns a new array and changes none it is given.
+    The plain path is the residue path without residues: every operation
+    forms its result the same way, `_reduce` leaves it as it is, and
+    `to_int` reads the float.  Every operation returns a new array and
+    changes none it is given.
     """
 
     def __init__(self, bound: int, n: int, matrices: int):
         if not admits(bound, n, matrices):
             raise _over_cap(max(_layers(bound), 1), n, matrices, "")
         self.primes = tuple(_primes(_layers(bound)))
-        if not self.primes:
-            self.mul, self.matmul = np.multiply, np.matmul
-            self.total, self.to_int = np.ndarray.sum, int
-            return
-        modulus = prod(self.primes)
-        self._modulus = modulus
-        self._crt = [modulus // p * pow(modulus // p, -1, p) for p in self.primes]
+        self._modulus = prod(self.primes)
+        self._crt = [self._modulus // p * pow(self._modulus // p, -1, p) for p in self.primes]
         self._column = np.array(self.primes, dtype=np.float64)
 
     def from_ints(self, values) -> np.ndarray:
@@ -196,6 +193,9 @@ class Exact:
         return np.broadcast_to(small, (len(self.primes),) + small.shape)
 
     def _reduce(self, x: np.ndarray) -> np.ndarray:
+        """x modulo each layer's prime, in place; x itself on the plain path."""
+        if not self.primes:
+            return x
         return np.remainder(x, self._column.reshape((-1,) + (1,) * (x.ndim - 1)), out=x)
 
     def mul(self, a, b) -> np.ndarray:
@@ -208,19 +208,17 @@ class Exact:
         """The vector-matrix product vec @ m, over every leading axis the
         two share, so a stack of vectors meets the stack of matrices it is
         aligned with, not every one of them."""
-        product = (vec[..., None, :] @ m)[..., 0, :]
-        return self._reduce(product) if self.primes else product
+        return self._reduce((vec[..., None, :] @ m)[..., 0, :])
 
     def dot(self, a, b) -> np.ndarray:
         """The sums of a * b over their last axis, which has at most 1024
         entries: the rows of two matrices of one shape, or two vectors,
         paired up entry by entry.  Each sum is reduced once, not each
         product, and no product array is formed."""
-        sums = np.einsum("...i,...i->...", a, b)
-        return self._reduce(sums) if self.primes else sums
+        return self._reduce(np.einsum("...i,...i->...", a, b))
 
     def total(self, a, axis) -> np.ndarray:
-        return self._reduce(np.sum(a, axis=axis))
+        return self._reduce(a.sum(axis=axis))
 
     def to_ints(self, vec) -> list[int]:
         """The Python integers a vector holds."""
@@ -229,5 +227,8 @@ class Exact:
         return [self.to_int(column) for column in vec.T]
 
     def to_int(self, scalar) -> int:
-        """The Python integer whose residues a scalar holds."""
+        """The Python integer a scalar holds: the float itself, or the one
+        number below the product of the primes with its residues."""
+        if not self.primes:
+            return int(scalar)
         return sum(int(r) * c for r, c in zip(scalar.tolist(), self._crt)) % self._modulus

@@ -47,25 +47,19 @@ def _require_vertex_count(n: int) -> None:
 
 
 class Graph:
-    """Immutable simple undirected graph with neighbour sets and bitmasks."""
-
-    __slots__ = ("n", "adj", "labels", "_masks", "_edges", "_parts")
+    """Immutable simple undirected graph with neighbour sets and bitmasks.
+    What it derives from its neighbour sets is cached on first use."""
 
     def __init__(self, n: int, adj: tuple[frozenset[int], ...], labels=None):
         self.n = n
         self.adj = adj
         self.labels = labels
-        self._masks = None
-        self._edges = None
-        self._parts = None
 
-    @property
+    @cached_property
     def nbr_mask(self) -> tuple[int, ...]:
-        """Each neighbour set as a bitmask (bit w for neighbour w), built on
-        first use: the pattern searches read them, host kernels never do."""
-        if self._masks is None:
-            self._masks = tuple(_mask(s) for s in self.adj)
-        return self._masks
+        """Each neighbour set as a bitmask (bit w for neighbour w): the
+        pattern searches read them, host kernels never do."""
+        return tuple(_mask(s) for s in self.adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -89,12 +83,13 @@ class Graph:
         return max(self.degrees()) if self.n else 0
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Every edge (u, v), u < v, in ascending order, built on first use:
-        the one edge order that files, colourings and kernels follow."""
-        if self._edges is None:
-            self._edges = tuple(sorted((u, v) for u, nbrs in enumerate(self.adj)
-                                       for v in nbrs if u < v))
+        """Every edge (u, v), u < v, in ascending order: the one edge order
+        that files, colourings and kernels follow."""
         return self._edges
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v))
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
@@ -124,8 +119,10 @@ class Graph:
         Within each connected component the class containing its smallest
         vertex goes to side 0, so the split is deterministic.
         """
-        if self._parts is not None:
-            return self._parts if self._parts != () else None
+        return self._sides
+
+    @cached_property
+    def _sides(self) -> tuple[frozenset[int], frozenset[int]] | None:
         colour = [-1] * self.n
         for s in range(self.n):
             if colour[s] != -1:
@@ -139,12 +136,9 @@ class Graph:
                         colour[w] = 1 - colour[u]
                         stack.append(w)
                     elif colour[w] == colour[u]:
-                        self._parts = ()
                         return None
-        parts = (frozenset(v for v in range(self.n) if colour[v] == 0),
-                 frozenset(v for v in range(self.n) if colour[v] == 1))
-        self._parts = parts
-        return parts
+        return (frozenset(v for v in range(self.n) if colour[v] == 0),
+                frozenset(v for v in range(self.n) if colour[v] == 1))
 
 
 def _mask(vertices) -> int:

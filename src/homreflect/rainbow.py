@@ -327,12 +327,7 @@ def check_pattern_chain(g: Graph, colouring: EdgeColouring, k: int) -> dict:
     _add_check(checks, "extremal_pattern", max(table.values()), top, conditional=False)
     if k >= 2:
         _add_check(checks, "shorten_step", top, h[two_k - 2] / delta, conditional=False)
-    for j in range(2, k + 1):
-        _add_check(checks, f"no_rainbow_step_k{j}", h[2 * j],
-                   _ratio(delta, j) * h[2 * j - 2], conditional=True)
-    if k >= 2:
-        _add_check(checks, "no_rainbow_total", h[two_k], total_bound(g.n, delta, k),
-                   conditional=True)
+    checks += _growth_checks("no_rainbow", g.n, delta, h, k)
     return {
         "k": k,
         "n": g.n,
@@ -343,6 +338,19 @@ def check_pattern_chain(g: Graph, colouring: EdgeColouring, k: int) -> dict:
         "unconditional_ok": all(c["holds"] for c in checks if not c["conditional"]),
         "conditional_ok": all(c["holds"] for c in checks if c["conditional"]),
     }
+
+
+def _growth_checks(prefix: str, n: int, delta: int, h: dict, k: int, eps=None) -> list:
+    """The conditional checks {prefix}_step_k{j}, h_2j <= _ratio * h_2j-2 for
+    j = 2 .. k, then {prefix}_total, h_2k <= total_bound, when k >= 2."""
+    checks = []
+    for j in range(2, k + 1):
+        _add_check(checks, f"{prefix}_step_k{j}", h[2 * j],
+                   _ratio(delta, j, eps) * h[2 * j - 2], conditional=True)
+    if k >= 2:
+        _add_check(checks, f"{prefix}_total", h[2 * k], total_bound(n, delta, k, eps),
+                   conditional=True)
+    return checks
 
 
 def _ratio(delta: int, j: int, eps=None) -> Fraction:
@@ -391,13 +399,7 @@ def check_variant_chain(g: Graph, colouring: EdgeColouring, k: int, eps) -> dict
     """
     eps = colour_deficiency(eps)
     delta, h, table = _chain_inputs(g, colouring, k, "variant")
-    checks = []
-    for j in range(2, k + 1):
-        _add_check(checks, f"variant_step_k{j}", h[2 * j],
-                   _ratio(delta, j, eps) * h[2 * j - 2], conditional=True)
-    if k >= 2:
-        _add_check(checks, "variant_total", h[2 * k], total_bound(g.n, delta, k, eps),
-                   conditional=True)
+    checks = _growth_checks("variant", g.n, delta, h, k, eps)
     _add_check(checks, "coincidence_counting", 2 * eps * k * h[2 * k],
                sum(table.values(), Fraction(0)), conditional=True)
     return {
@@ -511,13 +513,10 @@ def _cycle_search(g: Graph, colouring: EdgeColouring, eps) -> CycleSearchResult:
 # Cycle utilities
 # ---------------------------------------------------------------------------
 
-def cycle_step_colours(g: Graph, colouring: EdgeColouring, seq) -> list[int]:
-    seq = tuple(seq)
-    return [colouring.of(seq[t], seq[(t + 1) % len(seq)]) for t in range(len(seq))]
-
-
 def distinct_colour_count(g: Graph, colouring: EdgeColouring, seq) -> int:
-    return len(set(cycle_step_colours(g, colouring, seq)))
+    """The number of colours on the steps of the closed walk `seq`."""
+    seq = tuple(seq)
+    return len({colouring.of(seq[t], seq[(t + 1) % len(seq)]) for t in range(len(seq))})
 
 
 def is_simple_cycle(g: Graph, seq) -> bool:

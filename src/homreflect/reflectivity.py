@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -33,20 +33,15 @@ class ReflectionTriple:
     side_b: frozenset[int]
     swap: Automorphism
 
-    @cached_property
+    @property
     def fixed(self) -> frozenset[int]:
-        """The swap map's fixed set, computed once per triple object."""
-        return self.swap.fixed_set()
+        """The swap map's fixed set, which the map keeps."""
+        return self.swap.fixed
 
     def flipped(self) -> "ReflectionTriple":
-        """The triple with A and B exchanged, built once per triple object:
-        it shares this triple's fixed set and flips back to this triple."""
-        flip = self.__dict__.get("_flipped")
-        if flip is None:
-            flip = ReflectionTriple(self.side_b, self.side_a, self.swap)
-            flip.__dict__.update(fixed=self.fixed, _flipped=self)
-            self.__dict__["_flipped"] = flip
-        return flip
+        """The triple with A and B exchanged: it shares this triple's swap
+        map, and so its fixed set."""
+        return ReflectionTriple(self.side_b, self.side_a, self.swap)
 
     def sort_key(self):
         return (self.swap.perm, tuple(sorted(self.side_a)))
@@ -81,7 +76,7 @@ def _swap_fixed_set(h: Graph, perm: tuple[int, ...]) -> frozenset[int] | None:
     phi = Automorphism(perm)
     if not phi.is_involution or phi.is_identity:
         return None
-    return phi.fixed_set()
+    return phi.fixed
 
 
 @lru_cache(maxsize=_INVOLUTION_CAP)
@@ -113,7 +108,7 @@ def enumerate_reflection_triples(h: Graph) -> list[ReflectionTriple]:
     """
     triples: list[ReflectionTriple] = []
     for phi in _involutions(h):
-        comps = h.components(removed=phi.fixed_set())
+        comps = h.components(removed=phi.fixed)
         pairs = []
         ok = True
         seen = set()
@@ -321,12 +316,12 @@ def certificate_from_json(h: Graph, text: str) -> ReflectionCertificate:
 # Certificate search
 # ---------------------------------------------------------------------------
 
-# Words (64 bits) in any one array of a search's expansion, unless one
-# state's row of triples is longer, and in each of its digit tables.
-# Chunks of 2^16 words raised the peak RSS of `certify --graph q5 --r0
-# 16,31` from 33 to 37 MB, above the 35 MB of the former per-state loop,
-# and were no faster.
-_CELL_CAP = 1 << 14
+# 64-bit words in any one array of a search's expansion chunk, unless one
+# state's row of triples is longer, and in each of its digit tables; not
+# the float64 cells that exact._CELL_CAP counts.  Chunks of 2^16 words
+# raised the peak RSS of `certify --graph q5 --r0 16,31` from 33 to 37 MB,
+# above the 35 MB of the former per-state loop, and were no faster.
+_CHUNK_WORDS = 1 << 14
 
 
 class _SideMoves:
@@ -338,9 +333,9 @@ class _SideMoves:
     involution of a reflection triple maps each side onto itself, so its
     image of a state is looked up a digit at a time: tables[k][i << width | d]
     is the image under involution i of the side bits k*width .. k*width +
-    width - 1 when they read d.  Digits are as wide as _CELL_CAP allows one
-    table to be, and one bit wide at least: like the per-triple masks, the
-    tables then hold O(n) words per involution.
+    width - 1 when they read d.  Digits are as wide as a table of at most
+    _CHUNK_WORDS words allows, and one bit wide at least: like the
+    per-triple masks, the tables then hold O(n) words per involution.
     """
 
     def __init__(self, triples: list[ReflectionTriple], side: frozenset[int], n: int):
@@ -355,7 +350,7 @@ class _SideMoves:
         position[self.order] = np.arange(size, dtype=np.uint64)
         one_bit = np.uint64(1) << position[perms[:, self.order]]
 
-        self.width = next((w for w in (8, 4, 2) if len(swaps) << w <= _CELL_CAP), 1)
+        self.width = next((w for w in (8, 4, 2) if len(swaps) << w <= _CHUNK_WORDS), 1)
         self.tables = []
         for low in range(0, size, self.width):
             table = np.zeros((len(swaps), 1 << self.width), dtype=np.uint64)
@@ -460,13 +455,13 @@ def _layered_search(moves: _SideMoves, start: int, budget: int):
     Returns the chain as (triple index, state) pairs, or None, and the
     number of states taken off the queue: budget + 1 when the budget ran
     out.  Chunks take at most `budget` states, and as many as keep a chunk's
-    rows of triples within _CELL_CAP words; a chunk of one state takes its
+    rows of triples within _CHUNK_WORDS words; a chunk of one state takes its
     whole row, however long.  The cells are met in row-major order."""
     target = np.uint64(moves.mask(moves.order))
     if start == target:
         return [], 0
     count = len(moves.swap_of)
-    rows = max(1, _CELL_CAP // max(1, count))
+    rows = max(1, _CHUNK_WORDS // max(1, count))
     # Layer l: its states, each one's parent as an index into layer l-1, and
     # the triple that reached it.
     layers = [(np.array([start], dtype=np.uint64), None, None)]

@@ -54,14 +54,18 @@ def all_automorphisms(g) -> list[tuple[int, ...]]:
 
 
 def hom_count_naive(h, g, constraint=None) -> int:
-    """Walk V(G)^V(H) directly; the constraint forces equal images."""
-    edges = h.edges()
-    fixed = sorted(constraint) if constraint else []
+    """Walk the maps V(H) -> V(G) that are constant on the constraint, with
+    a per-edge check: one image for the constraint's least vertex, which
+    the rest of the constraint copies, and one for every vertex outside it,
+    n^(v(H) - |C| + 1) maps in all."""
+    rest = sorted(constraint)[1:] if constraint else []
+    free = [v for v in range(h.n) if v not in rest]
+    slot = {v: i for i, v in enumerate(free)}
+    slot.update({v: slot[min(constraint)] for v in rest})
+    edges = [(slot[u], slot[v]) for u, v in h.edges()]
     count = 0
-    for image in product(range(g.n), repeat=h.n):
-        if fixed and any(image[v] != image[fixed[0]] for v in fixed[1:]):
-            continue
-        if all(image[v] in g.adj[image[u]] for u, v in edges):
+    for image in product(range(g.n), repeat=len(free)):
+        if all(image[b] in g.adj[image[a]] for a, b in edges):
             count += 1
     return count
 

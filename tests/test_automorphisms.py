@@ -128,7 +128,7 @@ class TestInvolutions:
         g = make_graph(2, [(0, 1)])
         invs = bf.involutions_unanchored(g)
         assert len(invs) == 1
-        assert invs[0].fixed_set() == frozenset()
+        assert invs[0].fixed == frozenset()
         assert _involutions(g) == []  # the swap moves an edge onto itself
 
     def test_q3_count_frozen(self):
@@ -142,7 +142,7 @@ class TestInvolutions:
         invs = {a.perm: a for a in _involutions(g)}
         assert swap12 in invs
         want = frozenset(cube_vertex(b) for b in ("000", "001", "110", "111"))
-        assert invs[swap12].fixed_set() == want
+        assert invs[swap12].fixed == want
 
     def test_exactly_the_involutive_group_elements(self):
         g = gen_cycle(6)
@@ -151,7 +151,7 @@ class TestInvolutions:
         assert {a.perm for a in bf.involutions_unanchored(g)} == expect
 
     def test_identity_fixed_set_is_everything(self):
-        assert identity(5).fixed_set() == frozenset(range(5))
+        assert identity(5).fixed == frozenset(range(5))
 
     @pytest.mark.parametrize("g", [
         gen_hypercube(3), gen_hypercube(4), gen_hypercube(5), gen_set_graph(1, 7),

@@ -176,6 +176,24 @@ def _sweep_sets(h):
             for c in combinations(sorted(part), size)]
 
 
+class TestNaiveOracle:
+    """The constrained oracle walks only the maps constant on the
+    constraint; the walk of every map, `constrained_counts_naive`, gives
+    the same counts.  Q3's singletons are left out to save time: a
+    singleton constrains nothing, so it takes the unconstrained walk, which
+    cycle(6)'s singletons cover."""
+
+    @pytest.mark.parametrize("pattern, smallest", [(gen_hypercube(3), 2), (gen_cycle(6), 1)],
+                             ids=["q3", "cycle-6"])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_walks_only_constant_maps(self, pattern, smallest, seed):
+        g = gen_random(5, Fraction(1, 2), seed)
+        sets = [r for r in _sweep_sets(pattern) if len(r) >= smallest]
+        want = bf.constrained_counts_naive(pattern, g, sets)
+        assert [bf.hom_count_naive(pattern, g, r) for r in sets] == want
+        assert any(want)
+
+
 class TestMemo:
     """hom_count memoises per (quotient vertex count and edge set, host)."""
 
@@ -571,6 +589,73 @@ class TestChunkedConditioning:
     ])
     def test_width_fills_the_chunk_budget(self, bound, n, width):
         assert homcount._chunk_width(bound, n) == width
+
+
+class TestProductHost:
+    """hom(H, G1 x G2) = hom(H, G1) hom(H, G2) for every pattern H (Lovasz,
+    "Large Networks and Graph Limits", AMS 2012, ch. 5), and a constrained
+    count is the count of a quotient pattern, so it multiplies too: tensor
+    products check counts past brute force, on both Exact paths and at
+    chunk widths 1, n - 1 and n.  The factors' counts come from the plain
+    path, which the naive oracles check on hosts this small.
+
+    Q3's arrays stay below the primes on these hosts, so there a residue
+    only recombines.  The 16-cycle's bound is past 2^53 on the default
+    limit, and its steps multiply matrices whose entries pass the primes.
+    Q4 runs at one width, every image at once: one image per chunk takes
+    it 7 s."""
+
+    @pytest.mark.parametrize("plain_limit", [exact._PLAIN_LIMIT, 2],
+                             ids=["float64", "residues"])
+    @pytest.mark.parametrize("constraint", [None, {0, 3}], ids=["free", "constraint-0-3"])
+    @pytest.mark.parametrize("factors", [[(6, 1), (7, 2)], [(9, 3), (8, 4)]],
+                             ids=["6x7", "9x8"])
+    def test_q3_counts_multiply(self, monkeypatch, factors, constraint, plain_limit):
+        monkeypatch.setattr(exact, "_PLAIN_LIMIT", plain_limit)
+        layers = self.assert_counts_multiply(monkeypatch, gen_hypercube(3), factors, constraint)
+        assert bool(layers) == (plain_limit == 2)
+
+    def test_q4_counts_multiply(self, monkeypatch):
+        layers = self.assert_counts_multiply(monkeypatch, gen_hypercube(4), [(4, 5), (5, 6)],
+                                             widths=lambda n: [n])
+        assert layers == 0
+
+    def test_long_cycle_counts_multiply_past_2_53(self, monkeypatch):
+        # no vertex is conditioned, so there is no chunk to size
+        layers = self.assert_counts_multiply(monkeypatch, gen_cycle(16), [(9, 3), (8, 4)],
+                                             widths=lambda n: [n])
+        assert layers == 5
+
+    @staticmethod
+    def assert_counts_multiply(monkeypatch, h, factors, constraint=None,
+                               widths=lambda n: [1, n - 1, n]) -> int:
+        """Check the count on the product of random(n, 1/2, seed) over
+        `factors` at each of `widths(n)`; the residue layers it took."""
+        hosts = [gen_random(n, Fraction(1, 2), seed) for n, seed in factors]
+        with monkeypatch.context() as plain:
+            plain.setattr(exact, "_PLAIN_LIMIT", 1 << 53)
+            _memoised_count.cache_clear()
+            want = math.prod(hom_count(h, f, constraint) for f in hosts)
+        assert want > 0
+        g, _ = bf.tensor_product(*hosts)
+        n = g.n
+        quotient = quotient_graph(h, constraint) if constraint else h
+        layers = exact._layers(n ** (quotient.n - _conditioned(quotient)))
+        taken = []
+        real = homcount._chunk_width
+
+        def chunk_width(bound, n):
+            taken.append(real(bound, n))
+            return taken[-1]
+
+        monkeypatch.setattr(homcount, "_chunk_width", chunk_width)
+        for width in widths(n):
+            monkeypatch.setattr(homcount, "_CHUNK_CELLS", width * max(layers, 1) * n * n)
+            _memoised_count.cache_clear()
+            assert hom_count(h, g, constraint) == want, width
+            assert taken[-1] == width
+        _memoised_count.cache_clear()
+        return layers
 
 
 # Two labellings of one quotient of the Petersen graph

@@ -163,37 +163,43 @@ class TestChecksOnce:
 
 
     def test_flipped_triple_built_once(self, monkeypatch):
+        # the flip shares the swap map, which keeps the one fixed set
         t = enumerate_reflection_triples(gen_hypercube(3))[0]
-        want = t.swap.fixed_set()
+        t = ReflectionTriple(t.side_a, t.side_b, Automorphism(t.swap.perm))  # a new swap map
         calls = count_fixed_sets(monkeypatch)
         flip = t.flipped()
-        assert (flip.side_a, flip.side_b, flip.swap) == (t.side_b, t.side_a, t.swap)
-        assert t.flipped() is flip and flip.flipped() is t
-        assert flip.fixed is t.fixed == want
+        assert (flip.side_a, flip.side_b) == (t.side_b, t.side_a) and flip.swap is t.swap
+        assert flip.flipped() == t and flip.flipped().swap is t.swap
+        assert flip.fixed is t.fixed is t.swap.fixed
+        assert t.fixed == frozenset(v for v, w in enumerate(t.swap.perm) if v == w)
         assert calls == [1]
 
     def test_section2_sweep_computes_fixed_sets_once_per_triple(self, monkeypatch, tmp_path):
-        # each of the 200 swept sets used to build a new flipped triple and
-        # compute its fixed set again: 231 calls in all
+        # the 200 swept sets flip triples; a swap map keeps its fixed set,
+        # so each map object works it out once, however many triples and
+        # flips share it
         reflectivity._swap_fixed_set.cache_clear()
         reflectivity._triple_failure.cache_clear()
         calls = count_fixed_sets(monkeypatch)
         out = tmp_path / "report.json"
         assert main(["verify", "section2", "--pattern", "q3", "--host", "random(10,1/2,3)",
                      "--out", str(out)]) == 0
-        assert calls == [31]
+        assert calls == [23]
 
 
 def count_fixed_sets(monkeypatch) -> list[int]:
-    """Count Automorphism.fixed_set calls in the one-element list returned."""
+    """Count the fixed sets Automorphism.fixed works out, in the
+    one-element list returned: calls of its function, not reads."""
     calls = [0]
-    real = Automorphism.fixed_set
+    real = Automorphism.fixed.func
 
     def wrapper(self):
         calls[0] += 1
         return real(self)
 
-    monkeypatch.setattr(Automorphism, "fixed_set", wrapper)
+    counted = functools.cached_property(wrapper)
+    counted.__set_name__(Automorphism, "fixed")
+    monkeypatch.setattr(Automorphism, "fixed", counted)
     return calls
 
 
@@ -961,6 +967,6 @@ def assert_cap_changes_nothing(monkeypatch, cells, cases):
                 for g, pair in cases]
     got = []
     for g, pair in cases:
-        monkeypatch.setattr(reflectivity, "_CELL_CAP", cells(len(triples[g.n])))
+        monkeypatch.setattr(reflectivity, "_CHUNK_WORDS", cells(len(triples[g.n])))
         got.append(search_outcome(certify_reflective(g, pair, triples=triples[g.n])))
     assert got == expected

@@ -12,6 +12,9 @@ _spec.loader.exec_module(same_output)
 _spec = importlib.util.spec_from_file_location("faults", ROOT / "tools" / "faults.py")
 faults = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(faults)
+_spec = importlib.util.spec_from_file_location("bench_lines", ROOT / "tools" / "bench_lines.py")
+bench_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_lines)
 
 
 def readme_lines() -> list[str]:
@@ -76,3 +79,24 @@ class TestFaults:
         cmdfile.write_text("homreflect h2k --host q3 --k 1\n")
         assert faults.main([str(tmp_path / "nowhere"), str(cmdfile)]) == 1
         assert "(no result)" in capsys.readouterr().out
+
+
+class TestBenchLines:
+    def test_every_operation_one_line_with_its_inputs(self, tmp_path, capsys):
+        inputs = tmp_path / "inputs"
+        assert bench_lines.main(["1", str(inputs)]) == 0
+        lines = same_output.command_lines(inputs / "lines.txt")
+        assert len(lines) == 23
+        named = [word for line in lines for word in line.split() if word.startswith("op")]
+        assert len(named) == 12 and all((inputs / name).is_file() for name in named)
+        assert len(set(named)) == len(named)
+        # an edge-list host and a coloured one, each against the checkout itself
+        two = [line for line in lines if line.startswith(("homreflect verify section2 "
+                                                          "--pattern q3 --host op8_",
+                                                          "homreflect verify section3 --k 2"))]
+        assert len(two) == 2
+        cmdfile = tmp_path / "two.txt"
+        cmdfile.write_text("\n".join(two) + "\n")
+        capsys.readouterr()
+        assert same_output.main([str(SRC), str(SRC), str(cmdfile), "--inputs", str(inputs)]) == 0
+        assert capsys.readouterr().out == "4 runs per tree, 0 with differences\n"
