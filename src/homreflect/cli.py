@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations
 
 from . import __version__
@@ -419,7 +420,10 @@ def cmd_h2k(args) -> tuple[dict, int]:
             {"i": i, "j": j, "value": table[(i, j)]}
             for (i, j) in sorted(table)
         ]
-    return report, EXIT_OK if exact >= 1 else EXIT_VIOLATION
+    enclosed = abs(Fraction(spectral.value) - exact) <= Fraction(spectral.error_bound)
+    if not enclosed:
+        sys.stderr.write("h2k: the exact value lies outside h2k_float +/- spectral_error_bound\n")
+    return report, EXIT_OK if exact >= 1 and enclosed else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +498,7 @@ def _experiment_arguments(e):
         if name == "almost-rainbow-bounds":
             r.add_argument("--epsilon", help="colour deficiency (default 1/4)")
         r.add_argument("--spectral", action="store_true",
-                       help="float bounds via the eigenvalue path (large hosts)")
+                       help="float h_2k from matrix powers, with a proven radius (large hosts)")
         _common(r)
         r.set_defaults(func=cmd_rainbow_bounds)
 

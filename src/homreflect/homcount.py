@@ -65,7 +65,7 @@ from .automorphisms import _signatures, find_isomorphism
 from .exact import Exact, _layers, adjacency, admits
 from .graphs import (CapabilityError, Graph, GraphError, edge_density, gen_hypercube, gen_random,
                      make_graph)
-from .reflectivity import ReflectionCertificate, ReflectionTriple, reflect_set, verify_certificate
+from .reflectivity import ReflectionCertificate, ReflectionTriple, reflect_both, verify_certificate
 
 _PATTERN_CAP = 16
 _WORK_CAP = 3 * 10 ** 8
@@ -539,8 +539,7 @@ def check_reflection_inequality(h: Graph, g: Graph, triple: ReflectionTriple, r)
     {"lhs": hom(R)^2, "rhs": hom(R_AB) hom(R_BA), "holds"}, where holds
     needs both inequalities; the second cross-checks the kernel."""
     r = frozenset(r)
-    r_ab = reflect_set(h, triple, r)
-    r_ba = reflect_set(h, triple.flipped(), r)
+    r_ab, r_ba = reflect_both(h, triple, r)
     lhs = hom_count(h, g, r) ** 2
     c_ab = hom_count(h, g, r_ab)
     rhs = c_ab * hom_count(h, g, r_ba)

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
-from math import lcm
+from math import inf, isqrt, lcm, nextafter
 
 import numpy as np
 
@@ -241,26 +240,160 @@ class SpectralValue:
 
 
 def cycle_weight_sum_spectral(g: Graph, k: int) -> SpectralValue:
-    """Floating evaluation through the eigenvalues of the symmetric
-    degree-normalised adjacency matrix."""
+    """h_2k in floating point, with a radius that provably contains the
+    exact value (_spectral_sums).  The values of one host's last pass serve
+    every half-length up to its k, so rounds from k-max down form k-max - 1
+    matrix products in all."""
     _require_positive_degrees(g)
     if k < 1:
         raise GraphError(f"half-length must be positive, got {k}")
-    eig = _normalised_spectrum(g)
-    value = float(np.sum(eig ** (2 * k)))
-    bound = 4.0e-13 * g.n * 2 * k + 1e-13 * abs(value)
-    return SpectralValue(value, bound)
+    if not (_last_spectral and _last_spectral[0][0] is g and len(_last_spectral[0][1]) >= k):
+        _last_spectral[:] = [(g, _spectral_sums(g, k))]
+    return _last_spectral[0][1][k - 1]
 
 
-@lru_cache(maxsize=1)
-def _normalised_spectrum(g: Graph) -> np.ndarray:
-    """Eigenvalues of D^-1/2 A D^-1/2, kept for the last host, so that every
-    k asked of one host shares one decomposition."""
-    inv_sqrt = 1.0 / np.sqrt(np.array(g.degrees(), dtype=np.float64))
-    a = adjacency(g)
-    a *= inv_sqrt[:, None]
-    a *= inv_sqrt
-    return np.linalg.eigvalsh(a)
+# The values of the last _spectral_sums pass: (host, values for k = 1, 2, ...)
+_last_spectral: list[tuple] = []
+
+# A power is formed in this many row blocks (_times_step): a block is an
+# eighth of a matrix, and blocks of a larger n stay large enough for BLAS
+_BLOCKS = 8
+_UNIT = 2.0 ** -53  # u, the unit roundoff of float64
+_TINY = 2.0 ** -1074  # lambda, the least positive float64
+
+
+def _spectral_sums(g: Graph, k: int) -> tuple[SpectralValue, ...]:
+    """h_2, .., h_2k as floats with proven radii, from the powers of
+    S = D^-1/2 A D^-1/2.  S is similar to D^-1 A and symmetric, so h_2j =
+    tr(S^2j) = ||S^j||_F^2: each row's sum of squares, then the sum of
+    those.  S^1 needs no product and each further power one (_times_step),
+    formed in _BLOCKS row blocks and the last one not kept, so a pass holds
+    two n x n matrices and one block.
+
+    The radius.  Let u = 2^-53, gamma_m = m u / (1 - m u) and lambda =
+    2^-1074, the least positive float; every entry is non-negative.  A
+    computed entry of S is 1/sqrt(d_x) times 1/sqrt(d_y), each from a
+    rounded square root and a rounded reciprocal, and the product is
+    rounded: five roundings, each (or its reciprocal) a factor in
+    [1/(1 + u), 1 + u] (Higham (2.4) and (2.5)), put its ratio to the exact
+    entry in [1/(1 + eps_S), 1 + eps_S], eps_S = gamma_5.  A conventional product of
+    non-negative float matrices of inner dimension n, summed in any order,
+    with or without fused multiply-adds, lies entrywise within the factor
+    1 + gamma_n of the exact product of its operands, either way, when
+    nothing underflows (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., 2002, lemmas 3.1 and 3.3 and section 3.5); the
+    factors of successive products multiply.  With gradual underflow a sum
+    that underflows is exact, and a product or fused multiply-add that does
+    is off by at most lambda/2 (section 2.1).  A dot product of length n
+    has at most n of those, each grown by at most 1 + gamma_n by the later
+    roundings, so they add at most beta = n lambda (1 + gamma_n) / 2.  By
+    induction the computed S^j lies entrywise in [X/F_j - a_j, F_j X + a_j],
+    X the exact S^j, with
+
+        F_j = (1 + eps_S)^j (1 + gamma_n)^(j-1),
+        a_1 = 0,  a_(j+1) = (1 + gamma_n)(1 + eps_S) rho a_j + beta,
+
+    where rho >= sqrt(Delta/delta) bounds every row and column sum of every
+    power of S: row x of S^j sums to sqrt(d_x) times a mean of the
+    1/sqrt(d_y), weighted by row x of (D^-1 A)^j.  Squaring the entries,
+    summing each row's n squares and summing the n rows add the summation
+    factor (1 + gamma_n)^2, so the computed value of h_2j lies in
+    [T/G - A, G T + A], T the exact h_2j, with
+
+        G = F_j^2 (1 + gamma_n)^2,
+        A = (1 + gamma_n)^2 (2 F_j a_j n rho + n^2 a_j^2) + (1 + gamma_n) n beta.
+
+    A covers every underflow, so nothing is assumed about the size of the
+    entries.  Hence |T - value| <= (G - 1) value + G A, the radius, which
+    is evaluated in floats with each operation's result moved one float up.
+    The one assumption left is a conventional matrix product, each entry a
+    sum of its n products, as BLAS libraries form it: not a Strassen-like
+    one."""
+    n = g.n
+    degrees = g.degrees()
+    inv_sqrt = 1.0 / np.sqrt(np.array(degrees, dtype=np.float64))
+    step = adjacency(g)
+    step *= inv_sqrt[:, None]
+    step *= inv_sqrt
+    totals = [_square_total(step)]
+    power = step
+    for j in range(2, k + 1):
+        power, total = _times_step(power, step, j < k)
+        totals.append(total)
+
+    gamma, low, high = _gamma(n), min(degrees), max(degrees)
+    grow = _up(1 + gamma)
+    root = isqrt(low * high)
+    rho = _up((root + (root * root < low * high)) / low)  # ceil(sqrt(Delta delta)) / delta
+    beta = _product(n * _TINY, grow, 0.5)
+    entry = _gamma(5)  # eps_S
+    each = _compound(entry, gamma)  # F_(j+1) / F_j - 1
+    excess, lost = entry, 0.0  # F_j - 1 and a_j
+    values = []
+    for total in totals:
+        spread = _compound(_compound(excess, gamma), _compound(excess, gamma))  # G - 1
+        floor = _sum(_product(grow, grow, _sum(_product(2, _up(1 + excess), lost, n, rho),
+                                               _product(n, n, lost, lost))),
+                     _product(grow, n, beta))
+        values.append(SpectralValue(total, _sum(_product(spread, total),
+                                                _product(_up(1 + spread), floor))))
+        excess = _compound(excess, each)
+        lost = _sum(_product(_up(1 + each), rho, lost), beta)
+    return tuple(values)
+
+
+def _times_step(power: np.ndarray, step: np.ndarray, keep: bool):
+    """power @ step, formed in row blocks, and its sum of squares.  The
+    product is written over `power` when that is not `step` itself, kept
+    only when `keep`, and returned (else None) with the sum."""
+    n = len(step)
+    buffer = np.empty((-(-n // _BLOCKS), n))
+    out = None if not keep else np.empty_like(step) if power is step else power
+    total = 0.0
+    for lo in range(0, n, len(buffer)):
+        block = np.matmul(power[lo:lo + len(buffer)], step, out=buffer[:n - lo])
+        total += _square_total(block)
+        if out is not None:
+            out[lo:lo + len(block)] = block
+    return out, total
+
+
+def _square_total(rows: np.ndarray) -> float:
+    """The sum of the squares of each row, then of those sums."""
+    return float(np.einsum("ij,ij->i", rows, rows).sum())
+
+
+# Upper bounds in floats.  Under round-to-nearest, the rounded result of
+# one operation on non-negative floats moved one float up is at least the
+# exact result, subnormal or not.
+
+def _up(x: float) -> float:
+    return nextafter(x, inf)
+
+
+def _sum(*terms: float) -> float:
+    total = 0.0
+    for t in terms:
+        total = _up(total + t)
+    return total
+
+
+def _product(*factors: float) -> float:
+    out = 1.0
+    for f in factors:
+        out = _up(out * f)
+    return out
+
+
+def _compound(x: float, y: float) -> float:
+    """(1 + x)(1 + y) - 1 = x + y + x y, kept apart from the 1 so that
+    small excesses keep their digits."""
+    return _sum(x, y, _product(x, y))
+
+
+def _gamma(m: int) -> float:
+    """gamma_m = m u / (1 - m u); m u and 1 - m u are exact."""
+    return _up(m * _UNIT / (1 - m * _UNIT))
 
 
 def canonical_pattern_offset(i: int, j: int, two_k: int) -> int:

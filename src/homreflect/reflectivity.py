@@ -68,12 +68,11 @@ def verify_reflection_triple(h: Graph, a, b, phi: Automorphism) -> tuple[bool, s
 # is checked once.  A command meets at most _INVOLUTION_CAP swap maps, as
 # conjugates of involutions are involutions.
 @lru_cache(maxsize=_INVOLUTION_CAP)
-def _swap_fixed_set(h: Graph, perm: tuple[int, ...]) -> frozenset[int] | None:
-    """The fixed set of perm when it is a non-identity involution of H, and
-    None for any other automorphism; GraphError when it is not one."""
-    if not is_automorphism(h, perm):
+def _swap_fixed_set(h: Graph, phi: Automorphism) -> frozenset[int] | None:
+    """The fixed set phi keeps when it is a non-identity involution of H,
+    and None for any other automorphism; GraphError when it is not one."""
+    if not is_automorphism(h, phi.perm):
         raise GraphError("phi is not an automorphism of the pattern")
-    phi = Automorphism(perm)
     if not phi.is_involution or phi.is_identity:
         return None
     return phi.fixed
@@ -82,7 +81,7 @@ def _swap_fixed_set(h: Graph, perm: tuple[int, ...]) -> frozenset[int] | None:
 @lru_cache(maxsize=_INVOLUTION_CAP)
 def _triple_failure(h: Graph, t: ReflectionTriple) -> str | None:
     """The first triple condition that t violates, or None."""
-    fixed = _swap_fixed_set(h, t.swap.perm)
+    fixed = _swap_fixed_set(h, t.swap)
     if fixed is None:
         return "swap map is not a non-identity involution"
     a, b = t.side_a, t.side_b
@@ -165,17 +164,31 @@ def reflect_set(h: Graph, triple: ReflectionTriple, r) -> frozenset[int]:
     bipartition side and the result lies on R's side.  On a disconnected
     one it may exchange the sides, and the result then meets both.
     """
+    return _reflect(triple, triple.side_a, _admissible(h, triple, r))
+
+
+def reflect_both(h: Graph, triple: ReflectionTriple, r) -> tuple[frozenset[int], frozenset[int]]:
+    """reflect_set of R across the triple and across its flip, (B, A, phi),
+    with one admissibility check: admissibility is symmetric in A and B."""
+    r = _admissible(h, triple, r)
+    return _reflect(triple, triple.side_a, r), _reflect(triple, triple.side_b, r)
+
+
+def _admissible(h: Graph, triple: ReflectionTriple, r) -> frozenset[int]:
+    """R as a frozenset; GraphError unless it is admissible for the triple."""
     r = frozenset(r)
     if not is_admissible(h, triple, r):
         raise GraphError("constraint set is not admissible for the triple")
-    out = _reflect(triple, r)
+    return r
+
+
+def _reflect(triple: ReflectionTriple, side: frozenset[int], r: frozenset[int]) -> frozenset[int]:
+    """The reflection map on a set already known to be admissible, keeping
+    R's members in `side` (the triple's A, or B for its flip) or F and
+    mirroring its part in `side`."""
+    out = r & (side | triple.fixed) | triple.swap.apply_set(r & side)
     assert out, "reflection of an admissible set is never empty"
     return out
-
-
-def _reflect(triple: ReflectionTriple, r: frozenset[int]) -> frozenset[int]:
-    """The reflection map on a set already known to be admissible."""
-    return r & (triple.side_a | triple.fixed) | triple.swap.apply_set(r & triple.side_a)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +244,7 @@ def verify_certificate(h: Graph, cert: ReflectionCertificate) -> tuple[bool, lis
             return False, report + [f"step {j}: malformed triple: {why}"]
         if not is_admissible(h, t, current):
             return False, report + [f"step {j}: set not admissible"]
-        reflected = _reflect(t, current)
+        reflected = _reflect(t, t.side_a, current)
         if not step.r_next <= reflected:
             return False, report + [f"step {j}: next set not contained in the reflection"]
         if not step.r_next:

@@ -248,7 +248,7 @@ def test_criterion_6_weighted_cycle_ground_truths():
         k = 1 + (i % 3)
         exact = cycle_weight_sum(g, k)
         spectral = cycle_weight_sum_spectral(g, k)
-        if abs(spectral.value - float(exact)) > 1e-9 * max(1.0, float(exact)):
+        if abs(Fraction(spectral.value) - exact) > Fraction(spectral.error_bound):
             agreement_bad += 1
         if exact < 1:
             below_one += 1

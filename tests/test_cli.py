@@ -10,7 +10,6 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -621,6 +620,23 @@ class TestCountsAndWeights:
         assert data["h2k"] == "17/8"
         assert data["at_least_one"] is True
 
+    def test_h2k_outside_the_radius_exits_two(self, tmp_path, capsys, monkeypatch):
+        """h2k checks its exact value against the float value's proven
+        radius: a float value moved by twice the radius exits 2."""
+        spectral = cli.cycle_weight_sum_spectral
+
+        def shifted(g, k):
+            value = spectral(g, k)
+            return rainbow.SpectralValue(value.value + 2 * value.error_bound, value.error_bound)
+
+        monkeypatch.setattr(cli, "cycle_weight_sum_spectral", shifted)
+        code, body = run(tmp_path, "h2k", "--host", "hypercube(4)", "--k", "3",
+                         "--format", "json", out_name="h.json")
+        assert code == 2
+        assert json.loads(body)["h2k"] == "17/8"
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "h2k: the exact value lies outside h2k_float +/- spectral_error_bound")
+
     def test_h2k_patterns_with_colouring(self, tmp_path):
         code, body = run(tmp_path, "h2k", "--host", "cycle(4)", "--k", "2",
                          "--colouring", "rainbow", "--patterns",
@@ -883,8 +899,8 @@ class TestWorkCap:
 class TestOneWalkEngine:
     """A command builds one walk engine per half-length, and no engine
     outlives the call that built it: a later call for the same host and
-    half-length is served from the kept values.  The spectral rounds share
-    one eigendecomposition per host."""
+    half-length is served from the kept values.  The spectral rounds of one
+    host share one pass of matrix powers."""
 
     @pytest.mark.parametrize("argv, lengths", [
         (["h2k", "--host", "direction-cube(4)", "--k", "2", "--patterns"], [2]),
@@ -922,20 +938,23 @@ class TestOneWalkEngine:
         assert [row["k"] for row in report["rounds"]] == [2, 3, 4]
         assert [cycle["k"] for cycle in report["cycles_found"]] == failing
 
-    def test_spectral_rounds_decompose_once(self, tmp_path, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+    def test_spectral_rounds_form_k_max_minus_one_products(self, tmp_path, monkeypatch):
+        """The rounds of one host form k-max - 1 products in all: the first
+        round's pass keeps S^2 and S^3 and takes S^4 in row blocks, and its
+        values serve the later rounds."""
+        kept = []
+        times_step = rainbow._times_step
 
-        def counted(a):
-            calls.append(a.shape)
-            return eigvalsh(a)
+        def counted(power, step, keep):
+            kept.append(keep)
+            return times_step(power, step, keep)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        rainbow._normalised_spectrum.cache_clear()
+        monkeypatch.setattr(rainbow, "_times_step", counted)
+        rainbow._last_spectral.clear()
         code, _ = run(tmp_path, "experiment", "rainbow-bounds", "--host", "hypercube(5)",
                       "--k-max", "4", "--spectral")
         assert code == 0
-        assert calls == [(32, 32)]
+        assert kept == [True, True, False]
 
 
 class TestCellCap:

@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -157,8 +158,7 @@ class TestWalkEngineDtype:
         assert set(g.degrees()) == {2, 3}
         for k in (1, 2, 3, 4):
             assert not _WalkEngine(g, k).exact.primes
-            spectral = cycle_weight_sum_spectral(g, k)
-            assert abs(float(cycle_weight_sum(g, k)) - spectral.value) <= spectral.error_bound
+            assert_enclosed(g, k, cycle_weight_sum(g, k))
 
     @pytest.mark.parametrize("k, products", [(1, 0), (2, 1), (3, 3), (4, 5)])
     def test_powers_stored(self, k, products):
@@ -262,23 +262,80 @@ class TestProductHost:
         rainbow._last_sums.clear()
 
 
+def assert_enclosed(g, k, exact):
+    """The spectral radius of h_2k contains the exact value, and is below
+    10^-11 of it."""
+    spectral = cycle_weight_sum_spectral(g, k)
+    assert abs(Fraction(spectral.value) - exact) <= Fraction(spectral.error_bound), k
+    assert spectral.error_bound <= 1e-11 * exact, k
+
+
+def proven_radius(g, j, value) -> Fraction:
+    """The radius rainbow._spectral_sums proves for the float h_2j, (G - 1)
+    value + G A, evaluated in exact rationals from its docstring."""
+    n, low, high = g.n, g.min_degree(), g.max_degree()
+    unit, tiny = Fraction(1, 2 ** 53), Fraction(1, 2 ** 1074)
+    gamma, eps = n * unit / (1 - n * unit), 5 * unit / (1 - 5 * unit)
+    root = isqrt(low * high)
+    rho = Fraction(root + (root * root < low * high), low)
+    beta = n * tiny * (1 + gamma) / 2
+    lost = Fraction(0)
+    for _ in range(j - 1):
+        lost = (1 + gamma) * (1 + eps) * rho * lost + beta
+    factor = (1 + eps) ** j * (1 + gamma) ** (j - 1)
+    spread = factor ** 2 * (1 + gamma) ** 2
+    floor = (1 + gamma) ** 2 * (2 * factor * lost * n * rho + (n * lost) ** 2) + (1 + gamma) * n * beta
+    return (spread - 1) * Fraction(value) + spread * floor
+
+
 class TestSpectral:
+    def test_radius_is_the_proven_bound(self):
+        """The radius, evaluated in floats rounded up, is at least the
+        proven bound evaluated exactly and within 10^-9 of it."""
+        for g in (random_host_with_degrees(12, 1, 2, 1), gen_hypercube(8),
+                  random_host_with_degrees(120, 1, 3, 2), gen_cycle(7)):
+            for j, spectral in enumerate(rainbow._spectral_sums(g, 4), 1):
+                want = proven_radius(g, j, spectral.value)
+                assert want <= Fraction(spectral.error_bound) <= want * (1 + Fraction(1, 10 ** 9))
+
     @pytest.mark.parametrize("seed", [1, 5, 8])
     def test_agrees_with_exact(self, seed):
         g = random_host_with_degrees(12, 1, 2, seed)
         for k in (1, 2, 4):
-            exact = float(cycle_weight_sum(g, k))
-            spectral = cycle_weight_sum_spectral(g, k)
-            assert abs(spectral.value - exact) <= 1e-9 * max(1.0, exact)
+            assert_enclosed(g, k, cycle_weight_sum(g, k))
 
     def test_lower_bound(self):
         g = random_host_with_degrees(30, 1, 3, 3)
         assert cycle_weight_sum_spectral(g, 6).value >= 1 - 1e-9
 
     def test_large_regular_host(self):
-        val = cycle_weight_sum_spectral(gen_hypercube(8), 4)
-        exact = float(cycle_weight_sum(gen_hypercube(8), 4))
-        assert abs(val.value - exact) <= 1e-9 * exact
+        assert_enclosed(gen_hypercube(8), 4, cycle_weight_sum(gen_hypercube(8), 4))
+
+    def test_encloses_product_of_factors_at_1024_vertices(self):
+        """h_2k of a tensor product is the product of the factors' values,
+        which gives the exact h_2k of a 1024-vertex host from two 32-vertex
+        ones.  One pass at k = 3 serves k = 2 and 1."""
+        factors = [random_host_with_degrees(32, 1, 2, seed) for seed in (1, 2)]
+        g, _ = bf.tensor_product(*factors)
+        assert g.n == 1024
+        rainbow._last_spectral.clear()
+        for k in (3, 2, 1):
+            assert_enclosed(g, k, cycle_weight_sum(factors[0], k) * cycle_weight_sum(factors[1], k))
+        rainbow._last_sums.clear()
+        rainbow._last_spectral.clear()
+
+    def test_pass_holds_two_matrices(self):
+        """A pass holds S and one power, n x n each, and one row block of
+        n/8 rows: k = 4 on 400 vertices allocates less than two matrices and
+        two blocks at once, where a third matrix would pass it."""
+        g = random_host_with_degrees(400, 1, 2, 3)
+        tracemalloc.start()
+        try:
+            rainbow._spectral_sums(g, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 400 * 400 * 8 + 2 * 50 * 400 * 8
 
 
 class TestCoincidenceWeights:

@@ -46,6 +46,7 @@ from homreflect.reflectivity import (
     _even_prefix_set,
     _even_prefix_trimmed,
     hypercube_growth_step,
+    reflect_both,
 )
 
 
@@ -175,16 +176,17 @@ class TestChecksOnce:
         assert calls == [1]
 
     def test_section2_sweep_computes_fixed_sets_once_per_triple(self, monkeypatch, tmp_path):
-        # the 200 swept sets flip triples; a swap map keeps its fixed set,
-        # so each map object works it out once, however many triples and
-        # flips share it
+        # the 200 swept sets are reflected across triples and their flips;
+        # a swap map keeps its fixed set, so each map object works it out
+        # once, however many triples share it, and the triple check reads
+        # the fixed set of the triple's own map
         reflectivity._swap_fixed_set.cache_clear()
         reflectivity._triple_failure.cache_clear()
         calls = count_fixed_sets(monkeypatch)
         out = tmp_path / "report.json"
         assert main(["verify", "section2", "--pattern", "q3", "--host", "random(10,1/2,3)",
                      "--out", str(out)]) == 0
-        assert calls == [23]
+        assert calls == [17]
 
 
 def count_fixed_sets(monkeypatch) -> list[int]:
@@ -255,6 +257,18 @@ class TestAdmissibilityAndReflection:
     def test_inadmissible_raises(self):
         with pytest.raises(GraphError):
             reflect_set(self.q3, self.worked, cube_set("100"))
+        with pytest.raises(GraphError):
+            reflect_both(self.q3, self.worked, cube_set("100"))
+
+    def test_reflect_both_is_the_triple_and_its_flip(self):
+        # every admissible (triple, R) pair of Q3, R any subset of a side
+        pairs = [(t, frozenset(r)) for t in enumerate_reflection_triples(self.q3)
+                 for part in self.q3.bipartition() for size in range(1, len(part) + 1)
+                 for r in combinations(sorted(part), size) if is_admissible(self.q3, t, r)]
+        assert len(pairs) == 312
+        for t, r in pairs:
+            assert reflect_both(self.q3, t, r) == (reflect_set(self.q3, t, r),
+                                                   reflect_set(self.q3, t.flipped(), r))
 
     def test_side_exchanging_triple_on_disconnected_pattern(self):
         # two disjoint edges: the swap map fixes no vertex and carries side
