@@ -29,15 +29,18 @@ from .exact import Exact, adjacency, require_bits_admitted
 from .graphs import EdgeColouring, Graph, GraphError, validate_colouring
 
 
-def _require_positive_degrees(g: Graph) -> None:
+def _require_walks(g: Graph, k: int) -> None:
+    """Refuse a half-length k < 1, then a host with a vertex of degree 0."""
+    if k < 1:
+        raise GraphError(f"half-length must be positive, got {k}")
     if g.n == 0 or g.min_degree() == 0:
         raise GraphError("walk weights need every vertex to have positive degree")
 
 
 class _WalkEngine:
     """Exact powers of the scaled step matrix B = L * D^-1 A, L = lcm(degrees),
-    for the closed walks of length up to 2k.  _walk_sums builds one per call
-    and drops it before it returns.
+    for the closed walks of length up to 2k.  _walk_sums builds one per call,
+    once _require_walks has passed, and drops it before it returns.
 
     B[u][v] = L/deg(u) on edges is an integer, every row of B sums to L and
     B^t = L^t M^t for the step matrix M = D^-1 A, so each weight is an
@@ -73,7 +76,6 @@ class _WalkEngine:
     """
 
     def __init__(self, g: Graph, k: int, coloured: bool = False):
-        _require_positive_degrees(g)
         self.g = g
         degrees = g.degrees()
         self.scale = lcm(*degrees)
@@ -211,8 +213,7 @@ def _walk_sums(g: Graph, k: int, colouring: EdgeColouring | None = None):
     The last call's values serve a later call for the same host object, k
     and colouring object, or for the same host and k without a colouring
     (`h2k --patterns`, `verify section3 --epsilon`)."""
-    if k < 1:
-        raise GraphError(f"half-length must be positive, got {k}")
+    _require_walks(g, k)
     if _last_sums:
         host, kept_k, kept_colouring, weights, offsets = _last_sums[0]
         if host is g and kept_k == k and (colouring is None or colouring is kept_colouring):
@@ -244,9 +245,7 @@ def cycle_weight_sum_spectral(g: Graph, k: int) -> SpectralValue:
     exact value (_spectral_sums).  The values of one host's last pass serve
     every half-length up to its k, so rounds from k-max down form k-max - 1
     matrix products in all."""
-    _require_positive_degrees(g)
-    if k < 1:
-        raise GraphError(f"half-length must be positive, got {k}")
+    _require_walks(g, k)
     if not (_last_spectral and _last_spectral[0][0] is g and len(_last_spectral[0][1]) >= k):
         _last_spectral[:] = [(g, _spectral_sums(g, k))]
     return _last_spectral[0][1][k - 1]
@@ -504,7 +503,7 @@ def float_total_bounds(g: Graph, k_max: int, eps=None) -> list[float]:
     """total_bound of g for k = 2 .. k_max as floats, or a GraphError at the
     first k whose bound is past the float range.  A bound past n grows with
     k, so no later one would fit either."""
-    _require_positive_degrees(g)
+    _require_walks(g, k_max)
     bounds = []
     for k in range(2, k_max + 1):
         try:

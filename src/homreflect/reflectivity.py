@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -45,6 +45,13 @@ class ReflectionTriple:
 
     def sort_key(self):
         return (self.swap.perm, tuple(sorted(self.side_a)))
+
+
+def _triple(phi: Automorphism, a) -> ReflectionTriple:
+    """The triple (A, phi(A), phi).  A conjugated or parsed certificate keeps
+    the B it holds instead: it may be invalid, and verification must see it."""
+    a = frozenset(a)
+    return ReflectionTriple(a, phi.apply_set(a), phi)
 
 
 def pattern_sides(h: Graph) -> tuple[frozenset[int], frozenset[int]]:
@@ -98,42 +105,27 @@ def _triple_failure(h: Graph, t: ReflectionTriple) -> str | None:
 def enumerate_reflection_triples(h: Graph) -> list[ReflectionTriple]:
     """All reflection triples of H, both orientations of each component pairing.
 
-    For each involution that passes the involution search's carrying test,
-    as every involution carrying a triple does: remove its fixed set, take
-    connected components, and demand the involution move every component;
-    each way of assigning the component pairs to the two sides yields one
-    triple.  Each triple is checked once (`_triple_failure`), and the check
-    is remembered for the certificate steps that use it.
+    Every vertex outside the fixed set F lies in A or in B, and no edge
+    joins A to B, so each component of H - F lies wholly in A or wholly in
+    B.  As B = phi(A), phi exchanges the components of A with those of B:
+    a component that phi maps onto itself could lie in neither, and of each
+    exchanged pair exactly one lies in A.  So each involution that moves
+    every component yields one triple (A, phi(A), phi) per choice of one
+    component from each pair, and these are all of its triples.  The
+    involutions that `_involutions` drops carry no triple (its docstring
+    proves this), and phi, never the identity, moves some component.  Each
+    triple is checked once (`_triple_failure`), and the check is remembered
+    for the certificate steps that use it.
     """
     triples: list[ReflectionTriple] = []
     for phi in _involutions(h):
         comps = h.components(removed=phi.fixed)
-        pairs = []
-        ok = True
-        seen = set()
-        for comp in comps:
-            if comp in seen:
-                continue
-            img = phi.apply_set(comp)
-            if img == comp:
-                ok = False
-                break
-            pairs.append((comp, img))
-            seen.add(comp)
-            seen.add(img)
-        if not ok or not pairs:
+        images = [phi.apply_set(comp) for comp in comps]
+        if any(comp == img for comp, img in zip(comps, images)):
             continue
-        for assign in range(1 << len(pairs)):
-            a: set[int] = set()
-            b: set[int] = set()
-            for idx, (left, right) in enumerate(pairs):
-                if (assign >> idx) & 1:
-                    a |= right
-                    b |= left
-                else:
-                    a |= left
-                    b |= right
-            triple = ReflectionTriple(frozenset(a), frozenset(b), phi)
+        pairs = [(comp, img) for comp, img in zip(comps, images) if min(comp) < min(img)]
+        for choice in product(*pairs):
+            triple = _triple(phi, frozenset().union(*choice))
             why = _triple_failure(h, triple)
             if why is not None:
                 raise AssertionError(f"enumerated triple fails validation: {why}")
@@ -622,12 +614,6 @@ def reflectivity_report(h: Graph, budget: int = DEFAULT_BUDGET) -> dict:
 # normalisation step and an automorphism sigma, then run a fixed schedule of
 # canonical triples conjugated by sigma (`_run_chain`).
 
-def _triple(phi: Automorphism, a) -> ReflectionTriple:
-    """The triple (A, phi(A), phi)."""
-    a = frozenset(a)
-    return ReflectionTriple(a, phi.apply_set(a), phi)
-
-
 def _complete(moves: dict[int, int], n: int) -> dict[int, int]:
     """Extend a partial injection of {1..n} to a permutation that sends the
     remaining points, in increasing order, to the remaining images."""
@@ -701,12 +687,10 @@ def _even_prefix_set(d: int, k: int) -> frozenset[int]:
 
 
 def _even_prefix_trimmed(d: int, k: int) -> frozenset[int]:
-    """Even-parity vertices supported on the first k+1 coordinates whose
-    (k, k+1) coordinates are not both 1."""
-    return frozenset(v for v in range(1 << d)
-                     if v < (1 << (k + 1))
-                     and bin(v).count("1") % 2 == 0
-                     and not (_coord(v, k) and _coord(v, k + 1)))
+    """The vertices of _even_prefix_set(d, k + 1) whose (k, k+1)
+    coordinates are not both 1."""
+    return frozenset(v for v in _even_prefix_set(d, k + 1)
+                     if not (_coord(v, k) and _coord(v, k + 1)))
 
 
 def hypercube_growth_step(d: int, k: int) -> tuple[ReflectionTriple, ReflectionTriple]:

@@ -19,7 +19,8 @@ builds must reproduce exactly.  The greedy edge colouring keeps its former
 colour sets, which the per-vertex bitmasks must reproduce.  hom_count's
 former conditioning rule for bipartite patterns, a greedy pick from the
 smaller side, is kept as the reference that the label-free plan may never
-exceed.
+exceed.  Reflection triples come from every involution and every choice of
+one vertex per moved pair, with no component structure.
 
 The last four functions are not oracles but label helpers: Q4 with one
 side labelled first, vertex ids of cube coordinate strings and of
@@ -490,6 +491,23 @@ def passes_carrying_test(h: Graph, phi: Automorphism) -> bool:
     return all(phi(x) not in h.adj[x] and
                not any(phi(y) in h.adj[x] for y in h.adj[x] if phi(y) != y)
                for x in moved)
+
+
+def reflection_triples_naive(h: Graph) -> list[ReflectionTriple]:
+    """Every reflection triple of H, in the order of ReflectionTriple.sort_key:
+    for each non-identity involution phi, every way of putting one vertex
+    of each moved pair {x, phi(x)} into A, kept when no edge joins A and
+    phi(A).  The pairs partition the moved vertices, so A, phi(A) and the
+    fixed set partition V(H)."""
+    triples = []
+    for phi in involutions_unanchored(h):
+        pairs = [(x, phi(x)) for x in range(h.n) if x < phi(x)]
+        for choice in product(*pairs):
+            a = frozenset(choice)
+            b = frozenset(phi(x) for x in a)
+            if not any(h.adj[u] & b for u in a):
+                triples.append(ReflectionTriple(a, b, phi))
+    return sorted(triples, key=ReflectionTriple.sort_key)
 
 
 def gen_random_per_pair(n: int, p: Fraction, seed: int) -> Graph:

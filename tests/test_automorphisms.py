@@ -345,7 +345,8 @@ def bipartite_graphs():
 def assert_anchored_matches_oracle(g):
     """The anchored searches find the maps of the unanchored loops in the
     same order, the carrying search finds those of the oracle's involutions
-    that pass the carrying test, and they carry every triple."""
+    that pass the carrying test, and they carry every triple: on at most 16
+    vertices, every triple that one vertex per moved pair gives."""
     cands = _candidates(g)
     assert _backtrack(g, cands, False) == bf.backtrack_unanchored(g, cands, False)
     assert [a.perm for a in _involutions(g)] == carrying_oracle(g)
@@ -362,6 +363,8 @@ def assert_anchored_matches_oracle(g):
     assert find_isomorphism(g, copy) == first[0]
     assert enumerate_reflection_triples(g) == \
         triples_over(g, bf.involutions_unanchored(g))
+    if g.n <= 16:
+        assert enumerate_reflection_triples(g) == bf.reflection_triples_naive(g)
 
 
 def triples_over(h, involutions):

@@ -677,6 +677,11 @@ def _conditioned(h):
     return sum(c for _, _, c, _ in homcount._plan(h, frozenset(range(h.n))))
 
 
+def _smaller_side_bound(h):
+    """max(0, |X| - 2), X the smaller side: README's bound on |C|."""
+    return max(0, min(map(len, h.bipartition())) - 2)
+
+
 def _relabelled(h, rng):
     perm = list(range(h.n))
     rng.shuffle(perm)
@@ -746,6 +751,7 @@ class TestLabelFreePlans:
         assert len(patterns) == 2306
         for h in patterns:
             assert _conditioned(h) <= bf.smaller_side_greedy_conditioned(h)
+            assert _conditioned(h) <= _smaller_side_bound(h)
 
     def test_sparse_patterns_where_the_rules_differ(self):
         patterns = list(_sparse_bipartite(random.Random(2), 150))
@@ -753,6 +759,7 @@ class TestLabelFreePlans:
         greedy = [bf.smaller_side_greedy_conditioned(h) for h in patterns]
         assert all(c <= g for c, g in zip(ours, greedy))
         assert sum(c < g for c, g in zip(ours, greedy)) >= 5
+        assert all(c <= _smaller_side_bound(h) for c, h in zip(ours, patterns))
 
     def test_smaller_side_candidates_keep_the_greedy_bound(self, monkeypatch):
         h = make_graph(15, SPARSE_15)
